@@ -32,8 +32,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .evolution import expm_unitary, leakage as state_leakage, run_sequence, sequence_unitary, trotter
-from .hilbert import HilbertError, RegisterLayout, StateVector, basis_state, new_register, qubit, qumode
+from .evolution import (
+    LEAKAGE_INVALID,
+    Generators,
+    expm_unitary,
+    leakage as state_leakage,
+    run_sequence,
+    sequence_unitary,
+    trotter,
+)
+from .hilbert import DEFAULT_GUARD, HilbertError, RegisterLayout, StateVector, basis_state, new_register, qubit, qumode
 from .operators import ExprSyntaxError, HamiltonianExpr, OperatorError, build, parse_expr
 from .spectral import (
     PointerSpec,
@@ -255,7 +263,8 @@ def _fit_slope(xs, ys) -> float:
 # experiment runners (each returns results dict, leakage, valid, csv, curve)
 
 
-def _run_spectrum(cfg: ExperimentConfig):
+def _spectrum_inputs(cfg: ExperimentConfig) -> tuple:
+    """The leading arguments estimate_spectrum and robustness_midmeasure share, in order."""
     layout = _layout(cfg)
     h = _hamiltonian(cfg)
     psi = _initial_state(cfg, layout)
@@ -267,36 +276,20 @@ def _run_spectrum(cfg: ExperimentConfig):
     method = cfg.raw.get("method", "exact")
     if method not in ("exact", "trotter"):
         raise ConfigError(f"method: must be 'exact' or 'trotter', got {method!r}")
-    est = estimate_spectrum(
-        h, psi, spec,
-        n_shots=_int(cfg, "n_shots", minimum=1),
-        seed=cfg.seed,
-        method=method,
-        trotter_steps=_int(cfg, "trotter_steps", default=64, minimum=1),
-        guard=_number(cfg, "guard", default=0.25),
-    )
+    n_shots = _int(cfg, "n_shots", minimum=1)
+    trotter_steps = _int(cfg, "trotter_steps", default=64, minimum=1)
+    return h, psi, spec, n_shots, cfg.seed, method, trotter_steps, _number(cfg, "guard", default=DEFAULT_GUARD)
+
+
+def _run_spectrum(cfg: ExperimentConfig):
+    est = estimate_spectrum(*_spectrum_inputs(cfg))
     csv = ["shot,x,eigenvalue_estimate"]
     csv += [f"{i},{x!r},{e!r}" for i, x, e in spectrum_rows(est)]
     return estimate_to_dict(est), est.leakage, est.valid, csv, _histogram_lines(est.samples)
 
 
 def _run_robustness(cfg: ExperimentConfig):
-    layout = _layout(cfg)
-    h = _hamiltonian(cfg)
-    psi = _initial_state(cfg, layout)
-    spec = PointerSpec(
-        beta=_number(cfg, "beta", minimum=1e-12),
-        cutoff=_int(cfg, "pointer_cutoff", minimum=2),
-        t_couple=_number(cfg, "t_couple", minimum=1e-12),
-    )
-    rep = robustness_midmeasure(
-        h, psi, spec,
-        n_shots=_int(cfg, "n_shots", minimum=1),
-        seed=cfg.seed,
-        method=cfg.raw.get("method", "exact"),
-        trotter_steps=_int(cfg, "trotter_steps", default=64, minimum=1),
-        guard=_number(cfg, "guard", default=0.25),
-    )
+    rep = robustness_midmeasure(*_spectrum_inputs(cfg))
     results = {
         "baseline": estimate_to_dict(rep.baseline),
         "midmeasure_peaks": [
@@ -315,14 +308,14 @@ def _run_robustness(cfg: ExperimentConfig):
         "resolution": rep.resolution,
     }
     csv = ["shot,x,eigenvalue_estimate"]
-    csv += [f"{i},{x!r},{x / spec.t_couple!r}" for i, x in enumerate(rep.samples)]
+    csv += [f"{i},{x!r},{x / rep.baseline.t_couple!r}" for i, x in enumerate(rep.samples)]
     valid = rep.valid and rep.baseline.valid
     return results, rep.leakage, valid, csv, _histogram_lines(rep.samples)
 
 
 def _run_synth(cfg: ExperimentConfig):
     layout = _layout(cfg)
-    registry = standard_registry(layout, guard=_number(cfg, "guard", default=0.25))
+    registry = standard_registry(layout, guard=_number(cfg, "guard", default=DEFAULT_GUARD))
     target = _need(cfg, "target")
     if not isinstance(target, str):
         raise ConfigError("target: must be a Hamiltonian expression string")
@@ -360,7 +353,7 @@ def _run_synth(cfg: ExperimentConfig):
 
 def _run_closure(cfg: ExperimentConfig):
     layout = _layout(cfg)
-    registry = standard_registry(layout, guard=_number(cfg, "guard", default=0.25))
+    registry = standard_registry(layout, guard=_number(cfg, "guard", default=DEFAULT_GUARD))
     seeds = cfg.raw.get("seeds")
     if seeds is None:
         spin = next(i for i in range(len(layout)) if layout.is_qubit(i))
@@ -428,7 +421,7 @@ def _run_qft_demo(cfg: ExperimentConfig):
         state = cv_qft(state, 0)
         track.append((k, state.expectation(x_op), state.expectation(p_op)))
     fid = state.fidelity(initial)
-    leak = state_leakage(state, _number(cfg, "guard", default=0.25))
+    leak = state_leakage(state, _number(cfg, "guard", default=DEFAULT_GUARD))
     results = {
         "cutoff": cutoff,
         "trajectory": [{"applications": k, "mean_x": x, "mean_p": p} for k, x, p in track],
@@ -436,7 +429,7 @@ def _run_qft_demo(cfg: ExperimentConfig):
     }
     csv = ["applications,mean_x,mean_p"] + [f"{k},{x!r},{p!r}" for k, x, p in track]
     curve = ["# applications mean_x mean_p"] + [f"{k} {x!r} {p!r}" for k, x, p in track]
-    return results, leak, leak <= 1e-3, csv, curve
+    return results, leak, leak <= LEAKAGE_INVALID, csv, curve
 
 
 def _run_trotter_scaling(cfg: ExperimentConfig):
@@ -445,13 +438,15 @@ def _run_trotter_scaling(cfg: ExperimentConfig):
     t = _number(cfg, "t")
     steps = _int_list(cfg, "steps", minimum=1)
     exact = expm_unitary(build(h, layout), t)
+    generators = Generators(layout)
     rows = []
     for n in steps:
         seq = trotter(h, t, n)
-        err = float(np.linalg.norm(sequence_unitary(seq, layout) - exact, 2))
+        err = float(np.linalg.norm(sequence_unitary(seq, layout, generators) - exact, 2))
         rows.append((n, err))
     probe = basis_state(layout, [0] * len(layout))
-    report = run_sequence(trotter(h, t, steps[-1]), probe, guard=_number(cfg, "guard", default=0.25))
+    report = run_sequence(trotter(h, t, steps[-1]), probe, generators,
+                          guard=_number(cfg, "guard", default=DEFAULT_GUARD))
     results = {"t": t, "errors": [{"n_steps": n, "error": e} for n, e in rows]}
     if len(rows) >= 2:
         results["error_slope"] = _fit_slope([r[0] for r in rows], [max(r[1], 1e-300) for r in rows])

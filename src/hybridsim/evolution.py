@@ -5,7 +5,9 @@ Exponentials use eigendecomposition of the (Hermitian) generator, which is
 exact to machine precision at the dimensions this package targets.  That
 keeps exponentiation error out of the pulse-compiler error-scaling
 experiments, which must isolate the commutator-approximation error itself.
-Decompositions are cached per (generator id, layout).
+Decompositions are kept per generator id in a ``Generators`` table owned by
+the caller (a synthesis registry, a spectroscopy run); a run given no table
+diagonalizes each of its generators once for that run only.
 
 Sign convention: a pulse of generator H with duration t and sign s applies
 ``exp(-i * s * H * t)``.  Global phases are never asserted anywhere; state
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import DEFAULT_GUARD, RegisterLayout, StateVector, interior_mask
-from .operators import HamiltonianExpr, build, generator_id, parse_expr, term
+from .operators import HamiltonianExpr, OperatorError, build, generator_id, parse_expr, term
 
 HERMITICITY_TOL = 1e-10
 
@@ -122,22 +124,15 @@ def _check_hermitian(h: np.ndarray) -> np.ndarray:
     return h
 
 
-# (generator id, layout signature) -> (eigenvalues, eigenvectors); reads are
-# concurrency-safe and entries are only ever assigned once.
-_EIG_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _eig(h: np.ndarray, cache_key: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
-    if cache_key is not None and cache_key in _EIG_CACHE:
-        return _EIG_CACHE[cache_key]
-    w, v = np.linalg.eigh(_check_hermitian(h))
-    if cache_key is not None:
-        _EIG_CACHE[cache_key] = (w, v)
-    return w, v
+def _eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one eigendecomposition behind every exponential the package applies."""
+    return np.linalg.eigh(_check_hermitian(h))
 
 
 def _apply(w: np.ndarray, v: np.ndarray, t: float, amps: np.ndarray) -> np.ndarray:
-    return v @ (np.exp(-1j * w * t) * (v.conj().T @ amps))
+    """exp(-i H t) with H = v diag(w) v^dagger, applied to a vector or to a (D, k) block."""
+    phases = np.exp(-1j * w * t).reshape((-1,) + (1,) * (amps.ndim - 1))
+    return v @ (phases * (v.conj().T @ amps))
 
 
 def expm_apply(h: np.ndarray, t: float, state: StateVector) -> StateVector:
@@ -145,41 +140,66 @@ def expm_apply(h: np.ndarray, t: float, state: StateVector) -> StateVector:
     h = _check_hermitian(h)
     if h.shape[0] != state.layout.total_dim:
         raise EvolutionError(f"generator dim {h.shape[0]} != state dim {state.layout.total_dim}")
-    w, v = np.linalg.eigh(h)
+    w, v = _eig(h)
     return StateVector(state.layout, _apply(w, v, t, state.amplitudes))
 
 
 def expm_unitary(h: np.ndarray, t: float) -> np.ndarray:
     """Dense exp(-i H t); the oracle used by error-scaling tests."""
-    w, v = np.linalg.eigh(_check_hermitian(h))
+    w, v = _eig(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def _resolve(pulse: Pulse, layout: RegisterLayout, generators) -> tuple[str, np.ndarray | None]:
-    gid = pulse.generator_id
-    if generators is not None:
+class Generators:
+    """Generator id -> matrix on one layout, each id diagonalized at most once.
+
+    A pulse's generator resolves to the prebuilt matrix of its id, else to
+    its inline expression, else to its id parsed as Hamiltonian text.  The
+    table belongs to the caller that creates it: pass the same table to
+    several runs on one layout and they share every eigendecomposition.
+    """
+
+    def __init__(self, layout: RegisterLayout, prebuilt=None):
+        self.layout = layout
+        self._matrices: dict[str, np.ndarray] = dict(prebuilt or {})
+        self._eigs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def add(self, gid: str, matrix: np.ndarray) -> None:
+        self._matrices[gid] = matrix
+
+    def __getitem__(self, gid: str) -> np.ndarray:
+        return self._matrices[gid]
+
+    def _matrix(self, pulse: Pulse, gid: str) -> np.ndarray:
+        if gid in self._matrices:
+            return self._matrices[gid]
+        if isinstance(pulse.generator, HamiltonianExpr):
+            return build(pulse.generator, self.layout)
         try:
-            return gid, generators[gid]
-        except KeyError:
-            pass
-    if isinstance(pulse.generator, HamiltonianExpr):
-        return gid, None  # build from the inline expression
-    try:
-        parse_expr(gid)
-        return gid, None
-    except Exception:
-        raise UnknownGeneratorError(f"cannot resolve generator id {gid!r}") from None
+            expr = parse_expr(gid)
+        except OperatorError:
+            raise UnknownGeneratorError(f"cannot resolve generator id {gid!r}") from None
+        return build(expr, self.layout)
+
+    def eig(self, pulse: Pulse) -> tuple[np.ndarray, np.ndarray]:
+        gid = pulse.generator_id
+        if gid not in self._eigs:
+            self._eigs[gid] = _eig(self._matrix(pulse, gid))
+        return self._eigs[gid]
 
 
-def _pulse_eig(pulse: Pulse, layout: RegisterLayout, generators) -> tuple[np.ndarray, np.ndarray]:
-    gid, mat = _resolve(pulse, layout, generators)
-    key = (gid, layout.signature())
-    if key in _EIG_CACHE:
-        return _EIG_CACHE[key]
-    if mat is None:
-        expr = pulse.generator if isinstance(pulse.generator, HamiltonianExpr) else parse_expr(gid)
-        mat = build(expr, layout)
-    return _eig(mat, cache_key=key)
+def _propagate(seq: PulseSequence, layout: RegisterLayout, generators, amps: np.ndarray) -> np.ndarray:
+    """The pulse loop shared by run_sequence (a vector) and sequence_unitary (a block)."""
+    if not isinstance(generators, Generators):
+        generators = Generators(layout, generators)
+    elif generators.layout != layout:
+        raise EvolutionError("generator table was built for a different layout")
+    for pulse in seq.pulses:
+        if pulse.duration == 0.0:
+            continue
+        w, v = generators.eig(pulse)
+        amps = _apply(w, v, pulse.sign * pulse.duration, amps)
+    return amps
 
 
 def run_sequence(
@@ -190,16 +210,13 @@ def run_sequence(
 ) -> EvolutionReport:
     """Execute a pulse sequence and report leakage and norm drift.
 
-    ``generators`` is an optional mapping from generator id to a prebuilt
-    matrix (a synthesis registry exposes one).  Ids absent from the mapping
-    fall back to being parsed as inline Hamiltonian text.
+    ``generators`` is a caller-owned ``Generators`` table for the state's
+    layout, which keeps its eigendecompositions across calls, or a plain
+    mapping from generator id to prebuilt matrix, which lasts for this call
+    only.  Ids it lacks resolve from the pulse's inline expression or are
+    parsed as Hamiltonian text.
     """
-    amps = state.amplitudes
-    for pulse in seq.pulses:
-        if pulse.duration == 0.0:
-            continue
-        w, v = _pulse_eig(pulse, state.layout, generators)
-        amps = _apply(w, v, pulse.sign * pulse.duration, amps)
+    amps = _propagate(seq, state.layout, generators, state.amplitudes)
     final = StateVector(state.layout, amps)
     return EvolutionReport(
         final_state=final,
@@ -210,13 +227,7 @@ def run_sequence(
 
 def sequence_unitary(seq: PulseSequence, layout: RegisterLayout, generators=None) -> np.ndarray:
     """Dense unitary realized by a sequence (test and diagnostics helper)."""
-    u = np.eye(layout.total_dim, dtype=complex)
-    for pulse in seq.pulses:
-        if pulse.duration == 0.0:
-            continue
-        w, v = _pulse_eig(pulse, layout, generators)
-        u = (v * np.exp(-1j * w * pulse.sign * pulse.duration)) @ (v.conj().T @ u)
-    return u
+    return _propagate(seq, layout, generators, np.eye(layout.total_dim, dtype=complex))
 
 
 def trotter(expr: HamiltonianExpr, t: float, n_steps: int) -> PulseSequence:
@@ -246,11 +257,7 @@ def cv_qft(state: StateVector, mode_idx: int) -> StateVector:
     if not state.layout.is_qumode(mode_idx):
         raise EvolutionError(f"subsystem {mode_idx} is not a qumode")
     rot = term(0.5, (mode_idx, "X", 2)) + term(0.5, (mode_idx, "P", 2))
-    key = (f"cvqft@{mode_idx}", state.layout.signature())
-    if key in _EIG_CACHE:
-        w, v = _EIG_CACHE[key]
-    else:
-        w, v = _eig(build(rot, state.layout), cache_key=key)
+    w, v = _eig(build(rot, state.layout))
     return StateVector(state.layout, _apply(w, v, np.pi / 2, state.amplitudes))
 
 

@@ -91,10 +91,6 @@ class RegisterLayout:
     def is_qumode(self, idx: int) -> bool:
         return self.subsystems[self.check_index(idx)].kind == "qumode"
 
-    def signature(self) -> tuple:
-        """Hashable key used by evolution caches."""
-        return tuple((s.kind, s.dim) for s in self.subsystems)
-
 
 def new_register(specs: list[SubsystemSpec] | tuple[SubsystemSpec, ...]) -> RegisterLayout:
     """Build a layout from subsystem specs (subsystem 0 = slowest tensor factor)."""

@@ -21,7 +21,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .evolution import Pulse, PulseSequence, leakage as state_leakage, run_sequence, trotter
+from .evolution import (
+    LEAKAGE_INVALID,
+    Generators,
+    Pulse,
+    PulseSequence,
+    leakage as state_leakage,
+    run_sequence,
+    trotter,
+)
 from .hilbert import (
     DEFAULT_GUARD,
     RegisterLayout,
@@ -36,8 +44,6 @@ from .operators import (
     build,
     fock_position,
 )
-
-LEAKAGE_INVALID = 1e-3
 
 
 class SpectralError(ValueError):
@@ -128,12 +134,14 @@ def couple_pointer(
     t: float,
     method: str = "exact",
     trotter_steps: int = 64,
+    generators: Generators | None = None,
 ) -> StateVector:
     """Joint state exp(-i H(x)P t) |system>|pointer> (pointer appended last).
 
     Each eigenvalue branch |E_j> of H translates the pointer by E_j t.  With
     method="trotter" the coupling is applied term by term in ``trotter_steps``
     first-order rounds, which is how a many-term H is actually driven.
+    ``generators`` is an optional table for the joint layout (see run_sequence).
     """
     n_sys = len(system_state.layout)
     for trm in h.terms:
@@ -154,7 +162,7 @@ def couple_pointer(
         seq = trotter(coupling, t, trotter_steps)
     else:
         raise SpectralError(f"method must be 'exact' or 'trotter', got {method!r}")
-    return run_sequence(seq, joint).final_state
+    return run_sequence(seq, joint, generators).final_state
 
 
 def _node_amplitudes(joint: StateVector, mode_idx: int) -> tuple[np.ndarray, QuadratureBasis]:
@@ -168,18 +176,6 @@ def _node_amplitudes(joint: StateVector, mode_idx: int) -> tuple[np.ndarray, Qua
     return flat @ basis.vectors.conj(), basis
 
 
-def _collapse_to_node(joint: StateVector, mode_idx: int, node_amps: np.ndarray, basis: QuadratureBasis, k: int) -> StateVector:
-    layout = joint.layout
-    d = layout.dims[mode_idx]
-    column = node_amps[:, k]
-    p = float(np.sum(np.abs(column) ** 2))
-    flat = np.outer(column / np.sqrt(p), basis.vectors[:, k])
-    dims = layout.dims
-    rest = tuple(dims[i] for i in range(len(dims)) if i != mode_idx)
-    shaped = flat.reshape(rest + (d,))
-    return StateVector(layout, np.moveaxis(shaped, -1, mode_idx).reshape(-1))
-
-
 def measure_position(
     joint: StateVector, mode_idx: int, rng: np.random.Generator
 ) -> tuple[float, StateVector]:
@@ -188,7 +184,8 @@ def measure_position(
     probs = np.sum(np.abs(node_amps) ** 2, axis=0)
     probs = probs / probs.sum()
     k = int(rng.choice(len(probs), p=probs))
-    return float(basis.nodes[k]), _collapse_to_node(joint, mode_idx, node_amps, basis, k)
+    _, collapsed = _collapse_to_bin(joint, mode_idx, node_amps, basis, np.array([k]))
+    return float(basis.nodes[k]), collapsed
 
 
 def _collapse_to_bin(
@@ -213,6 +210,16 @@ def _collapse_to_bin(
     return outcome, StateVector(layout, np.moveaxis(shaped, -1, mode_idx).reshape(-1))
 
 
+def _position_bins(node_amps: np.ndarray, nodes: np.ndarray, width: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """Node indices of each occupied bin floor(x / width), and the bins' Born probabilities."""
+    probs = np.sum(np.abs(node_amps) ** 2, axis=0)
+    probs = probs / probs.sum()
+    bins = np.floor(nodes / width).astype(int)
+    members = [np.flatnonzero(bins == lab) for lab in np.unique(bins)]
+    bin_probs = np.array([probs[m].sum() for m in members])
+    return members, bin_probs / bin_probs.sum()
+
+
 def measure_position_binned(
     joint: StateVector, mode_idx: int, rng: np.random.Generator, bin_width: float
 ) -> tuple[float, StateVector]:
@@ -228,13 +235,9 @@ def measure_position_binned(
     if bin_width <= 0:
         raise SpectralError(f"bin_width must be positive, got {bin_width}")
     node_amps, basis = _node_amplitudes(joint, mode_idx)
-    probs = np.sum(np.abs(node_amps) ** 2, axis=0)
-    probs = probs / probs.sum()
-    bins = np.floor(basis.nodes / bin_width).astype(int)
-    labels = np.unique(bins)
-    bin_probs = np.array([probs[bins == lab].sum() for lab in labels])
-    lab = labels[int(rng.choice(len(labels), p=bin_probs / bin_probs.sum()))]
-    return _collapse_to_bin(joint, mode_idx, node_amps, basis, np.flatnonzero(bins == lab))
+    members, bin_probs = _position_bins(node_amps, basis.nodes, bin_width)
+    chosen = members[int(rng.choice(len(members), p=bin_probs))]
+    return _collapse_to_bin(joint, mode_idx, node_amps, basis, chosen)
 
 
 @dataclass(frozen=True)
@@ -307,6 +310,7 @@ def estimate_spectrum(
     method: str = "exact",
     trotter_steps: int = 64,
     guard: float = DEFAULT_GUARD,
+    generators: Generators | None = None,
 ) -> SpectrumEstimate:
     """Sample the spectral decomposition of |psi> under H.
 
@@ -314,11 +318,12 @@ def estimate_spectrum(
     are i.i.d., so the coupled state is computed once and sampled n_shots
     times).  Samples cluster into peaks separated by more than three pointer
     widths; each peak reports eigenvalue = center/t and weight = count/shots.
+    ``generators`` is passed on to couple_pointer.
     """
     if n_shots < 1:
         raise SpectralError(f"n_shots must be >= 1, got {n_shots}")
     pointer = prepare_gaussian_pointer(spec.beta, spec.cutoff)
-    joint = couple_pointer(psi, h, pointer, spec.t_couple, method, trotter_steps)
+    joint = couple_pointer(psi, h, pointer, spec.t_couple, method, trotter_steps, generators)
     mode_idx = len(psi.layout)
     node_amps, basis = _node_amplitudes(joint, mode_idx)
     probs = np.sum(np.abs(node_amps) ** 2, axis=0)
@@ -412,24 +417,18 @@ def robustness_midmeasure(
     uses the total displacement over the total time: peak positions are
     preserved within the resolution (widths may change).  For each detected
     peak the report checks that the system stays in the same eigenspace
-    across the second half.
+    across the second half.  The baseline, both halves and every branch
+    share one generator table, so the coupling is diagonalized once.
     """
-    baseline = estimate_spectrum(h, psi, spec, n_shots, seed, method, trotter_steps, guard)
-
     pointer = prepare_gaussian_pointer(spec.beta, spec.cutoff)
+    generators = Generators(RegisterLayout(psi.layout.subsystems + pointer.layout.subsystems))
+    baseline = estimate_spectrum(h, psi, spec, n_shots, seed, method, trotter_steps, guard, generators)
+
     half = spec.t_couple / 2.0
-    joint1 = couple_pointer(psi, h, pointer, half, method, trotter_steps)
+    joint1 = couple_pointer(psi, h, pointer, half, method, trotter_steps, generators)
     mode_idx = len(psi.layout)
     amps1, basis = _node_amplitudes(joint1, mode_idx)
-    probs1 = np.sum(np.abs(amps1) ** 2, axis=0)
-    probs1 = probs1 / probs1.sum()
-    n_nodes = len(probs1)
-
-    bin_width = 1.0 / np.sqrt(2.0 * spec.beta)
-    bins = np.floor(basis.nodes / bin_width).astype(int)
-    labels = np.unique(bins)
-    bin_probs = np.array([probs1[bins == lab].sum() for lab in labels])
-    bin_probs = bin_probs / bin_probs.sum()
+    members, bin_probs = _position_bins(amps1, basis.nodes, 1.0 / np.sqrt(2.0 * spec.beta))
 
     coupling = _coupling_expr(h, mode_idx)
     second_half = PulseSequence((Pulse(coupling, half, 1),)) if method == "exact" else trotter(
@@ -441,10 +440,9 @@ def robustness_midmeasure(
     def branch_for(bin_i: int):
         """(mid system amps, post node amps, post node probabilities) per bin."""
         if bin_i not in branches_cache:
-            members = np.flatnonzero(bins == labels[bin_i])
-            _, collapsed = _collapse_to_bin(joint1, mode_idx, amps1, basis, members)
+            _, collapsed = _collapse_to_bin(joint1, mode_idx, amps1, basis, members[bin_i])
             mid_amps, _ = _node_amplitudes(collapsed, mode_idx)
-            after = run_sequence(second_half, collapsed).final_state
+            after = run_sequence(second_half, collapsed, generators).final_state
             amps2, _ = _node_amplitudes(after, mode_idx)
             p2 = np.sum(np.abs(amps2) ** 2, axis=0)
             branches_cache[bin_i] = (mid_amps, amps2, p2 / p2.sum())
@@ -453,9 +451,9 @@ def robustness_midmeasure(
     shot_records: list[tuple[int, int]] = []
     samples = np.empty(n_shots)
     for i, rng in enumerate(_shot_rngs(seed, n_shots, 1)):
-        bin_i = int(rng.choice(len(labels), p=bin_probs))
+        bin_i = int(rng.choice(len(members), p=bin_probs))
         _, _, probs2 = branch_for(bin_i)
-        k2 = int(rng.choice(n_nodes, p=probs2))
+        k2 = int(rng.choice(len(basis.nodes), p=probs2))
         shot_records.append((bin_i, k2))
         samples[i] = basis.nodes[k2]
 

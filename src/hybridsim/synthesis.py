@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import Pulse, PulseSequence, expm_unitary, sequence_unitary
+from .evolution import Generators, Pulse, PulseSequence, _apply, _eig, expm_unitary, sequence_unitary
 from .hilbert import (
     DEFAULT_GUARD,
     RegisterLayout,
@@ -128,7 +128,7 @@ class SynthesisRegistry:
         self.layout = layout
         self.guard = guard
         self._records: dict[str, GeneratorRecord] = {}
-        self._matrices: dict[str, np.ndarray] = {}
+        self._generators = Generators(layout)
         self._rules: dict[str, DerivationRule] = {}
         self._aliases: dict[str, ResetAlias] = {}
 
@@ -138,7 +138,7 @@ class SynthesisRegistry:
         gid = generator_id(expr)
         if gid not in self._records:
             self._records[gid] = GeneratorRecord(gid, expr, drivable, origin)
-            self._matrices[gid] = build(expr, self.layout)
+            self._generators.add(gid, build(expr, self.layout))
         return gid
 
     def ids(self) -> tuple[str, ...]:
@@ -151,12 +151,12 @@ class SynthesisRegistry:
 
     def matrix(self, gid: str) -> np.ndarray:
         self.record(gid)
-        return self._matrices[gid]
+        return self._generators[gid]
 
     @property
-    def matrices(self) -> dict[str, np.ndarray]:
-        """Mapping view consumed by evolution.run_sequence / sequence_unitary."""
-        return self._matrices
+    def matrices(self) -> Generators:
+        """The registry's generator table, passed to run_sequence / sequence_unitary."""
+        return self._generators
 
     def is_drivable(self, gid: str) -> bool:
         return self.record(gid).drivable
@@ -464,11 +464,11 @@ def oscillator_drive(
     if t == 0.0:
         return state
     gen = term(1.0, (spin_idx, "sz"), (mode_idx, which))
-    w, v = np.linalg.eigh(build(gen, state.layout))
+    w, v = _eig(build(gen, state.layout))
     dt = t / n_steps
     for _ in range(n_steps):
         state = reset_spin(state, spin_idx, rng)
-        state = StateVector(state.layout, v @ (np.exp(-1j * w * dt) * (v.conj().T @ state.amplitudes)))
+        state = StateVector(state.layout, _apply(w, v, dt, state.amplitudes))
     return state
 
 
@@ -501,11 +501,8 @@ class ClosureReport:
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             raise SynthesisError("query direction vanishes on the interior block")
-        vec = vec / norm
-        for _ in range(2):
-            for d in self.directions:
-                vec = vec - np.vdot(d.vector, vec) * d.vector
-        return float(np.linalg.norm(vec))
+        _, residual = _orthonormal_residual(vec / norm, [d.vector for d in self.directions])
+        return residual
 
 
 def _orthonormal_residual(vec: np.ndarray, basis: list[np.ndarray]) -> tuple[np.ndarray, float]:

@@ -94,6 +94,13 @@ def test_validation_error_names_field(tmp_path, capsys):
     assert main(["spectrum", "--config", cfg]) == 3
 
 
+def test_robustness_method_error_names_field(tmp_path, capsys):
+    bad = dict(SPECTRUM_CONFIG, experiment="robustness", method="euler")
+    cfg = write_config(tmp_path, "bad.json", bad)
+    assert main(["robustness", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "method: must be" in capsys.readouterr().err
+
+
 def test_leakage_invalid_exit_code_still_writes(tmp_path):
     leaky = {
         "experiment": "spectrum",

@@ -3,6 +3,7 @@ import pytest
 
 from hybridsim.evolution import (
     EvolutionError,
+    Generators,
     Pulse,
     PulseSequence,
     UnknownGeneratorError,
@@ -87,6 +88,42 @@ def test_run_sequence_unknown_generator():
     state = basis_state(layout, [0])
     with pytest.raises(UnknownGeneratorError):
         run_sequence(PulseSequence((Pulse("no-such-generator", 1.0, 1),)), state)
+
+
+def test_prebuilt_matrices_are_not_reused_across_calls():
+    # the same id bound to a different matrix in a later call must take effect
+    layout = new_register([qubit()])
+    state = basis_state(layout, [0])
+    seq = PulseSequence((Pulse("H", np.pi / 2, 1),))
+    sx = build(parse_expr("sx@0"), layout)
+    sz = build(parse_expr("sz@0"), layout)
+    assert run_sequence(seq, state, {"H": sx}).final_state.fidelity(basis_state(layout, [1])) >= 1.0 - 1e-12
+    assert run_sequence(seq, state, {"H": sz}).final_state.fidelity(state) >= 1.0 - 1e-12
+    assert np.max(np.abs(sequence_unitary(seq, layout, {"H": sx}) - expm_unitary(sx, np.pi / 2))) <= 1e-12
+    assert np.max(np.abs(sequence_unitary(seq, layout, {"H": sz}) - expm_unitary(sz, np.pi / 2))) <= 1e-12
+
+
+def test_generator_table_layout_must_match():
+    layout = new_register([qubit(), qumode(4)])
+    other = Generators(new_register([qubit(), qumode(5)]))
+    seq = PulseSequence((Pulse("sz@0*X@1", 0.3, 1),))
+    with pytest.raises(EvolutionError):
+        run_sequence(seq, basis_state(layout, [0, 0]), other)
+    with pytest.raises(EvolutionError):
+        sequence_unitary(seq, layout, other)
+
+
+def test_generator_table_diagonalizes_each_id_once(monkeypatch):
+    layout = new_register([qubit(), qumode(6)])
+    table = Generators(layout, {"A": build(parse_expr("sx@0*X@1"), layout)})
+    seq = PulseSequence((Pulse("A", 0.2, 1), Pulse(parse_expr("sz@0*P@1"), 0.3, -1), Pulse("A", 0.1, -1)))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+    u = sequence_unitary(seq, layout, table)
+    rep = run_sequence(seq, basis_state(layout, [0, 1]), table)
+    assert calls == [(12, 12), (12, 12)]
+    assert np.max(np.abs(u @ basis_state(layout, [0, 1]).amplitudes - rep.final_state.amplitudes)) <= 1e-12
 
 
 def test_sequence_text_round_trip_is_bit_exact():

@@ -257,6 +257,19 @@ def test_robustness_single_branch_preserves_position():
     assert abs(main.eigenvalue - 1.0) <= spec.resolution
 
 
+def test_robustness_diagonalizes_the_coupling_once(monkeypatch):
+    # baseline, first half and every branch's second half share one table
+    layout = new_register([qubit()])
+    psi = StateVector(layout, np.array([1, 1], dtype=complex) / np.sqrt(2))
+    spec = PointerSpec(beta=4.0, cutoff=64, t_couple=3.0)
+    dims = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: dims.append(h.shape[-1]) or eigh(h))
+    rep = robustness_midmeasure(parse_expr("sz@0"), psi, spec, 200, seed=4)
+    assert len(rep.samples) == 200
+    assert dims.count(2 * 64) == 1
+
+
 def test_robustness_identity_hamiltonian_mean_and_width():
     # single eigenvalue: the mid-run projection must not move the
     # distribution; the truncated binned collapse may widen it slightly
