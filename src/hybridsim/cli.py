@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -34,7 +35,10 @@ import numpy as np
 from . import __version__
 from .evolution import (
     LEAKAGE_INVALID,
+    EvolutionError,
     Generators,
+    cv_qft,
+    expm_apply,
     expm_unitary,
     leakage as state_leakage,
     run_sequence,
@@ -42,7 +46,7 @@ from .evolution import (
     trotter,
 )
 from .hilbert import DEFAULT_GUARD, HilbertError, RegisterLayout, StateVector, basis_state, new_register, qubit, qumode
-from .operators import ExprSyntaxError, HamiltonianExpr, OperatorError, build, parse_expr
+from .operators import ExprSyntaxError, HamiltonianExpr, OperatorError, build, parse_expr, primitive_set, term
 from .spectral import (
     PointerSpec,
     SpectralError,
@@ -131,6 +135,8 @@ def _number(cfg: ExperimentConfig, key: str, default=None, minimum=None):
         raise ConfigError(f"{key}: required for experiment {cfg.experiment!r}")
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{key}: must be a number, got {val!r}")
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(f"{key}: must be a finite number, got {val!r}")
     if minimum is not None and val < minimum:
         raise ConfigError(f"{key}: must be >= {minimum}, got {val}")
     return val
@@ -178,7 +184,7 @@ def _hamiltonian(cfg: ExperimentConfig, key: str = "hamiltonian") -> Hamiltonian
     if not isinstance(text, str):
         raise ConfigError(f"{key}: must be a Hamiltonian expression string")
     try:
-        return parse_hamiltonian(text)
+        return parse_expr(text)
     except ExprSyntaxError as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
@@ -201,9 +207,7 @@ def _initial_state(cfg: ExperimentConfig, layout: RegisterLayout) -> StateVector
     raise ConfigError(f"initial_state.type: unknown type {spec['type']!r}")
 
 
-def parse_hamiltonian(text: str) -> HamiltonianExpr:
-    """Parse the documented Hamiltonian grammar (see operators.parse_expr)."""
-    return parse_expr(text)
+parse_hamiltonian = parse_expr
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +253,10 @@ def _histogram_lines(samples, n_bins: int = 60) -> list[str]:
     lo, hi = min(samples), max(samples)
     pad = 0.05 * (hi - lo) if hi > lo else 0.5
     counts, edges = np.histogram(samples, bins=n_bins, range=(lo - pad, hi + pad))
+    edges = edges.tolist()
     lines = ["# x count"]
-    for c, left, right in zip(counts, edges[:-1], edges[1:]):
-        lines.append(f"{(left + right) / 2!r} {int(c)}")
+    for c, left, right in zip(counts.tolist(), edges[:-1], edges[1:]):
+        lines.append(f"{(left + right) / 2!r} {c}")
     return lines
 
 
@@ -332,8 +337,8 @@ def _run_synth(cfg: ExperimentConfig):
 
     probe = basis_state(layout, [0] * len(layout))
     report = run_sequence(last_plan.sequence, probe, registry.matrices, guard=registry.guard)
-    exact = expm_unitary(build(last_plan.target, layout), angle) @ probe.amplitudes
-    fid = float(abs(np.vdot(exact, report.final_state.amplitudes)) ** 2)
+    exact = run_sequence(last_plan.target_sequence, probe, registry.matrices).final_state
+    fid = exact.fidelity(report.final_state)
 
     results = {
         "target": last_plan.target_id,
@@ -358,8 +363,6 @@ def _run_closure(cfg: ExperimentConfig):
     if seeds is None:
         spin = next(i for i in range(len(layout)) if layout.is_qubit(i))
         mode = next(i for i in range(len(layout)) if layout.is_qumode(i))
-        from .operators import primitive_set
-
         seed_ids = [g.generator_id for g in primitive_set(layout, spin, mode).members]
     else:
         if not isinstance(seeds, list) or not all(isinstance(s, str) for s in seeds):
@@ -367,7 +370,7 @@ def _run_closure(cfg: ExperimentConfig):
         seed_ids = []
         for s in seeds:
             try:
-                expr = parse_hamiltonian(s)
+                expr = parse_expr(s)
             except ExprSyntaxError as exc:
                 raise ConfigError(f"seeds: {exc}") from None
             seed_ids.append(registry.register(expr, drivable=True, origin="primitive"))
@@ -381,7 +384,7 @@ def _run_closure(cfg: ExperimentConfig):
     probes = {}
     for text in cfg.raw.get("probes", []):
         try:
-            probes[text] = report.membership(parse_hamiltonian(text))
+            probes[text] = report.membership(parse_expr(text))
         except ExprSyntaxError as exc:
             raise ConfigError(f"probes: {exc}") from None
     results = {
@@ -392,16 +395,12 @@ def _run_closure(cfg: ExperimentConfig):
         "notes": list(report.notes),
     }
     csv = ["index,degree,source"]
-    csv += [f"{i},{d.degree},{d.source}" for i, d in enumerate(report.directions)]
+    csv += [f'{i},{d.degree},"{d.source}"' for i, d in enumerate(report.directions)]
     curve = ["# index degree"] + [f"{i} {d.degree}" for i, d in enumerate(report.directions)]
     return results, 0.0, True, csv, curve
 
 
 def _run_qft_demo(cfg: ExperimentConfig):
-    from .evolution import cv_qft, expm_apply
-
-    from .operators import term
-
     cutoff = _int(cfg, "cutoff", minimum=2)
     dx = _number(cfg, "displace_x", default=1.0)
     dp = _number(cfg, "displace_p", default=0.0)
@@ -412,8 +411,8 @@ def _run_qft_demo(cfg: ExperimentConfig):
     if parts:
         gen = parts[0] if len(parts) == 1 else parts[0] + parts[1]
         state = expm_apply(build(gen, layout), 1.0, state)
-    x_op = build(parse_hamiltonian("X@0"), layout)
-    p_op = build(parse_hamiltonian("P@0"), layout)
+    x_op = build(parse_expr("X@0"), layout)
+    p_op = build(parse_expr("P@0"), layout)
 
     initial = state
     track = [(0, state.expectation(x_op), state.expectation(p_op))]
@@ -470,7 +469,7 @@ def run(cfg: ExperimentConfig) -> int:
     started = time.perf_counter()
     try:
         results, leak, valid, csv_lines, curve_lines = _RUNNERS[cfg.experiment](cfg)
-    except (ConfigError, HilbertError, OperatorError, SpectralError, SynthesisError) as exc:
+    except (ConfigError, EvolutionError, HilbertError, OperatorError, SpectralError, SynthesisError) as exc:
         print(f"hybridsim: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     results = json.loads(json.dumps(results))  # plain types only

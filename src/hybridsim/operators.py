@@ -26,8 +26,7 @@ import numpy as np
 from .hilbert import RegisterLayout, embed
 
 QUBIT_TAGS = ("sx", "sy", "sz")
-QUMODE_TAGS = ("X", "P", "a", "adag")
-HERMITIAN_TAGS = ("sx", "sy", "sz", "id", "X", "P")
+QUMODE_TAGS = ("X", "P")
 ALL_TAGS = QUBIT_TAGS + QUMODE_TAGS + ("id",)
 
 
@@ -85,7 +84,7 @@ def pauli(tag: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LocalOp:
-    """One local factor: a Pauli, identity, ladder operator, or X^n / P^n."""
+    """One local Hermitian factor: a Pauli, the identity, or X^n / P^n."""
 
     tag: str
     power: int = 1
@@ -97,10 +96,6 @@ class LocalOp:
             raise OperatorError(f"operator power must be >= 1, got {self.power}")
         if self.power > 1 and self.tag not in ("X", "P"):
             raise OperatorError(f"powers are only defined for X and P, not {self.tag!r}")
-
-    @property
-    def hermitian(self) -> bool:
-        return self.tag in HERMITIAN_TAGS
 
 
 def local_matrix(op: LocalOp, dim: int) -> np.ndarray:
@@ -117,7 +112,7 @@ def local_matrix(op: LocalOp, dim: int) -> np.ndarray:
         return np.eye(dim, dtype=complex)
     if dim < 2:
         raise OperatorError(f"oscillator operator {op.tag} needs dim >= 2")
-    base = {"X": fock_position, "P": fock_momentum, "a": fock_annihilate, "adag": fock_create}[op.tag](dim)
+    base = fock_position(dim) if op.tag == "X" else fock_momentum(dim)
     return np.linalg.matrix_power(base, op.power)
 
 
@@ -141,11 +136,6 @@ class HamiltonianTerm:
         idxs = [i for i, _ in self.factors]
         if len(set(idxs)) != len(idxs):
             raise OperatorError(f"at most one factor per subsystem; repeated index in {idxs}")
-        for _, op in self.factors:
-            if not op.hermitian:
-                raise OperatorError(
-                    f"{op.tag!r} is not Hermitian and cannot appear in a Hamiltonian term"
-                )
         object.__setattr__(self, "coefficient", coeff)
         object.__setattr__(self, "factors", tuple(sorted(self.factors, key=lambda f: f[0])))
 
@@ -282,7 +272,7 @@ def _parse_factor(toks: _Tokens) -> tuple[int, LocalOp]:
     kind, val, col = toks.next()
     if kind != "name":
         raise ExprSyntaxError(f"expected operator name, got {val!r}", col)
-    if val not in ALL_TAGS or val in ("a", "adag"):
+    if val not in ALL_TAGS:
         raise ExprSyntaxError(f"unknown operator {val!r} (use sx, sy, sz, id, X, P)", col)
     kind, sym, col = toks.next()
     if sym != "@":

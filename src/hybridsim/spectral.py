@@ -35,6 +35,7 @@ from .hilbert import (
     RegisterLayout,
     StateVector,
     guard_start,
+    join_states,
     qumode,
 )
 from .operators import (
@@ -118,13 +119,17 @@ def prepare_gaussian_pointer(beta: float, cutoff: int) -> StateVector:
     return StateVector(RegisterLayout((qumode(cutoff),)), amps)
 
 
-def _coupling_expr(h: HamiltonianExpr, pointer_idx: int) -> HamiltonianExpr:
-    """H = sum_k H_k turned into the pointer coupling sum_k H_k (x) P."""
-    terms = tuple(
-        HamiltonianTerm(t.coefficient, t.factors + ((pointer_idx, LocalOp("P")),))
-        for t in h.terms
-    )
-    return HamiltonianExpr(terms)
+def _coupling_sequence(h: HamiltonianExpr, pointer_idx: int, t: float, method: str, steps: int) -> PulseSequence:
+    """exp(-i H(x)P t) for H = sum_k H_k: one exact pulse, or ``steps`` Trotter rounds over H_k (x) P."""
+    coupling = HamiltonianExpr(tuple(
+        HamiltonianTerm(trm.coefficient, trm.factors + ((pointer_idx, LocalOp("P")),))
+        for trm in h.terms
+    ))
+    if method == "exact":
+        return PulseSequence((Pulse(coupling, t, 1),))
+    if method == "trotter":
+        return trotter(coupling, t, steps)
+    raise SpectralError(f"method must be 'exact' or 'trotter', got {method!r}")
 
 
 def couple_pointer(
@@ -153,16 +158,8 @@ def couple_pointer(
     if not (np.isfinite(t) and t > 0):
         raise SpectralError(f"coupling time must be positive, got {t}")
 
-    joint_layout = RegisterLayout(system_state.layout.subsystems + pointer.layout.subsystems)
-    joint = StateVector(joint_layout, np.kron(system_state.amplitudes, pointer.amplitudes))
-    coupling = _coupling_expr(h, n_sys)
-    if method == "exact":
-        seq = PulseSequence((Pulse(coupling, t, 1),))
-    elif method == "trotter":
-        seq = trotter(coupling, t, trotter_steps)
-    else:
-        raise SpectralError(f"method must be 'exact' or 'trotter', got {method!r}")
-    return run_sequence(seq, joint, generators).final_state
+    seq = _coupling_sequence(h, n_sys, t, method, trotter_steps)
+    return run_sequence(seq, join_states(system_state, pointer), generators).final_state
 
 
 def _node_amplitudes(joint: StateVector, mode_idx: int) -> tuple[np.ndarray, QuadratureBasis]:
@@ -176,13 +173,18 @@ def _node_amplitudes(joint: StateVector, mode_idx: int) -> tuple[np.ndarray, Qua
     return flat @ basis.vectors.conj(), basis
 
 
+def _born(node_amps: np.ndarray) -> np.ndarray:
+    """Normalized Born probabilities of the quadrature nodes, from amplitudes (rest, nodes)."""
+    probs = np.sum(np.abs(node_amps) ** 2, axis=0)
+    return probs / probs.sum()
+
+
 def measure_position(
     joint: StateVector, mode_idx: int, rng: np.random.Generator
 ) -> tuple[float, StateVector]:
     """Born-sample the X eigenbasis of one mode; returns (node value, collapsed state)."""
     node_amps, basis = _node_amplitudes(joint, mode_idx)
-    probs = np.sum(np.abs(node_amps) ** 2, axis=0)
-    probs = probs / probs.sum()
+    probs = _born(node_amps)
     k = int(rng.choice(len(probs), p=probs))
     _, collapsed = _collapse_to_bin(joint, mode_idx, node_amps, basis, np.array([k]))
     return float(basis.nodes[k]), collapsed
@@ -212,8 +214,7 @@ def _collapse_to_bin(
 
 def _position_bins(node_amps: np.ndarray, nodes: np.ndarray, width: float) -> tuple[list[np.ndarray], np.ndarray]:
     """Node indices of each occupied bin floor(x / width), and the bins' Born probabilities."""
-    probs = np.sum(np.abs(node_amps) ** 2, axis=0)
-    probs = probs / probs.sum()
+    probs = _born(node_amps)
     bins = np.floor(nodes / width).astype(int)
     members = [np.flatnonzero(bins == lab) for lab in np.unique(bins)]
     bin_probs = np.array([probs[m].sum() for m in members])
@@ -326,8 +327,7 @@ def estimate_spectrum(
     joint = couple_pointer(psi, h, pointer, spec.t_couple, method, trotter_steps, generators)
     mode_idx = len(psi.layout)
     node_amps, basis = _node_amplitudes(joint, mode_idx)
-    probs = np.sum(np.abs(node_amps) ** 2, axis=0)
-    probs = probs / probs.sum()
+    probs = _born(node_amps)
 
     n_nodes = len(probs)
     samples = np.array(
@@ -430,10 +430,7 @@ def robustness_midmeasure(
     amps1, basis = _node_amplitudes(joint1, mode_idx)
     members, bin_probs = _position_bins(amps1, basis.nodes, 1.0 / np.sqrt(2.0 * spec.beta))
 
-    coupling = _coupling_expr(h, mode_idx)
-    second_half = PulseSequence((Pulse(coupling, half, 1),)) if method == "exact" else trotter(
-        coupling, half, trotter_steps
-    )
+    second_half = _coupling_sequence(h, mode_idx, half, method, trotter_steps)
 
     branches_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
@@ -444,8 +441,7 @@ def robustness_midmeasure(
             mid_amps, _ = _node_amplitudes(collapsed, mode_idx)
             after = run_sequence(second_half, collapsed, generators).final_state
             amps2, _ = _node_amplitudes(after, mode_idx)
-            p2 = np.sum(np.abs(amps2) ** 2, axis=0)
-            branches_cache[bin_i] = (mid_amps, amps2, p2 / p2.sum())
+            branches_cache[bin_i] = (mid_amps, amps2, _born(amps2))
         return branches_cache[bin_i]
 
     shot_records: list[tuple[int, int]] = []

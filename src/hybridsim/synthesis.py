@@ -18,10 +18,10 @@ by construction).  Synthesis *error*, in contrast, is measured with the
 plain spectral norm on the whole truncated space: it quantifies what the
 compiled sequence actually does in this simulator.
 
-The spin-reset trick: with a spin held in |0>, a generator sz(x)M acts on
-the modes as M alone.  Bare X and P (and mode-only targets such as X1*X2)
-are available through it; the registry tracks these as "reset-effective"
-generators and aliases.
+The spin-reset rule: with a spin held in |0>, a one-term generator sz(x)M
+with M on modes only acts on the modes as M alone.  ``_reset_effective``
+alone decides that form; through it the registry gets bare X and P, the
+closure its mode-only seeds, and sz X1 X2 its alias X1 X2.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import Generators, Pulse, PulseSequence, _apply, _eig, expm_unitary, sequence_unitary
+from .evolution import Generators, Pulse, PulseSequence, _apply, _eig, sequence_unitary
 from .hilbert import (
     DEFAULT_GUARD,
     RegisterLayout,
@@ -115,6 +115,11 @@ class SynthPlan:
     derivation: DerivationNode
     reset_spin_required: int | None = None
 
+    @property
+    def target_sequence(self) -> PulseSequence:
+        """The exact target exp(-i build(target) angle) as one pulse of the target id."""
+        return PulseSequence((Pulse(self.target_id, abs(self.angle), -1 if self.angle < 0 else 1),))
+
 
 class SynthesisRegistry:
     """Named generators, their matrices, and the derivation rules over them.
@@ -141,9 +146,6 @@ class SynthesisRegistry:
             self._generators.add(gid, build(expr, self.layout))
         return gid
 
-    def ids(self) -> tuple[str, ...]:
-        return tuple(self._records)
-
     def record(self, gid: str) -> GeneratorRecord:
         if gid not in self._records:
             raise SynthesisError(f"unknown generator id {gid!r}")
@@ -169,13 +171,12 @@ class SynthesisRegistry:
     def rule_for(self, target_id: str) -> DerivationRule | None:
         return self._rules.get(target_id)
 
-    def rules(self) -> tuple[DerivationRule, ...]:
-        return tuple(self._rules.values())
-
     def add_reset_alias(self, rule: DerivationRule, spin: int) -> str:
         """Expose the mode-only version of a sz(x)modes rule (spin held in |0>)."""
-        effective = _strip_spin_factor(rule.direction, spin)
-        target_id = self.register(effective, drivable=False, origin="derived")
+        reset = _reset_effective(rule.direction, self.layout)
+        if reset is None or reset[0] != spin:
+            raise SynthesisError(f"direction {rule.direction_id!r} is not sz@{spin} times mode operators")
+        target_id = self.register(reset[1], drivable=False, origin="derived")
         self._aliases.setdefault(target_id, ResetAlias(target_id, rule.direction_id, spin))
         return target_id
 
@@ -189,19 +190,16 @@ class SynthesisRegistry:
         return DerivationNode(gid, rule, (self.derivation_tree(rule.a_id), self.derivation_tree(rule.b_id)))
 
 
-def _strip_spin_factor(expr: HamiltonianExpr, spin: int) -> HamiltonianExpr:
+def _reset_effective(expr: HamiltonianExpr, layout: RegisterLayout) -> tuple[int, HamiltonianExpr] | None:
+    """(spin, M) when expr is one term sz@spin (x) M with M on modes only, else None."""
     if len(expr.terms) != 1:
-        raise SynthesisError("reset alias needs a single-term direction")
+        return None
     t = expr.terms[0]
-    kept = tuple((i, op) for i, op in t.factors if i != spin)
-    dropped = [op.tag for i, op in t.factors if i == spin]
-    if dropped != ["sz"] or not kept:
-        raise SynthesisError(f"direction {generator_id(expr)!r} is not sz@{spin} times mode operators")
-    return HamiltonianExpr((HamiltonianTerm(t.coefficient, kept),))
-
-
-def _hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    return complex(np.vdot(a, b))
+    modes = tuple((i, op) for i, op in t.factors if layout.is_qumode(i))
+    spins = [(i, op.tag) for i, op in t.factors if not layout.is_qumode(i)]
+    if len(spins) != 1 or spins[0][1] != "sz" or not modes:
+        return None
+    return spins[0][0], HamiltonianExpr((HamiltonianTerm(t.coefficient, modes),))
 
 
 def derive_rule(
@@ -224,10 +222,10 @@ def derive_rule(
     layout, guard = registry.layout, registry.guard
     k_int = compress_to_interior(k, layout, guard)
     g_int = compress_to_interior(build(candidate_direction, layout), layout, guard)
-    g_norm2 = _hs_inner(g_int, g_int).real
+    g_norm2 = np.vdot(g_int, g_int).real
     if g_norm2 <= 0.0:
         raise SynthesisError("candidate direction vanishes on the interior block")
-    scale_c = _hs_inner(g_int, k_int) / g_norm2
+    scale_c = complex(np.vdot(g_int, k_int)) / g_norm2
     if abs(scale_c.imag) > 1e-8 * max(1.0, abs(scale_c)):
         raise DerivationError(f"projection of i[A,B] onto candidate is not real: {scale_c}")
     scale = float(scale_c.real)
@@ -263,7 +261,7 @@ def group_commutator(a_id: str, b_id: str, s: float, registry: SynthesisRegistry
 
 def _third_order_scale(a: np.ndarray, b: np.ndarray) -> float:
     c = commutator(a, b)
-    return 0.5 * (np.linalg.norm(commutator(a, c), 2) + np.linalg.norm(commutator(b, c), 2))
+    return float(0.5 * (np.linalg.norm(commutator(a, c), 2) + np.linalg.norm(commutator(b, c), 2)))
 
 
 def synthesize(
@@ -340,11 +338,33 @@ def measure_plan_error(plan: SynthPlan, registry: SynthesisRegistry) -> float:
     """Spectral-norm distance between the compiled sequence and its target."""
     layout = registry.layout
     u = sequence_unitary(plan.sequence, layout, registry.matrices)
-    u_target = expm_unitary(build(plan.target, layout), plan.angle)
+    u_target = sequence_unitary(plan.target_sequence, layout, registry.matrices)
     if plan.reset_spin_required is not None:
         u = _spin_zero_block(u, layout, plan.reset_spin_required)
         u_target = _spin_zero_block(u_target, layout, plan.reset_spin_required)
     return float(np.linalg.norm(u - u_target, 2))
+
+
+# Derivation templates (A, B, direction), i[A, B] = scale * direction, in the
+# Hamiltonian grammar.  "pair" rows expand for every spin s and mode m;
+# "spin2" rows for each further spin s2 on the first mode; "mode2" rows for
+# each further mode m2 on the first spin.  A row marked "reset" also aliases
+# its direction's mode-only part (spin s held in |0>).
+_DERIVATIONS = {
+    "pair": (
+        ("P@{m}", "sx@{s}*X@{m}", "sx@{s}"),
+        ("P@{m}", "sz@{s}*X@{m}", "sz@{s}"),
+        ("sz@{s}", "sx@{s}", "sy@{s}"),
+        ("sz@{s}*P@{m}", "sz@{s}*X@{m}", "id@0"),
+        ("sz@{s}*X@{m}", "sx@{s}*X@{m}", "sy@{s}*X@{m}^2"),
+        ("sy@{s}*X@{m}^2", "sx@{s}*X@{m}", "sz@{s}*X@{m}^3"),
+    ),
+    "spin2": (("sz@{s}*P@{m}", "sz@{s2}*X@{m}", "sz@{s}*sz@{s2}"),),
+    "mode2": (
+        ("sz@{s}", "sx@{s}*X@{m}", "sy@{s}*X@{m}"),
+        ("sy@{s}*X@{m}", "sx@{s}*X@{m2}", "sz@{s}*X@{m}*X@{m2}", "reset"),
+    ),
+}
 
 
 def standard_registry(layout: RegisterLayout, guard: float = DEFAULT_GUARD) -> SynthesisRegistry:
@@ -362,54 +382,27 @@ def standard_registry(layout: RegisterLayout, guard: float = DEFAULT_GUARD) -> S
     if not spins or not modes:
         raise SynthesisError("standard registry needs at least one qubit and one qumode")
 
-    for s in spins:
-        for m in modes:
-            for gen in primitive_set(layout, s, m).members:
-                reg.register(gen.expr, drivable=True, origin="primitive")
-    for m in modes:
-        reg.register(term(1.0, (m, "X")), drivable=True, origin="reset-effective")
-        reg.register(term(1.0, (m, "P")), drivable=True, origin="reset-effective")
+    primitives = [gen.expr for s in spins for m in modes for gen in primitive_set(layout, s, m).members]
+    for expr in primitives:
+        reg.register(expr, drivable=True, origin="primitive")
+    for expr in primitives:
+        reset = _reset_effective(expr, layout)
+        if reset is not None:
+            reg.register(reset[1], drivable=True, origin="reset-effective")
 
-    def gid(expr):
-        return generator_id(expr)
-
-    for s in spins:
-        for m in modes:
-            p_m = gid(term(1.0, (m, "P")))
-            sx_x = gid(term(1.0, (s, "sx"), (m, "X")))
-            sz_x = gid(term(1.0, (s, "sz"), (m, "X")))
-            sz_p = gid(term(1.0, (s, "sz"), (m, "P")))
-            derive_rule(p_m, sx_x, term(1.0, (s, "sx")), reg)
-            derive_rule(p_m, sz_x, term(1.0, (s, "sz")), reg)
-            derive_rule(gid(term(1.0, (s, "sz"))), gid(term(1.0, (s, "sx"))), term(1.0, (s, "sy")), reg)
-            derive_rule(sz_p, sz_x, term(1.0, (0, "id")), reg)
-            derive_rule(sz_x, sx_x, term(1.0, (s, "sy"), (m, "X", 2)), reg)
-            derive_rule(gid(term(1.0, (s, "sy"), (m, "X", 2))), sx_x, term(1.0, (s, "sz"), (m, "X", 3)), reg)
-
-    first = spins[0]
-    shared = modes[0]
-    for s2 in spins[1:]:
-        derive_rule(
-            gid(term(1.0, (first, "sz"), (shared, "P"))),
-            gid(term(1.0, (s2, "sz"), (shared, "X"))),
-            term(1.0, (first, "sz"), (s2, "sz")),
-            reg,
-        )
-    for m2 in modes[1:]:
-        m1 = modes[0]
-        derive_rule(
-            gid(term(1.0, (first, "sz"))),
-            gid(term(1.0, (first, "sx"), (m1, "X"))),
-            term(1.0, (first, "sy"), (m1, "X")),
-            reg,
-        )
-        rule = derive_rule(
-            gid(term(1.0, (first, "sy"), (m1, "X"))),
-            gid(term(1.0, (first, "sx"), (m2, "X"))),
-            term(1.0, (first, "sz"), (m1, "X"), (m2, "X")),
-            reg,
-        )
-        reg.add_reset_alias(rule, first)
+    first, shared = spins[0], modes[0]
+    slots = {
+        "pair": [{"s": s, "m": m} for s in spins for m in modes],
+        "spin2": [{"s": first, "m": shared, "s2": s2} for s2 in spins[1:]],
+        "mode2": [{"s": first, "m": shared, "m2": m2} for m2 in modes[1:]],
+    }
+    for scope, rows in _DERIVATIONS.items():
+        for fill in slots[scope]:
+            for a, b, direction, *reset in rows:
+                a_id, b_id = (generator_id(parse_expr(x.format(**fill))) for x in (a, b))
+                rule = derive_rule(a_id, b_id, parse_expr(direction.format(**fill)), reg)
+                if reset:
+                    reg.add_reset_alias(rule, fill["s"])
     return reg
 
 
@@ -541,17 +534,13 @@ def close_algebra(
         seeds.append((gid, registry.record(gid).expr))
     if include_reset_effectives:
         for gid, expr in list(seeds):
-            if len(expr.terms) != 1:
+            reset = _reset_effective(expr, layout)
+            if reset is None:
                 continue
-            t = expr.terms[0]
-            spin_factors = [i for i, op in t.factors if op.tag == "sz"]
-            mode_factors = [(i, op) for i, op in t.factors if layout.is_qumode(i)]
-            if len(spin_factors) == 1 and len(mode_factors) == len(t.factors) - 1 and mode_factors:
-                eff = HamiltonianExpr((HamiltonianTerm(t.coefficient, tuple(mode_factors)),))
-                eff_id = registry.register(eff, drivable=True, origin="reset-effective")
-                if eff_id not in [s[0] for s in seeds]:
-                    seeds.append((eff_id, eff))
-                    notes.append(f"reset-effective seed {eff_id} from {gid}")
+            eff_id = registry.register(reset[1], drivable=True, origin="reset-effective")
+            if eff_id not in [s[0] for s in seeds]:
+                seeds.append((eff_id, reset[1]))
+                notes.append(f"reset-effective seed {eff_id} from {gid}")
 
     mask = interior_mask(layout, guard)
     idx = np.ix_(mask, mask)

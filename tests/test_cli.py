@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -220,3 +221,41 @@ def test_robustness_run(tmp_path):
     assert res["branches"]
     top = max(res["branches"], key=lambda b: -abs(b["eigenvalue"] - 1.0))
     assert abs(top["eigenvalue"] - 1.0) <= res["resolution"]
+
+
+def _data_lines(path):
+    return [line for line in path.read_text().splitlines() if line and not line.startswith("#")]
+
+
+def test_data_files_hold_plain_numbers_and_valid_csv(tmp_path):
+    small = ["qubit", {"kind": "qumode", "cutoff": 8}]
+    runs = {
+        "spectrum": dict(SPECTRUM_CONFIG, n_shots=50),
+        "synth": {"experiment": "synth", "layout": small, "target": "sy@0", "angle": 0.5, "n_blocks": [2, 4]},
+        "closure": {"experiment": "closure", "layout": small, "max_new": 10, "degree_cap": 3},
+    }
+    for name, payload in runs.items():
+        out = tmp_path / name
+        assert main([name, "--config", write_config(tmp_path, f"{name}.json", payload), "--out", str(out)]) == 0
+        header, *rows = csv.reader(_data_lines(out / "samples.csv"))
+        assert rows
+        for row in rows:
+            assert len(row) == len(header), (name, row)
+            for column, cell in zip(header, row):
+                if column != "source":
+                    float(cell)
+        for line in _data_lines(out / "curve.dat"):
+            for cell in line.split():
+                float(cell)
+
+
+def test_non_finite_numbers_name_their_field(tmp_path, capsys):
+    small = ["qubit", {"kind": "qumode", "cutoff": 8}]
+    cases = [
+        ("synth", {"layout": small, "target": "sy@0", "angle": float("nan"), "n_blocks": [4]}, "angle"),
+        ("trotter-scaling", {"layout": small, "hamiltonian": "sz@0*X@1", "t": float("inf"), "steps": [4]}, "t"),
+    ]
+    for name, payload, field in cases:
+        cfg = write_config(tmp_path, f"{name}.json", payload)
+        assert main([name, "--config", cfg, "--out", str(tmp_path / name)]) == 3
+        assert capsys.readouterr().err.startswith(f"hybridsim: validation error: {field}: must be a finite number")

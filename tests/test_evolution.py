@@ -185,6 +185,21 @@ def test_cv_qft_vacuum_invariant():
     assert cv_qft(vac, 0).fidelity(vac) >= 1.0 - 1e-10
 
 
+def test_cv_qft_needs_no_eigendecomposition(monkeypatch):
+    layout = new_register([qubit(), qumode(10), qumode(6)])
+    rng = np.random.default_rng(2)
+    amps = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+    state = StateVector(layout, amps / np.linalg.norm(amps))
+    rot = build(parse_expr("0.5*X@1^2 + 0.5*P@1^2"), layout)
+    expected = expm_unitary(rot, np.pi / 2) @ state.amplitudes
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+    out = cv_qft(state, 1)
+    assert calls == []
+    assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
+
+
 def test_cv_qft_fock_phases():
     # each |n> picks up e^{-i (n + 1/2) pi/2}; probabilities are untouched
     layout = new_register([qumode(32)])

@@ -143,6 +143,27 @@ def test_synthesize_negative_angle(spin_mode_registry):
     assert measure_plan_error(plan, reg) <= 0.1
 
 
+def test_plans_for_one_target_share_its_eigendecomposition(monkeypatch):
+    layout = new_register([qubit(), qumode(8)])
+    reg = standard_registry(layout)
+    plans = [synthesize("sy@0", 0.6, 2, reg), synthesize("sy@0", -0.6, 8, reg)]
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+    counts, errors = [], []
+    for plan in plans:
+        before = len(calls)
+        errors.append(measure_plan_error(plan, reg))
+        counts.append(len(calls) - before)
+    # the first call diagonalizes the rule's two inputs and the target, the second nothing
+    assert counts == [3, 0]
+    monkeypatch.undo()
+    for plan, err in zip(plans, errors):
+        exact = expm_unitary(build(plan.target, layout), plan.angle)
+        oracle = np.linalg.norm(sequence_unitary(plan.sequence, layout, reg.matrices) - exact, 2)
+        assert abs(err - oracle) <= 1e-12
+
+
 def test_synthesize_unreachable_target(spin_mode_registry):
     with pytest.raises(SynthesisError):
         synthesize("0.5*sx@0*P@1^2", 0.3, 8, spin_mode_registry)
