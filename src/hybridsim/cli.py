@@ -356,17 +356,26 @@ def _run_synth(cfg: ExperimentConfig):
     return results, report.leakage, report.valid, csv, curve
 
 
+def _expr_texts(cfg: ExperimentConfig, key: str, default=None):
+    val = cfg.raw.get(key, default)
+    if val is not None and (not isinstance(val, list) or not all(isinstance(s, str) for s in val)):
+        raise ConfigError(f"{key}: must be a list of Hamiltonian expression strings")
+    return val
+
+
 def _run_closure(cfg: ExperimentConfig):
     layout = _layout(cfg)
+    seeds = _expr_texts(cfg, "seeds")
+    probe_texts = _expr_texts(cfg, "probes", default=[])
+    include_reset_effectives = cfg.raw.get("include_reset_effectives", True)
+    if not isinstance(include_reset_effectives, bool):
+        raise ConfigError(f"include_reset_effectives: must be true or false, got {include_reset_effectives!r}")
     registry = standard_registry(layout, guard=_number(cfg, "guard", default=DEFAULT_GUARD))
-    seeds = cfg.raw.get("seeds")
     if seeds is None:
         spin = next(i for i in range(len(layout)) if layout.is_qubit(i))
         mode = next(i for i in range(len(layout)) if layout.is_qumode(i))
         seed_ids = [g.generator_id for g in primitive_set(layout, spin, mode).members]
     else:
-        if not isinstance(seeds, list) or not all(isinstance(s, str) for s in seeds):
-            raise ConfigError("seeds: must be a list of Hamiltonian expression strings")
         seed_ids = []
         for s in seeds:
             try:
@@ -379,10 +388,10 @@ def _run_closure(cfg: ExperimentConfig):
         max_new=_int(cfg, "max_new", default=64, minimum=1),
         degree_cap=_int(cfg, "degree_cap", default=4, minimum=1),
         registry=registry,
-        include_reset_effectives=bool(cfg.raw.get("include_reset_effectives", True)),
+        include_reset_effectives=include_reset_effectives,
     )
     probes = {}
-    for text in cfg.raw.get("probes", []):
+    for text in probe_texts:
         try:
             probes[text] = report.membership(parse_expr(text))
         except ExprSyntaxError as exc:

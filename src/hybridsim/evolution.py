@@ -5,9 +5,20 @@ Exponentials use eigendecomposition of the (Hermitian) generator, which is
 exact to machine precision at the dimensions this package targets.  That
 keeps exponentiation error out of the pulse-compiler error-scaling
 experiments, which must isolate the commutator-approximation error itself.
-Decompositions are kept per generator id in a ``Generators`` table owned by
-the caller (a synthesis registry, a spectroscopy run); a run given no table
-diagonalizes each of its generators once for that run only.
+
+A pulse's generator is diagonalized factor by factor.  A subsystem on which
+every term carries the identical local operator is a common tensor factor,
+diagonalized alone; the remaining touched subsystems form one group whose
+``sum_k c_k (x) O_k`` is built on that sub-register and diagonalized once.
+The eigenvalues are the outer product of the factors' eigenvalues, and each
+group's eigenvectors act on its own axes of the amplitude tensor, so the
+pointer coupling ``H (x) P`` costs ``d_sys^3 + cutoff^3`` rather than
+``(d_sys * cutoff)^3`` and a product-term pulse never forms a ``D x D``
+matrix.  A prebuilt matrix is one group over all axes, which is exactly
+``v @ (phases * (v^dagger @ amps))``.  Decompositions are kept per generator
+id, and local factors per (operator, dimension), in a ``Generators`` table
+owned by the caller (a synthesis registry, a spectroscopy run); a run given
+no table diagonalizes each of its generators once for that run only.
 
 Sign convention: a pulse of generator H with duration t and sign s applies
 ``exp(-i * s * H * t)``.  Global phases are never asserted anywhere; state
@@ -16,12 +27,14 @@ comparisons go through fidelity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hilbert import DEFAULT_GUARD, RegisterLayout, StateVector, interior_mask
-from .operators import HamiltonianExpr, OperatorError, build, generator_id, parse_expr, term
+from .operators import (HamiltonianExpr, HamiltonianTerm, LocalOp, OperatorError, build, check_factor,
+                        generator_id, local_matrix, parse_expr, term)
 
 HERMITICITY_TOL = 1e-10
 
@@ -150,19 +163,62 @@ def expm_unitary(h: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-class Generators:
-    """Generator id -> matrix on one layout, each id diagonalized at most once.
+def _on_axes(m: np.ndarray, axes: tuple[int, ...], dims: tuple[int, ...], amps: np.ndarray) -> np.ndarray:
+    """``m`` applied to the subsystems ``axes`` (sorted) of a vector (D,) or a block (D, k)."""
+    if len(axes) == len(dims):
+        return m @ amps
+    first, last = axes[0], axes[-1] + 1
+    if axes == tuple(range(first, last)):
+        lead = math.prod(dims[:first])
+        return (m @ amps.reshape(lead, m.shape[0], -1)).reshape(amps.shape)
+    perm = axes + tuple(i for i in range(len(dims) + amps.ndim - 1) if i not in axes)
+    moved = amps.reshape(dims + amps.shape[1:]).transpose(perm)
+    out = (m @ moved.reshape(m.shape[0], -1)).reshape(moved.shape)
+    return out.transpose(np.argsort(perm)).reshape(amps.shape)
 
-    A pulse's generator resolves to the prebuilt matrix of its id, else to
-    its inline expression, else to its id parsed as Hamiltonian text.  The
-    table belongs to the caller that creates it: pass the same table to
-    several runs on one layout and they share every eigendecomposition.
+
+@dataclass(frozen=True)
+class _Factored:
+    """H = (prod_g v_g) diag(energies) (prod_g v_g)^dagger over disjoint subsystem groups.
+
+    ``groups`` pairs each group's sorted subsystem axes with its eigenvector
+    matrix; no group covers a subsystem the generator does not touch.
+    ``energies`` is the outer product of the groups' eigenvalues, flattened
+    over the whole register once, so a pulse forms its phases as the dense
+    formula does.
+    """
+
+    groups: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+    energies: np.ndarray
+
+    def apply(self, t: float, dims: tuple[int, ...], amps: np.ndarray) -> np.ndarray:
+        """exp(-i H t) applied to a vector (D,) or a block (D, k)."""
+        phases = np.exp(-1j * self.energies * t).reshape((-1,) + (1,) * (amps.ndim - 1))
+        for axes, v in self.groups:
+            amps = _on_axes(v.conj().T, axes, dims, amps)
+        # amps is now a fresh product (every decomposition has a group): phase it in place, one allocation fewer
+        np.multiply(phases, amps, out=amps)
+        for axes, v in self.groups:
+            amps = _on_axes(v, axes, dims, amps)
+        return amps
+
+
+class Generators:
+    """Generator id -> factored eigendecomposition on one layout, each id diagonalized once.
+
+    A pulse's generator resolves to the prebuilt matrix of its id (one group
+    over all subsystems), else to its inline expression, else to its id
+    parsed as Hamiltonian text; expressions are factored as the module
+    docstring describes.  The table belongs to the caller that creates it:
+    pass the same table to several runs on one layout and they share every
+    eigendecomposition.
     """
 
     def __init__(self, layout: RegisterLayout, prebuilt=None):
         self.layout = layout
         self._matrices: dict[str, np.ndarray] = dict(prebuilt or {})
-        self._eigs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._decompositions: dict[str, _Factored] = {}
+        self._local: dict[tuple[LocalOp, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def add(self, gid: str, matrix: np.ndarray) -> None:
         self._matrices[gid] = matrix
@@ -170,22 +226,54 @@ class Generators:
     def __getitem__(self, gid: str) -> np.ndarray:
         return self._matrices[gid]
 
-    def _matrix(self, pulse: Pulse, gid: str) -> np.ndarray:
+    def decomposition(self, pulse: Pulse) -> _Factored:
+        gid = pulse.generator_id
+        if gid not in self._decompositions:
+            self._decompositions[gid] = self._decompose(pulse, gid)
+        return self._decompositions[gid]
+
+    def _decompose(self, pulse: Pulse, gid: str) -> _Factored:
         if gid in self._matrices:
-            return self._matrices[gid]
+            w, v = _eig(self._matrices[gid])
+            return _Factored(((tuple(range(len(self.layout))), v),), w)
         if isinstance(pulse.generator, HamiltonianExpr):
-            return build(pulse.generator, self.layout)
+            return self._factor(pulse.generator)
         try:
             expr = parse_expr(gid)
         except OperatorError:
             raise UnknownGeneratorError(f"cannot resolve generator id {gid!r}") from None
-        return build(expr, self.layout)
+        return self._factor(expr)
 
-    def eig(self, pulse: Pulse) -> tuple[np.ndarray, np.ndarray]:
-        gid = pulse.generator_id
-        if gid not in self._eigs:
-            self._eigs[gid] = _eig(self._matrix(pulse, gid))
-        return self._eigs[gid]
+    def _factor(self, expr: HamiltonianExpr) -> _Factored:
+        layout, dims = self.layout, self.layout.dims
+        ops = [dict(trm.factors) for trm in expr.terms]
+        for trm in expr.terms:
+            for idx, op in trm.factors:
+                check_factor(idx, op, layout)
+        touched = sorted(set().union(*ops))
+        common = [i for i in touched if all(o.get(i) == ops[0].get(i) for o in ops)]
+        rest = tuple(i for i in touched if i not in common)
+        parts = [((i,), self._local_eig(ops[0][i], dims[i])) for i in common]
+        if rest:
+            position = {i: k for k, i in enumerate(rest)}
+            sub = HamiltonianExpr(tuple(
+                HamiltonianTerm(
+                    trm.coefficient,
+                    tuple((position[i], op) for i, op in trm.factors if i in position) or ((0, LocalOp("id")),),
+                )
+                for trm in expr.terms
+            ))
+            parts.append((rest, _eig(build(sub, RegisterLayout(tuple(layout.subsystems[i] for i in rest))))))
+        # with no remaining group every term is the same product: its coefficients add
+        energies = np.full((1,) * len(dims), 1.0 if rest else sum(trm.coefficient for trm in expr.terms))
+        for axes, (w, _) in parts:
+            energies = energies * w.reshape([d if i in axes else 1 for i, d in enumerate(dims)])
+        return _Factored(tuple((axes, v) for axes, (_, v) in parts), np.broadcast_to(energies, dims).reshape(-1))
+
+    def _local_eig(self, op: LocalOp, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        if (op, dim) not in self._local:
+            self._local[(op, dim)] = _eig(local_matrix(op, dim))
+        return self._local[(op, dim)]
 
 
 def _propagate(seq: PulseSequence, layout: RegisterLayout, generators, amps: np.ndarray) -> np.ndarray:
@@ -194,11 +282,11 @@ def _propagate(seq: PulseSequence, layout: RegisterLayout, generators, amps: np.
         generators = Generators(layout, generators)
     elif generators.layout != layout:
         raise EvolutionError("generator table was built for a different layout")
+    dims = layout.dims
     for pulse in seq.pulses:
         if pulse.duration == 0.0:
             continue
-        w, v = generators.eig(pulse)
-        amps = _apply(w, v, pulse.sign * pulse.duration, amps)
+        amps = generators.decomposition(pulse).apply(pulse.sign * pulse.duration, dims, amps)
     return amps
 
 

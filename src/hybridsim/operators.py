@@ -170,6 +170,16 @@ def term(coefficient: float, *factors: tuple[int, str] | tuple[int, str, int]) -
     return HamiltonianExpr((HamiltonianTerm(coefficient, tuple(ops)),))
 
 
+def check_factor(idx: int, op: LocalOp, layout: RegisterLayout) -> None:
+    """Raise OperatorError unless ``op@idx`` names a subsystem of the right kind."""
+    if not 0 <= idx < len(layout):
+        raise OperatorError(f"factor {op.tag}@{idx}: no subsystem {idx} in a {len(layout)}-subsystem layout")
+    if op.tag in QUBIT_TAGS and not layout.is_qubit(idx):
+        raise OperatorError(f"{op.tag} at subsystem {idx}: not a qubit")
+    if op.tag in QUMODE_TAGS and not layout.is_qumode(idx):
+        raise OperatorError(f"{op.tag} at subsystem {idx}: not a qumode")
+
+
 def build(expr: HamiltonianExpr, layout: RegisterLayout) -> np.ndarray:
     """Realize an expression as a dense Hermitian matrix on the layout."""
     total = layout.total_dim
@@ -178,12 +188,7 @@ def build(expr: HamiltonianExpr, layout: RegisterLayout) -> np.ndarray:
         mats = []
         targets = []
         for idx, op in t.factors:
-            if not 0 <= idx < len(layout):
-                raise OperatorError(f"factor {op.tag}@{idx}: no subsystem {idx} in a {len(layout)}-subsystem layout")
-            if op.tag in QUBIT_TAGS and not layout.is_qubit(idx):
-                raise OperatorError(f"{op.tag} at subsystem {idx}: not a qubit")
-            if op.tag in QUMODE_TAGS and not layout.is_qumode(idx):
-                raise OperatorError(f"{op.tag} at subsystem {idx}: not a qumode")
+            check_factor(idx, op, layout)
             mats.append(local_matrix(op, layout.dims[idx]))
             targets.append(idx)
         local = mats[0]

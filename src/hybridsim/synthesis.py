@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import Generators, Pulse, PulseSequence, _apply, _eig, sequence_unitary
+from .evolution import Generators, Pulse, PulseSequence, run_sequence, sequence_unitary
 from .hilbert import (
     DEFAULT_GUARD,
     RegisterLayout,
@@ -457,11 +457,10 @@ def oscillator_drive(
     if t == 0.0:
         return state
     gen = term(1.0, (spin_idx, "sz"), (mode_idx, which))
-    w, v = _eig(build(gen, state.layout))
-    dt = t / n_steps
+    step = PulseSequence((Pulse(gen, abs(t) / n_steps, 1 if t > 0 else -1),))
+    table = Generators(state.layout)
     for _ in range(n_steps):
-        state = reset_spin(state, spin_idx, rng)
-        state = StateVector(state.layout, _apply(w, v, dt, state.amplitudes))
+        state = run_sequence(step, reset_spin(state, spin_idx, rng), table).final_state
     return state
 
 

@@ -182,6 +182,19 @@ def test_closure_run(tmp_path):
     assert res["n_directions"] >= 8
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("include_reset_effectives", "false"), ("include_reset_effectives", 0), ("probes", [5]), ("probes", "sx@0")],
+)
+def test_closure_rejects_mistyped_fields(tmp_path, capsys, field, value):
+    cfg = write_config(
+        tmp_path, "closure.json",
+        {"experiment": "closure", "layout": ["qubit", {"kind": "qumode", "cutoff": 8}], field: value},
+    )
+    assert main(["closure", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert f"{field}: must be" in capsys.readouterr().err
+
+
 def test_trotter_scaling_run(tmp_path):
     cfg = write_config(
         tmp_path, "trotter.json",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hybridsim.evolution import (
     EvolutionError,
@@ -7,6 +9,8 @@ from hybridsim.evolution import (
     Pulse,
     PulseSequence,
     UnknownGeneratorError,
+    _apply,
+    _eig,
     cv_qft,
     expm_apply,
     expm_unitary,
@@ -16,7 +20,7 @@ from hybridsim.evolution import (
     trotter,
 )
 from hybridsim.hilbert import StateVector, basis_state, new_register, qubit, qumode
-from hybridsim.operators import build, fock_position, parse_expr
+from hybridsim.operators import HamiltonianExpr, HamiltonianTerm, LocalOp, build, fock_position, parse_expr
 from hybridsim.spectral import quadrature_basis
 
 
@@ -122,8 +126,72 @@ def test_generator_table_diagonalizes_each_id_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
     u = sequence_unitary(seq, layout, table)
     rep = run_sequence(seq, basis_state(layout, [0, 1]), table)
-    assert calls == [(12, 12), (12, 12)]
+    # the prebuilt id once at its full dimension; the inline sz@0*P@1 once per factor, never at 12
+    assert calls == [(12, 12), (2, 2), (6, 6)]
     assert np.max(np.abs(u @ basis_state(layout, [0, 1]).amplitudes - rep.final_state.amplitudes)) <= 1e-12
+
+
+@st.composite
+def _pulse_cases(draw):
+    """(layout, expr): one product term, terms sharing a factor, or a free sum of terms."""
+    specs = draw(st.lists(st.one_of(st.just(qubit()), st.integers(2, 5).map(qumode)), min_size=2, max_size=4))
+    layout = new_register(specs)
+
+    def local(i):
+        if layout.is_qubit(i):
+            return LocalOp(draw(st.sampled_from(("sx", "sy", "sz", "id"))))
+        tag = draw(st.sampled_from(("X", "P", "id")))
+        return LocalOp(tag, 1 if tag == "id" else draw(st.integers(1, 3)))
+
+    def product(sites, fixed=()):
+        coeff = draw(st.floats(0.1, 2.0)) * draw(st.sampled_from((1, -1)))
+        return HamiltonianTerm(coeff, tuple(fixed) + tuple((i, local(i)) for i in sites))
+
+    def sites(exclude=(), least=1):
+        free = [i for i in range(len(layout)) if i not in exclude]
+        return draw(st.lists(st.sampled_from(free), min_size=least, max_size=len(free), unique=True))
+
+    shape = draw(st.sampled_from(("product", "common", "sum")))
+    if shape == "product":
+        terms = [product(sites())]
+    elif shape == "common":
+        j = draw(st.integers(0, len(layout) - 1))
+        shared = (j, local(j))
+        terms = [product(sites((j,), 0), (shared,)) for _ in range(draw(st.integers(2, 3)))]
+    else:
+        terms = [product(sites()) for _ in range(draw(st.integers(2, 3)))]
+    return layout, HamiltonianExpr(tuple(terms))
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@example(case=(new_register([qubit(), qumode(4), qubit()]), parse_expr("sz@0*P@1*sz@2 + sx@0*P@1*sx@2")), t=0.9, sign=1)
+@example(case=(new_register([qubit(), qumode(3), qumode(2), qubit()]), parse_expr("sz@0*P@1*sz@3 + sx@0*P@1*sx@3")),
+         t=0.6, sign=-1)
+@example(case=(new_register([qubit(), qumode(5)]), parse_expr("0.5*sz@0*X@1^2 - sz@0*P@1^3")), t=1.1, sign=-1)
+@example(case=(new_register([qumode(3), qubit(), qumode(4)]), parse_expr("0.7*X@0^2*sx@1*P@2^2")), t=1.5, sign=1)
+@given(case=_pulse_cases(), t=st.floats(0.05, 1.5), sign=st.sampled_from((1, -1)))
+def test_factored_propagation_matches_the_dense_exponential(case, t, sign):
+    layout, expr = case
+    seq = PulseSequence((Pulse(expr, t, sign), Pulse(expr, 0.5 * t, 1)))
+    exact = expm_unitary(build(expr, layout), 0.5 * t) @ expm_unitary(build(expr, layout), sign * t)
+    assert np.max(np.abs(sequence_unitary(seq, layout) - exact)) <= 1e-12
+    rng = np.random.default_rng(0)
+    amps = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+    psi = StateVector(layout, amps / np.linalg.norm(amps))
+    out = run_sequence(seq, psi).final_state.amplitudes
+    assert np.max(np.abs(out - exact @ psi.amplitudes)) <= 1e-12
+
+
+def test_prebuilt_pulse_is_bitwise_the_dense_apply():
+    layout = new_register([qubit(), qumode(6), qubit()])
+    h = build(parse_expr("sz@0*X@1 + 0.3*sx@2*P@1^2"), layout)
+    seq = PulseSequence((Pulse("H", 0.4, -1),))
+    w, v = _eig(h)
+    psi = basis_state(layout, [1, 2, 0])
+    block = np.eye(layout.total_dim, dtype=complex)
+    assert np.array_equal(sequence_unitary(seq, layout, {"H": h}), _apply(w, v, -0.4, block))
+    out = run_sequence(seq, psi, {"H": h}).final_state.amplitudes
+    assert np.array_equal(out, _apply(w, v, -0.4, psi.amplitudes))
 
 
 def test_sequence_text_round_trip_is_bit_exact():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hybridsim.hilbert import StateVector, basis_state, new_register, qubit, qumode
-from hybridsim.operators import build, fock_position, parse_expr
+from hybridsim.operators import build, fock_momentum, fock_position, parse_expr
 from hybridsim.spectral import (
     PointerSpec,
     SpectralError,
@@ -262,12 +262,40 @@ def test_robustness_diagonalizes_the_coupling_once(monkeypatch):
     layout = new_register([qubit()])
     psi = StateVector(layout, np.array([1, 1], dtype=complex) / np.sqrt(2))
     spec = PointerSpec(beta=4.0, cutoff=64, t_couple=3.0)
-    dims = []
+    calls = []
     eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda h: dims.append(h.shape[-1]) or eigh(h))
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h) or eigh(h))
     rep = robustness_midmeasure(parse_expr("sz@0"), psi, spec, 200, seed=4)
     assert len(rep.samples) == 200
-    assert dims.count(2 * 64) == 1
+    # the quadrature basis is cached per cutoff, so an earlier test may have built it
+    dims = sorted(h.shape[-1] for h in calls if not np.array_equal(h, fock_position(64)))
+    # sz twice (the coupling's system factor and the system's eigenspaces), P once, nothing at 2 * 64
+    assert dims == [2, 2, 64]
+    assert sum(np.array_equal(h, fock_momentum(64)) for h in calls) == 1
+
+
+def test_exact_spectrum_of_five_qubits_never_diagonalizes_the_joint_space(monkeypatch):
+    # D = 32 * 128 = 4096: H (x) P is diagonalized as H on the 32-dim system
+    # and P on the 128-level pointer
+    layout = new_register([qubit()] * 5)
+    h = parse_expr(
+        "sz@0*sz@1 + sz@1*sz@2 + sz@2*sz@3 + sz@3*sz@4"
+        " + 0.5*sx@0 + 0.5*sx@1 + 0.5*sx@2 + 0.5*sx@3 + 0.5*sx@4"
+    )
+    energies, vectors = np.linalg.eigh(build(h, layout))
+    picked = [0, 16, 31]  # the ends of the spectrum and its middle, 4.3 apart
+    psi = StateVector(layout, vectors[:, picked].sum(axis=1) / np.sqrt(3.0))
+    dims = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: dims.append(m.shape[-1]) or eigh(m))
+    spec = PointerSpec(beta=4.0, cutoff=128, t_couple=2.0)
+    est = estimate_spectrum(h, psi, spec, 2000, seed=3)
+    assert 32 in dims and max(dims) <= 128
+    assert est.valid
+    assert len(est.peaks) == 3
+    for peak, energy in zip(est.peaks, energies[picked]):
+        assert abs(peak.eigenvalue - energy) <= spec.resolution
+        assert abs(peak.weight - 1.0 / 3.0) <= 0.05
 
 
 def test_robustness_identity_hamiltonian_mean_and_width():
