@@ -57,8 +57,10 @@ from .spectral import (
 )
 from .synthesis import (
     SynthesisError,
+    SynthesisRegistry,
     close_algebra,
     measure_plan_error,
+    spins_and_modes,
     standard_registry,
     synthesize,
 )
@@ -370,19 +372,16 @@ def _run_closure(cfg: ExperimentConfig):
     include_reset_effectives = cfg.raw.get("include_reset_effectives", True)
     if not isinstance(include_reset_effectives, bool):
         raise ConfigError(f"include_reset_effectives: must be true or false, got {include_reset_effectives!r}")
-    registry = standard_registry(layout, guard=_number(cfg, "guard", default=DEFAULT_GUARD))
+    registry = SynthesisRegistry(layout, guard=_number(cfg, "guard", default=DEFAULT_GUARD))
+    spins, modes = spins_and_modes(layout)
     if seeds is None:
-        spin = next(i for i in range(len(layout)) if layout.is_qubit(i))
-        mode = next(i for i in range(len(layout)) if layout.is_qumode(i))
-        seed_ids = [g.generator_id for g in primitive_set(layout, spin, mode).members]
+        seed_exprs = [g.expr for g in primitive_set(layout, spins[0], modes[0]).members]
     else:
-        seed_ids = []
-        for s in seeds:
-            try:
-                expr = parse_expr(s)
-            except ExprSyntaxError as exc:
-                raise ConfigError(f"seeds: {exc}") from None
-            seed_ids.append(registry.register(expr, drivable=True, origin="primitive"))
+        try:
+            seed_exprs = [parse_expr(s) for s in seeds]
+        except ExprSyntaxError as exc:
+            raise ConfigError(f"seeds: {exc}") from None
+    seed_ids = [registry.register(expr, drivable=True, origin="primitive") for expr in seed_exprs]
     report = close_algebra(
         seed_ids,
         max_new=_int(cfg, "max_new", default=64, minimum=1),

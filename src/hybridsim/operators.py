@@ -199,12 +199,18 @@ def build(expr: HamiltonianExpr, layout: RegisterLayout) -> np.ndarray:
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """AB - BA; anti-Hermitian whenever A and B are Hermitian."""
+    """AB - BA for Hermitian A and B, from the one product AB as AB - (AB)†.
+
+    Precondition: A and B are Hermitian, so that BA = (AB)†; for other
+    inputs the result is not their commutator.  The result is exactly
+    anti-Hermitian, so i[A, B] is exactly Hermitian.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise OperatorError(f"commutator shape mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
+    ab = a @ b
+    return ab - ab.conj().T
 
 
 # ---------------------------------------------------------------------------

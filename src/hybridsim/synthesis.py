@@ -260,7 +260,7 @@ def group_commutator(a_id: str, b_id: str, s: float, registry: SynthesisRegistry
 
 
 def _third_order_scale(a: np.ndarray, b: np.ndarray) -> float:
-    c = commutator(a, b)
+    c = 1j * commutator(a, b)  # Hermitian, as commutator requires; same norms as [A, B]
     return float(0.5 * (np.linalg.norm(commutator(a, c), 2) + np.linalg.norm(commutator(b, c), 2)))
 
 
@@ -367,6 +367,15 @@ _DERIVATIONS = {
 }
 
 
+def spins_and_modes(layout: RegisterLayout) -> tuple[list[int], list[int]]:
+    """The qubit and the qumode indices; the primitive set needs one of each."""
+    spins = [i for i in range(len(layout)) if layout.is_qubit(i)]
+    modes = [i for i in range(len(layout)) if layout.is_qumode(i)]
+    if not spins or not modes:
+        raise SynthesisError("standard registry needs at least one qubit and one qumode")
+    return spins, modes
+
+
 def standard_registry(layout: RegisterLayout, guard: float = DEFAULT_GUARD) -> SynthesisRegistry:
     """Registry pre-loaded with the primitive sets and the derivation chain.
 
@@ -377,11 +386,7 @@ def standard_registry(layout: RegisterLayout, guard: float = DEFAULT_GUARD) -> S
     sy X_1 and sz X_1 X_2 (aliased to the mode-only X_1 X_2).
     """
     reg = SynthesisRegistry(layout, guard)
-    spins = [i for i in range(len(layout)) if layout.is_qubit(i)]
-    modes = [i for i in range(len(layout)) if layout.is_qumode(i)]
-    if not spins or not modes:
-        raise SynthesisError("standard registry needs at least one qubit and one qumode")
-
+    spins, modes = spins_and_modes(layout)
     primitives = [gen.expr for s in spins for m in modes for gen in primitive_set(layout, s, m).members]
     for expr in primitives:
         reg.register(expr, drivable=True, origin="primitive")
@@ -483,6 +488,7 @@ class ClosureReport:
     guard: float
     seed_ids: tuple[str, ...]
     directions: tuple[ClosureDirection, ...]
+    basis: np.ndarray  # its rows are the directions' vectors
     depth_reached: int
     notes: tuple[str, ...] = ()
 
@@ -493,14 +499,14 @@ class ClosureReport:
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             raise SynthesisError("query direction vanishes on the interior block")
-        _, residual = _orthonormal_residual(vec / norm, [d.vector for d in self.directions])
+        _, residual = _orthonormal_residual(vec / norm, self.basis)
         return residual
 
 
-def _orthonormal_residual(vec: np.ndarray, basis: list[np.ndarray]) -> tuple[np.ndarray, float]:
+def _orthonormal_residual(vec: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
+    """vec minus its projection on the orthonormal rows of basis (two passes)."""
     for _ in range(2):
-        for b in basis:
-            vec = vec - np.vdot(b, vec) * b
+        vec = vec - (basis @ vec.conj()).conj() @ basis
     return vec, float(np.linalg.norm(vec))
 
 
@@ -544,57 +550,51 @@ def close_algebra(
     mask = interior_mask(layout, guard)
     idx = np.ix_(mask, mask)
 
-    full: list[np.ndarray] = []
+    # Only directions below degree_cap can still be commutator operands.
+    full: list[np.ndarray | None] = []
     degrees: list[int] = []
-    basis: list[np.ndarray] = []
-    directions: list[ClosureDirection] = []
+    sources: list[str] = []
+    basis = np.empty((0, int(mask.sum()) ** 2), dtype=complex)
+    most = len(seeds) + max(max_new, 0)  # the basis doubles, but never past this many rows
 
-    def try_add(mat: np.ndarray, degree: int, source: str) -> bool:
+    def try_add(mat: np.ndarray, degree: int, source: str) -> None:
+        nonlocal basis
         comp = mat[idx].ravel()
         norm = np.linalg.norm(comp)
         if norm < 1e-12:
-            return False
-        vec, resid = _orthonormal_residual(comp / norm, basis)
+            return
+        n = len(degrees)
+        vec, resid = _orthonormal_residual(comp / norm, basis[:n])
         if resid <= NEW_DIRECTION_TOL:
-            return False
-        vec = vec / resid
-        basis.append(vec)
-        directions.append(ClosureDirection(vec, degree, source))
-        full.append(mat / norm)
+            return
+        if n == len(basis):
+            basis = np.concatenate([basis, np.empty((min(max(n, 8), most - n), basis.shape[1]), dtype=complex)])
+        basis[n] = vec / resid
+        full.append(mat / norm if degree < degree_cap else None)
         degrees.append(degree)
-        return True
+        sources.append(source)
 
     for gid, expr in seeds:
         try_add(registry.matrix(gid), 1, f"seed {gid}")
 
-    depth = 1
-    added = 0
-    done = False
+    n_seeds = len(degrees)
     for degree in range(2, degree_cap + 1):
-        prev = [i for i, d in enumerate(degrees) if d == degree - 1]
-        if not prev or done:
-            break
-        n_before = len(full)
-        for j in prev:
-            for i in range(n_before):
-                if i == j or (degrees[i] == degree - 1 and i > j):
-                    continue
-                cand = 1j * commutator(full[i], full[j])
-                if try_add(cand, degree, f"i[{i},{j}]"):
-                    depth = degree
-                    added += 1
-                    if added >= max_new:
-                        done = True
-                        break
-            if done:
+        prev = [j for j, d in enumerate(degrees) if d == degree - 1]
+        # every older direction with each of prev, and each pair within prev once
+        pairs = [(i, j) for j in prev for i in range(len(degrees)) if degrees[i] < degree - 1 or i < j]
+        for i, j in pairs:
+            if len(degrees) - n_seeds >= max_new:
                 break
+            try_add(1j * commutator(full[i], full[j]), degree, f"i[{i},{j}]")
 
+    basis = basis[: len(degrees)]
     return ClosureReport(
         layout=layout,
         guard=guard,
         seed_ids=tuple(s[0] for s in seeds),
-        directions=tuple(directions),
-        depth_reached=depth,
+        directions=tuple(ClosureDirection(*d) for d in zip(basis, degrees, sources)),
+        basis=basis,
+        depth_reached=max(degrees, default=1),
         notes=tuple(notes),
     )
 

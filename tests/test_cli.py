@@ -195,6 +195,35 @@ def test_closure_rejects_mistyped_fields(tmp_path, capsys, field, value):
     assert f"{field}: must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "layout, seeds", [([{"kind": "qumode", "cutoff": 8}], None), (["qubit"], ["sx@0", "sz@0"])]
+)
+def test_closure_needs_a_qubit_and_a_qumode(tmp_path, capsys, layout, seeds):
+    payload = {"experiment": "closure", "layout": layout}
+    if seeds is not None:
+        payload["seeds"] = seeds
+    cfg = write_config(tmp_path, "closure.json", payload)
+    assert main(["closure", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "needs at least one qubit and one qumode" in capsys.readouterr().err
+
+
+def test_closure_never_builds_the_derivation_chain(tmp_path, monkeypatch):
+    cfg = write_config(
+        tmp_path, "closure.json",
+        {"experiment": "closure", "layout": ["qubit", {"kind": "qumode", "cutoff": 8}], "max_new": 20,
+         "degree_cap": 3, "probes": ["sy@0"]},
+    )
+    assert main(["closure", "--config", cfg, "--out", str(tmp_path / "plain")]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closure run derived a synthesis rule")
+
+    monkeypatch.setattr("hybridsim.synthesis.derive_rule", refuse)
+    assert main(["closure", "--config", cfg, "--out", str(tmp_path / "patched")]) == 0
+    samples = [(tmp_path / run / "samples.csv").read_text() for run in ("plain", "patched")]
+    assert samples[0] == samples[1]
+
+
 def test_trotter_scaling_run(tmp_path):
     cfg = write_config(
         tmp_path, "trotter.json",

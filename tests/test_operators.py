@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridsim.hilbert import compress_to_interior, new_register, qubit, qumode
 from hybridsim.operators import (
@@ -141,6 +143,32 @@ def test_commutator_examples():
 
     with pytest.raises(OperatorError):
         commutator(np.eye(2), np.eye(3))
+
+
+_GENERATOR_TEXTS = ("X@1^3", "sz@0*P@1", "sx@0*X@1", "sy@0*X@1^2", "0.5*P@1^2 - 1.5*sz@0*X@1^3", "sx@0")
+
+
+@st.composite
+def _hermitian_pairs(draw):
+    """Two random Hermitian matrices of one dimension in 2..40, or two built generators."""
+    if draw(st.booleans()):
+        layout = new_register([qubit(), qumode(draw(st.integers(2, 12)))])
+        return tuple(build(parse_expr(draw(st.sampled_from(_GENERATOR_TEXTS))), layout) for _ in range(2))
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+    return tuple(m + m.conj().T for m in mats)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(pair=_hermitian_pairs())
+def test_commutator_of_hermitian_matrices_is_exactly_anti_hermitian(pair):
+    a, b = pair
+    c = commutator(a, b)
+    bound = 1e-12 * np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
+    assert np.max(np.abs(c - (a @ b - b @ a))) <= bound
+    k = 1j * c
+    assert np.array_equal(k, k.conj().T)
 
 
 def test_primitive_set():

@@ -17,6 +17,7 @@ from hybridsim.operators import build, generator_id, parse_expr, primitive_set, 
 from hybridsim.synthesis import (
     DerivationError,
     SynthesisError,
+    SynthesisRegistry,
     close_algebra,
     closure_to_json,
     derive_rule,
@@ -292,6 +293,45 @@ def test_closure_membership_rejects_vanishing_query(spin_mode_registry):
     rep = close_algebra(seeds, max_new=5, degree_cap=2, registry=reg)
     with pytest.raises(SynthesisError):
         rep.membership(np.zeros((reg.layout.total_dim, reg.layout.total_dim)))
+
+
+def _bare_closure(specs, spins, max_new, degree_cap):
+    """Closure of every listed spin's primitive set on the last mode, in a registry of the seeds only."""
+    layout = new_register(specs)
+    reg = SynthesisRegistry(layout)
+    seeds = [reg.register(g.expr, drivable=True, origin="primitive")
+             for s in spins for g in primitive_set(layout, s, len(specs) - 1).members]
+    return close_algebra(seeds, max_new=max_new, degree_cap=degree_cap, registry=reg)
+
+
+# "degree:i,j" of each direction found beyond the seeds, in the order the
+# closure accepted them when its Gram-Schmidt ran one basis vector at a time.
+_CLOSURE_ORDER = {
+    1: "2:0,1 2:0,2 2:1,2 2:2,3 2:0,4 3:0,5 3:1,5 3:2,5 3:4,5 3:0,6 3:2,6 3:4,6 3:5,6 3:5,8 3:6,8 3:5,9 3:6,9 "
+       "3:8,9 4:0,10 4:5,10",
+    2: "2:0,1 2:0,2 2:1,2 2:2,3 2:2,4 2:3,4 2:0,5 2:3,5 2:2,6 2:5,6 2:0,7 2:3,7 3:0,8 3:1,8 3:2,8 3:5,8 3:7,8 "
+       "3:0,9 3:2,9 3:3,9 3:5,9 3:7,9 3:8,9 3:4,11 3:5,11 3:8,11 3:9,11 3:8,12 3:9,12 3:11,12 3:3,13 3:4,13 "
+       "3:5,13 3:7,13 3:9,13 3:11,13 3:12,13 3:3,14 3:9,14 3:12,14",
+}
+
+
+@pytest.mark.parametrize("n_spins, max_new", [(1, 20), (2, 40)])
+def test_closure_order_is_pinned(n_spins, max_new):
+    rep = _bare_closure([qubit()] * n_spins + [qumode(8)], range(n_spins), max_new, 4)
+    n_seeds = len(rep.seed_ids)
+    assert n_seeds == 3 * n_spins + 2  # the primitives, then reset-effective X and P
+    assert [(d.degree, d.source) for d in rep.directions[:n_seeds]] == [(1, f"seed {g}") for g in rep.seed_ids]
+    found = [(int(d), f"i[{ij}]") for d, ij in (item.split(":") for item in _CLOSURE_ORDER[n_spins].split())]
+    assert [(d.degree, d.source) for d in rep.directions[n_seeds:]] == found
+
+
+def test_closure_basis_grows_with_the_directions_found():
+    huge = _bare_closure([qubit(), qumode(6)], [0], 10**9, 3)
+    capped = _bare_closure([qubit(), qumode(6)], [0], 1000, 3)
+    assert [(d.degree, d.source) for d in huge.directions] == [(d.degree, d.source) for d in capped.directions]
+    assert huge.basis.shape[0] == len(huge.directions)
+    assert np.array_equal(huge.basis, capped.basis)
+    assert all(np.shares_memory(d.vector, huge.basis) for d in huge.directions)
 
 
 def test_serialization_documents():
