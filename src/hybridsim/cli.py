@@ -37,8 +37,9 @@ from .evolution import (
     LEAKAGE_INVALID,
     EvolutionError,
     Generators,
+    Pulse,
+    PulseSequence,
     cv_qft,
-    expm_apply,
     expm_unitary,
     leakage as state_leakage,
     run_sequence,
@@ -418,7 +419,7 @@ def _run_qft_demo(cfg: ExperimentConfig):
     parts = ([term(dx, (0, "P"))] if dx else []) + ([term(-dp, (0, "X"))] if dp else [])
     if parts:
         gen = parts[0] if len(parts) == 1 else parts[0] + parts[1]
-        state = expm_apply(build(gen, layout), 1.0, state)
+        state = run_sequence(PulseSequence((Pulse(gen, 1.0),)), state).final_state
     x_op = build(parse_expr("X@0"), layout)
     p_op = build(parse_expr("P@0"), layout)
 

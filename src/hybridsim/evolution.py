@@ -14,11 +14,12 @@ The eigenvalues are the outer product of the factors' eigenvalues, and each
 group's eigenvectors act on its own axes of the amplitude tensor, so the
 pointer coupling ``H (x) P`` costs ``d_sys^3 + cutoff^3`` rather than
 ``(d_sys * cutoff)^3`` and a product-term pulse never forms a ``D x D``
-matrix.  A prebuilt matrix is one group over all axes, which is exactly
-``v @ (phases * (v^dagger @ amps))``.  Decompositions are kept per generator
-id, and local factors per (operator, dimension), in a ``Generators`` table
-owned by the caller (a synthesis registry, a spectroscopy run); a run given
-no table diagonalizes each of its generators once for that run only.
+matrix.  Every pulse takes this one path: its generator is an inline
+expression or an id that parses as one.  Decompositions are kept per
+generator id, and local factors per (operator, dimension), in a
+``Generators`` table owned by the caller (a synthesis registry, a
+spectroscopy run); a run given no table diagonalizes each of its generators
+once for that run only.
 
 Sign convention: a pulse of generator H with duration t and sign s applies
 ``exp(-i * s * H * t)``.  Global phases are never asserted anywhere; state
@@ -165,8 +166,6 @@ def expm_unitary(h: np.ndarray, t: float) -> np.ndarray:
 
 def _on_axes(m: np.ndarray, axes: tuple[int, ...], dims: tuple[int, ...], amps: np.ndarray) -> np.ndarray:
     """``m`` applied to the subsystems ``axes`` (sorted) of a vector (D,) or a block (D, k)."""
-    if len(axes) == len(dims):
-        return m @ amps
     first, last = axes[0], axes[-1] + 1
     if axes == tuple(range(first, last)):
         lead = math.prod(dims[:first])
@@ -206,25 +205,17 @@ class _Factored:
 class Generators:
     """Generator id -> factored eigendecomposition on one layout, each id diagonalized once.
 
-    A pulse's generator resolves to the prebuilt matrix of its id (one group
-    over all subsystems), else to its inline expression, else to its id
-    parsed as Hamiltonian text; expressions are factored as the module
-    docstring describes.  The table belongs to the caller that creates it:
-    pass the same table to several runs on one layout and they share every
+    A pulse's generator resolves to its inline expression, else to its id
+    parsed as Hamiltonian text, and is factored as the module docstring
+    describes.  The table belongs to the caller that creates it: pass the
+    same table to several runs on one layout and they share every
     eigendecomposition.
     """
 
-    def __init__(self, layout: RegisterLayout, prebuilt=None):
+    def __init__(self, layout: RegisterLayout):
         self.layout = layout
-        self._matrices: dict[str, np.ndarray] = dict(prebuilt or {})
         self._decompositions: dict[str, _Factored] = {}
         self._local: dict[tuple[LocalOp, int], tuple[np.ndarray, np.ndarray]] = {}
-
-    def add(self, gid: str, matrix: np.ndarray) -> None:
-        self._matrices[gid] = matrix
-
-    def __getitem__(self, gid: str) -> np.ndarray:
-        return self._matrices[gid]
 
     def decomposition(self, pulse: Pulse) -> _Factored:
         gid = pulse.generator_id
@@ -233,9 +224,6 @@ class Generators:
         return self._decompositions[gid]
 
     def _decompose(self, pulse: Pulse, gid: str) -> _Factored:
-        if gid in self._matrices:
-            w, v = _eig(self._matrices[gid])
-            return _Factored(((tuple(range(len(self.layout))), v),), w)
         if isinstance(pulse.generator, HamiltonianExpr):
             return self._factor(pulse.generator)
         try:
@@ -276,10 +264,13 @@ class Generators:
         return self._local[(op, dim)]
 
 
-def _propagate(seq: PulseSequence, layout: RegisterLayout, generators, amps: np.ndarray) -> np.ndarray:
+def _propagate(seq: PulseSequence, layout: RegisterLayout, generators: Generators | None,
+               amps: np.ndarray) -> np.ndarray:
     """The pulse loop shared by run_sequence (a vector) and sequence_unitary (a block)."""
-    if not isinstance(generators, Generators):
-        generators = Generators(layout, generators)
+    if generators is None:
+        generators = Generators(layout)
+    elif not isinstance(generators, Generators):
+        raise EvolutionError(f"generators must be a Generators table or None, got {type(generators).__name__}")
     elif generators.layout != layout:
         raise EvolutionError("generator table was built for a different layout")
     dims = layout.dims
@@ -293,16 +284,14 @@ def _propagate(seq: PulseSequence, layout: RegisterLayout, generators, amps: np.
 def run_sequence(
     seq: PulseSequence,
     state: StateVector,
-    generators=None,
+    generators: Generators | None = None,
     guard: float = DEFAULT_GUARD,
 ) -> EvolutionReport:
     """Execute a pulse sequence and report leakage and norm drift.
 
     ``generators`` is a caller-owned ``Generators`` table for the state's
-    layout, which keeps its eigendecompositions across calls, or a plain
-    mapping from generator id to prebuilt matrix, which lasts for this call
-    only.  Ids it lacks resolve from the pulse's inline expression or are
-    parsed as Hamiltonian text.
+    layout, which keeps its eigendecompositions across calls, or None for a
+    table that lasts this call only; anything else raises EvolutionError.
     """
     amps = _propagate(seq, state.layout, generators, state.amplitudes)
     final = StateVector(state.layout, amps)
@@ -313,7 +302,7 @@ def run_sequence(
     )
 
 
-def sequence_unitary(seq: PulseSequence, layout: RegisterLayout, generators=None) -> np.ndarray:
+def sequence_unitary(seq: PulseSequence, layout: RegisterLayout, generators: Generators | None = None) -> np.ndarray:
     """Dense unitary realized by a sequence (test and diagnostics helper)."""
     return _propagate(seq, layout, generators, np.eye(layout.total_dim, dtype=complex))
 

@@ -122,11 +122,14 @@ class SynthPlan:
 
 
 class SynthesisRegistry:
-    """Named generators, their matrices, and the derivation rules over them.
+    """Named generators and the derivation rules over them, on one fixed layout.
 
     Generators are keyed by the compact canonical text of their Hamiltonian,
-    so ids are stable, serializable, and parseable.  Matrices and rules are
-    built against one fixed layout.
+    so ids are stable, serializable, and parse back to the same expression;
+    the registry stores expressions, never dense matrices.  ``matrix(gid)``
+    builds one on demand for the dense users (rule measurement, the error
+    prediction, closure seeds); pulses run through ``matrices``, the
+    registry's ``Generators`` table, which factors each id's expression.
     """
 
     def __init__(self, layout: RegisterLayout, guard: float = DEFAULT_GUARD):
@@ -143,7 +146,6 @@ class SynthesisRegistry:
         gid = generator_id(expr)
         if gid not in self._records:
             self._records[gid] = GeneratorRecord(gid, expr, drivable, origin)
-            self._generators.add(gid, build(expr, self.layout))
         return gid
 
     def record(self, gid: str) -> GeneratorRecord:
@@ -152,8 +154,8 @@ class SynthesisRegistry:
         return self._records[gid]
 
     def matrix(self, gid: str) -> np.ndarray:
-        self.record(gid)
-        return self._generators[gid]
+        """The dense matrix of a registered generator, built on each call."""
+        return build(self.record(gid).expr, self.layout)
 
     @property
     def matrices(self) -> Generators:
@@ -372,7 +374,7 @@ def spins_and_modes(layout: RegisterLayout) -> tuple[list[int], list[int]]:
     spins = [i for i in range(len(layout)) if layout.is_qubit(i)]
     modes = [i for i in range(len(layout)) if layout.is_qumode(i)]
     if not spins or not modes:
-        raise SynthesisError("standard registry needs at least one qubit and one qumode")
+        raise SynthesisError("layout needs at least one qubit and one qumode")
     return spins, modes
 
 

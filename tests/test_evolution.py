@@ -9,8 +9,6 @@ from hybridsim.evolution import (
     Pulse,
     PulseSequence,
     UnknownGeneratorError,
-    _apply,
-    _eig,
     cv_qft,
     expm_apply,
     expm_unitary,
@@ -94,17 +92,16 @@ def test_run_sequence_unknown_generator():
         run_sequence(PulseSequence((Pulse("no-such-generator", 1.0, 1),)), state)
 
 
-def test_prebuilt_matrices_are_not_reused_across_calls():
-    # the same id bound to a different matrix in a later call must take effect
+def test_a_plain_mapping_is_not_a_generator_table():
+    # pulses resolve by factoring their expression; a mapping of prebuilt matrices is refused
     layout = new_register([qubit()])
     state = basis_state(layout, [0])
     seq = PulseSequence((Pulse("H", np.pi / 2, 1),))
     sx = build(parse_expr("sx@0"), layout)
-    sz = build(parse_expr("sz@0"), layout)
-    assert run_sequence(seq, state, {"H": sx}).final_state.fidelity(basis_state(layout, [1])) >= 1.0 - 1e-12
-    assert run_sequence(seq, state, {"H": sz}).final_state.fidelity(state) >= 1.0 - 1e-12
-    assert np.max(np.abs(sequence_unitary(seq, layout, {"H": sx}) - expm_unitary(sx, np.pi / 2))) <= 1e-12
-    assert np.max(np.abs(sequence_unitary(seq, layout, {"H": sz}) - expm_unitary(sz, np.pi / 2))) <= 1e-12
+    with pytest.raises(EvolutionError):
+        run_sequence(seq, state, {"H": sx})
+    with pytest.raises(EvolutionError):
+        sequence_unitary(seq, layout, {"H": sx})
 
 
 def test_generator_table_layout_must_match():
@@ -119,15 +116,16 @@ def test_generator_table_layout_must_match():
 
 def test_generator_table_diagonalizes_each_id_once(monkeypatch):
     layout = new_register([qubit(), qumode(6)])
-    table = Generators(layout, {"A": build(parse_expr("sx@0*X@1"), layout)})
-    seq = PulseSequence((Pulse("A", 0.2, 1), Pulse(parse_expr("sz@0*P@1"), 0.3, -1), Pulse("A", 0.1, -1)))
+    table = Generators(layout)
+    seq = PulseSequence((Pulse("sx@0*X@1", 0.2, 1), Pulse(parse_expr("sz@0*P@1"), 0.3, -1),
+                         Pulse("sx@0*X@1", 0.1, -1)))
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
     u = sequence_unitary(seq, layout, table)
     rep = run_sequence(seq, basis_state(layout, [0, 1]), table)
-    # the prebuilt id once at its full dimension; the inline sz@0*P@1 once per factor, never at 12
-    assert calls == [(12, 12), (2, 2), (6, 6)]
+    # the id and the inline sz@0*P@1 each once per factor, never at 12
+    assert calls == [(2, 2), (6, 6), (2, 2), (6, 6)]
     assert np.max(np.abs(u @ basis_state(layout, [0, 1]).amplitudes - rep.final_state.amplitudes)) <= 1e-12
 
 
@@ -180,18 +178,6 @@ def test_factored_propagation_matches_the_dense_exponential(case, t, sign):
     psi = StateVector(layout, amps / np.linalg.norm(amps))
     out = run_sequence(seq, psi).final_state.amplitudes
     assert np.max(np.abs(out - exact @ psi.amplitudes)) <= 1e-12
-
-
-def test_prebuilt_pulse_is_bitwise_the_dense_apply():
-    layout = new_register([qubit(), qumode(6), qubit()])
-    h = build(parse_expr("sz@0*X@1 + 0.3*sx@2*P@1^2"), layout)
-    seq = PulseSequence((Pulse("H", 0.4, -1),))
-    w, v = _eig(h)
-    psi = basis_state(layout, [1, 2, 0])
-    block = np.eye(layout.total_dim, dtype=complex)
-    assert np.array_equal(sequence_unitary(seq, layout, {"H": h}), _apply(w, v, -0.4, block))
-    out = run_sequence(seq, psi, {"H": h}).final_state.amplitudes
-    assert np.array_equal(out, _apply(w, v, -0.4, psi.amplitudes))
 
 
 def test_sequence_text_round_trip_is_bit_exact():

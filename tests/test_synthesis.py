@@ -165,6 +165,24 @@ def test_plans_for_one_target_share_its_eigendecomposition(monkeypatch):
         assert abs(err - oracle) <= 1e-12
 
 
+def test_registry_pulses_diagonalize_only_subsystem_factors(monkeypatch):
+    layout = new_register([qubit(), qumode(6), qumode(6)])
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape[0]) or eigh(h))
+    reg = standard_registry(layout)
+    plan = synthesize("sz@0*X@1*X@2", 0.3, 8, reg)
+    err = measure_plan_error(plan, reg)
+    monkeypatch.undo()
+    # plan pulses and the exact target are factored per subsystem, never diagonalized at D = 72
+    assert calls and max(calls) <= 6
+    u = np.eye(layout.total_dim, dtype=complex)
+    for p in plan.sequence.pulses:
+        u = expm_unitary(reg.matrix(p.generator_id), p.sign * p.duration) @ u
+    oracle = np.linalg.norm(u - expm_unitary(build(plan.target, layout), plan.angle), 2)
+    assert abs(err - oracle) <= 1e-12
+
+
 def test_synthesize_unreachable_target(spin_mode_registry):
     with pytest.raises(SynthesisError):
         synthesize("0.5*sx@0*P@1^2", 0.3, 8, spin_mode_registry)
