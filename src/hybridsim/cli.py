@@ -12,7 +12,7 @@ Every run writes three files into the output directory:
     curve.dat      gnuplot-style x/y columns for the experiment's main curve
 
 Given the same config and seed, samples.csv and curve.dat are byte-identical
-across runs (shot randomness is derived per shot from the master seed);
+across runs (each shot stream is one generator seeded from the master seed);
 wall time lives only in summary.json for that reason.
 
 Exit codes: 0 ok, 2 config parse error, 3 validation error, 4 result flagged
@@ -54,7 +54,6 @@ from .spectral import (
     estimate_spectrum,
     estimate_to_dict,
     robustness_midmeasure,
-    spectrum_rows,
 )
 from .synthesis import (
     SynthesisError,
@@ -289,10 +288,13 @@ def _spectrum_inputs(cfg: ExperimentConfig) -> tuple:
     return h, psi, spec, n_shots, cfg.seed, method, trotter_steps, _number(cfg, "guard", default=DEFAULT_GUARD)
 
 
+def _shot_lines(samples: tuple[float, ...], t_couple: float) -> list[str]:
+    return ["shot,x,eigenvalue_estimate"] + [f"{i},{x!r},{x / t_couple!r}" for i, x in enumerate(samples)]
+
+
 def _run_spectrum(cfg: ExperimentConfig):
     est = estimate_spectrum(*_spectrum_inputs(cfg))
-    csv = ["shot,x,eigenvalue_estimate"]
-    csv += [f"{i},{x!r},{e!r}" for i, x, e in spectrum_rows(est)]
+    csv = _shot_lines(est.samples, est.t_couple)
     return estimate_to_dict(est), est.leakage, est.valid, csv, _histogram_lines(est.samples)
 
 
@@ -315,8 +317,7 @@ def _run_robustness(cfg: ExperimentConfig):
         ],
         "resolution": rep.resolution,
     }
-    csv = ["shot,x,eigenvalue_estimate"]
-    csv += [f"{i},{x!r},{x / rep.baseline.t_couple!r}" for i, x in enumerate(rep.samples)]
+    csv = _shot_lines(rep.samples, rep.baseline.t_couple)
     valid = rep.valid and rep.baseline.valid
     return results, rep.leakage, valid, csv, _histogram_lines(rep.samples)
 

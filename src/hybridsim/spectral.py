@@ -9,9 +9,9 @@ parameter beta (beta = 1 is the vacuum, beta > 1 squeezes X) resolves
 eigenvalues to about 1/(t sqrt(beta)); that figure is recorded with every
 run, and scaling against it is what the resolution experiments check.
 
-Shots are independent: each shot uses its own counter-derived substream of
-the master seed, so results are bit-identical no matter how the shot loop
-is scheduled.
+Shots come from one generator per stream of the master seed, each stream's
+shots drawn in one call: the same seed and n_shots give the same samples,
+and an n-shot spectrum is the prefix of a longer one at the same seed.
 """
 
 from __future__ import annotations
@@ -292,9 +292,9 @@ def _make_peaks(samples: np.ndarray, beta: float, t: float, n_shots: int) -> tup
     return tuple(peaks)
 
 
-def _shot_rngs(seed: int, n_shots: int, stream: int) -> list[np.random.Generator]:
-    root = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
-    return [np.random.default_rng(child) for child in root.spawn(n_shots)]
+def _stream(seed: int, stream: int) -> np.random.Generator:
+    """The one generator of a shot stream: 0 is the spectrum/baseline, 1 the mid-run."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
 def reliable_shift(cutoff: int, guard: float = DEFAULT_GUARD) -> float:
@@ -317,8 +317,10 @@ def estimate_spectrum(
 
     Runs prepare -> couple -> measure with a fresh pointer per shot (shots
     are i.i.d., so the coupled state is computed once and sampled n_shots
-    times).  Samples cluster into peaks separated by more than three pointer
-    widths; each peak reports eigenvalue = center/t and weight = count/shots.
+    times, in one draw from stream 0: shot i takes the stream's i-th uniform,
+    so an n-shot run is the prefix of a longer one).  Samples cluster into
+    peaks separated by more than three pointer widths; each peak reports
+    eigenvalue = center/t and weight = count/shots.
     ``generators`` is passed on to couple_pointer.
     """
     if n_shots < 1:
@@ -329,10 +331,7 @@ def estimate_spectrum(
     node_amps, basis = _node_amplitudes(joint, mode_idx)
     probs = _born(node_amps)
 
-    n_nodes = len(probs)
-    samples = np.array(
-        [basis.nodes[int(rng.choice(n_nodes, p=probs))] for rng in _shot_rngs(seed, n_shots, 0)]
-    )
+    samples = basis.nodes[_stream(seed, 0).choice(len(probs), size=n_shots, p=probs)]
     peaks = _make_peaks(samples, spec.beta, spec.t_couple, n_shots)
 
     leak = state_leakage(joint, guard)
@@ -346,7 +345,7 @@ def estimate_spectrum(
     if leak > LEAKAGE_INVALID:
         notes.append(f"leakage {leak:.3e} exceeds {LEAKAGE_INVALID}")
     return SpectrumEstimate(
-        samples=tuple(float(x) for x in samples),
+        samples=tuple(samples.tolist()),
         t_couple=spec.t_couple,
         beta=spec.beta,
         peaks=peaks,
@@ -418,7 +417,9 @@ def robustness_midmeasure(
     preserved within the resolution (widths may change).  For each detected
     peak the report checks that the system stays in the same eigenspace
     across the second half.  The baseline, both halves and every branch
-    share one generator table, so the coupling is diagonalized once.
+    share one generator table, so the coupling is diagonalized once.  The
+    baseline draws stream 0, the mid-run stream 1: every shot's bin in one
+    draw, then each occupied bin's final nodes in one draw, bins ascending.
     """
     pointer = prepare_gaussian_pointer(spec.beta, spec.cutoff)
     generators = Generators(RegisterLayout(psi.layout.subsystems + pointer.layout.subsystems))
@@ -444,27 +445,24 @@ def robustness_midmeasure(
             branches_cache[bin_i] = (mid_amps, amps2, _born(amps2))
         return branches_cache[bin_i]
 
-    shot_records: list[tuple[int, int]] = []
-    samples = np.empty(n_shots)
-    for i, rng in enumerate(_shot_rngs(seed, n_shots, 1)):
-        bin_i = int(rng.choice(len(members), p=bin_probs))
-        _, _, probs2 = branch_for(bin_i)
-        k2 = int(rng.choice(len(basis.nodes), p=probs2))
-        shot_records.append((bin_i, k2))
-        samples[i] = basis.nodes[k2]
+    rng = _stream(seed, 1)
+    shot_bins = rng.choice(len(members), size=n_shots, p=bin_probs)
+    shot_nodes = np.empty(n_shots, dtype=int)
+    for bin_i in np.unique(shot_bins):
+        in_bin = shot_bins == bin_i
+        _, _, probs2 = branch_for(int(bin_i))
+        shot_nodes[in_bin] = rng.choice(len(basis.nodes), size=int(in_bin.sum()), p=probs2)
+    samples = basis.nodes[shot_nodes]
 
     peaks = _make_peaks(samples, spec.beta, spec.t_couple, n_shots)
 
     projectors = _eigenspace_projectors(build(h, psi.layout))
     branches = []
     for peak in peaks:
-        rep = min(
-            range(n_shots), key=lambda i: abs(basis.nodes[shot_records[i][1]] - peak.center_x)
-        )
-        bin_i, k2 = shot_records[rep]
-        mid_amps, amps2, _ = branch_for(bin_i)
+        rep = int(np.argmin(np.abs(samples - peak.center_x)))
+        mid_amps, amps2, _ = branch_for(int(shot_bins[rep]))
         v1 = _system_vector(mid_amps, int(np.argmax(np.sum(np.abs(mid_amps) ** 2, axis=0))))
-        v2 = _system_vector(amps2, k2)
+        v2 = _system_vector(amps2, int(shot_nodes[rep]))
         _, proj = min(projectors, key=lambda g: abs(g[0] - peak.eigenvalue))
         base = min(
             (b for b in baseline.peaks),
@@ -484,7 +482,7 @@ def robustness_midmeasure(
     leak = state_leakage(joint1, guard)
     return RobustnessReport(
         baseline=baseline,
-        samples=tuple(float(x) for x in samples),
+        samples=tuple(samples.tolist()),
         peaks=peaks,
         branches=tuple(branches),
         resolution=spec.resolution,

@@ -321,3 +321,36 @@ def test_robustness_two_branches_persist():
         assert branch.shift <= spec.resolution
         assert branch.fidelity_before >= 0.99
         assert branch.fidelity_after >= 0.99
+
+
+def test_each_shot_stream_is_one_generator(monkeypatch):
+    # one generator for the spectrum, one more for the robustness mid-run, whatever n_shots is
+    layout = new_register([qubit()])
+    psi = StateVector(layout, np.array([1, 1], dtype=complex) / np.sqrt(2))
+    spec = PointerSpec(beta=4.0, cutoff=64, t_couple=3.0)
+    calls = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: calls.append(a) or default_rng(*a))
+    estimate_spectrum(parse_expr("sz@0"), psi, spec, 3000, seed=4)
+    assert len(calls) == 1
+    calls.clear()
+    robustness_midmeasure(parse_expr("sz@0"), psi, spec, 3000, seed=4)
+    assert len(calls) == 2
+
+
+def test_spectrum_shots_are_a_prefix_of_a_longer_run():
+    spec = PointerSpec(beta=4.0, cutoff=64, t_couple=2.0)
+    h = parse_expr("sz@0*sz@1 + 0.5*sx@0")
+    short = estimate_spectrum(h, two_qubit_uniform(), spec, 1000, seed=12)
+    long = estimate_spectrum(h, two_qubit_uniform(), spec, 2000, seed=12)
+    assert short.samples == long.samples[:1000]
+
+
+def test_robustness_deterministic_per_seed():
+    spec = PointerSpec(beta=4.0, cutoff=128, t_couple=5.0)
+    h = parse_expr("sz@0*sz@1")
+    a = robustness_midmeasure(h, two_qubit_uniform(), spec, 1000, seed=8)
+    b = robustness_midmeasure(h, two_qubit_uniform(), spec, 1000, seed=8)
+    assert a.samples == b.samples
+    assert a.peaks == b.peaks
+    assert a.branches == b.branches
