@@ -289,7 +289,9 @@ def _spectrum_inputs(cfg: ExperimentConfig) -> tuple:
 
 
 def _shot_lines(samples: tuple[float, ...], t_couple: float) -> list[str]:
-    return ["shot,x,eigenvalue_estimate"] + [f"{i},{x!r},{x / t_couple!r}" for i, x in enumerate(samples)]
+    # samples take at most `cutoff` node values: format each value's row text once
+    texts = {x: f"{x!r},{x / t_couple!r}" for x in set(samples)}
+    return ["shot,x,eigenvalue_estimate"] + [f"{i},{texts[x]}" for i, x in enumerate(samples)]
 
 
 def _run_spectrum(cfg: ExperimentConfig):
@@ -450,8 +452,9 @@ def _run_trotter_scaling(cfg: ExperimentConfig):
     generators = Generators(layout)
     rows = []
     for n in steps:
-        seq = trotter(h, t, n)
-        err = float(np.linalg.norm(sequence_unitary(seq, layout, generators) - exact, 2))
+        # one step of trotter(h, t, n) is trotter(h, t / n, 1) bit for bit (abs(t / n) == abs(t) / n)
+        step = sequence_unitary(trotter(h, t / n, 1), layout, generators)
+        err = float(np.linalg.norm(np.linalg.matrix_power(step, n) - exact, 2))
         rows.append((n, err))
     probe = basis_state(layout, [0] * len(layout))
     report = run_sequence(trotter(h, t, steps[-1]), probe, generators,

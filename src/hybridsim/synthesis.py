@@ -16,7 +16,9 @@ Scale measurement and rule residuals use the Hilbert-Schmidt inner product
 restricted to the interior block (truncation corrupts the top Fock corner
 by construction).  Synthesis *error*, in contrast, is measured with the
 plain spectral norm on the whole truncated space: it quantifies what the
-compiled sequence actually does in this simulator.
+compiled sequence does in this simulator.  A plan is one block and a
+repeat count, so its unitary is the block's unitary raised to the n-th
+power by repeated squaring, at a cost that grows like log n.
 
 The spin-reset rule: with a spin held in |0>, a one-term generator sz(x)M
 with M on modes only acts on the modes as M alone.  ``_reset_effective``
@@ -105,15 +107,22 @@ class DerivationNode:
 
 @dataclass(frozen=True)
 class SynthPlan:
+    """One four-pulse block repeated ``n_blocks`` times (empty when the angle is 0)."""
+
     target: HamiltonianExpr
     target_id: str
     angle: float
-    sequence: PulseSequence
+    block: PulseSequence
     n_blocks: int
     block_step: float
     predicted_error: float
     derivation: DerivationNode
     reset_spin_required: int | None = None
+
+    @property
+    def sequence(self) -> PulseSequence:
+        """The compiled pulses: the block repeated n_blocks times, with the block's metadata."""
+        return PulseSequence(self.block.pulses * self.n_blocks, self.block.metadata)
 
     @property
     def target_sequence(self) -> PulseSequence:
@@ -139,6 +148,7 @@ class SynthesisRegistry:
         self._generators = Generators(layout)
         self._rules: dict[str, DerivationRule] = {}
         self._aliases: dict[str, ResetAlias] = {}
+        self._third_order: dict[tuple[str, str], float] = {}
 
     # -- generators ---------------------------------------------------------
 
@@ -156,6 +166,15 @@ class SynthesisRegistry:
     def matrix(self, gid: str) -> np.ndarray:
         """The dense matrix of a registered generator, built on each call."""
         return build(self.record(gid).expr, self.layout)
+
+    def third_order_scale(self, a_id: str, b_id: str) -> float:
+        """0.5 (||[A, i[A,B]]|| + ||[B, i[A,B]]||), computed once per ordered pair (A, B)."""
+        if (a_id, b_id) not in self._third_order:
+            a, b = self.matrix(a_id), self.matrix(b_id)
+            c = 1j * commutator(a, b)  # Hermitian, as commutator requires; same norms as [A, B]
+            self._third_order[(a_id, b_id)] = float(
+                0.5 * (np.linalg.norm(commutator(a, c), 2) + np.linalg.norm(commutator(b, c), 2)))
+        return self._third_order[(a_id, b_id)]
 
     @property
     def matrices(self) -> Generators:
@@ -261,11 +280,6 @@ def group_commutator(a_id: str, b_id: str, s: float, registry: SynthesisRegistry
     return PulseSequence(_block_pulses(a_id, b_id, s), (f"group-commutator A={a_id} B={b_id} s={s!r}",))
 
 
-def _third_order_scale(a: np.ndarray, b: np.ndarray) -> float:
-    c = 1j * commutator(a, b)  # Hermitian, as commutator requires; same norms as [A, B]
-    return float(0.5 * (np.linalg.norm(commutator(a, c), 2) + np.linalg.norm(commutator(b, c), 2)))
-
-
 def synthesize(
     target: HamiltonianExpr | str,
     angle: float,
@@ -306,22 +320,16 @@ def synthesize(
             raise SynthesisError(f"rule input {gid!r} is not drivable")
     s = float(np.sqrt(abs(angle) / (n_blocks * abs(rule.scale)))) if angle != 0.0 else 0.0
 
-    pulses: tuple[Pulse, ...] = ()
-    if s > 0.0:
-        pulses = _block_pulses(a_id, b_id, s) * n_blocks
     meta = (
         f"synthesize target={tid} angle={angle!r} n_blocks={n_blocks} s={s!r}"
         + (f" reset_spin={reset_spin_required}" if reset_spin_required is not None else ""),
     )
-    predicted = 0.0
-    if s > 0.0:
-        c3 = _third_order_scale(registry.matrix(a_id), registry.matrix(b_id))
-        predicted = 1.5 * n_blocks * s**3 * c3
+    predicted = 1.5 * n_blocks * s**3 * registry.third_order_scale(a_id, b_id) if s > 0.0 else 0.0
     return SynthPlan(
         target=target_expr,
         target_id=tid,
         angle=angle,
-        sequence=PulseSequence(pulses, meta),
+        block=PulseSequence(_block_pulses(a_id, b_id, s) if s > 0.0 else (), meta),
         n_blocks=n_blocks,
         block_step=s,
         predicted_error=predicted,
@@ -337,9 +345,10 @@ def _spin_zero_block(u: np.ndarray, layout: RegisterLayout, spin: int) -> np.nda
 
 
 def measure_plan_error(plan: SynthPlan, registry: SynthesisRegistry) -> float:
-    """Spectral-norm distance between the compiled sequence and its target."""
+    """Spectral-norm distance between the compiled sequence and its target; the
+    block's unitary is raised to the ``n_blocks``-th power by repeated squaring."""
     layout = registry.layout
-    u = sequence_unitary(plan.sequence, layout, registry.matrices)
+    u = np.linalg.matrix_power(sequence_unitary(plan.block, layout, registry.matrices), plan.n_blocks)
     u_target = sequence_unitary(plan.target_sequence, layout, registry.matrices)
     if plan.reset_spin_required is not None:
         u = _spin_zero_block(u, layout, plan.reset_spin_required)

@@ -1,10 +1,13 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from hybridsim.cli import main, parse_hamiltonian
-from hybridsim.operators import ExprSyntaxError
+from hybridsim.evolution import expm_unitary, sequence_unitary, trotter
+from hybridsim.hilbert import new_register, qubit, qumode
+from hybridsim.operators import ExprSyntaxError, build
 
 
 def write_config(tmp_path, name, payload):
@@ -301,3 +304,29 @@ def test_non_finite_numbers_name_their_field(tmp_path, capsys):
         cfg = write_config(tmp_path, f"{name}.json", payload)
         assert main([name, "--config", cfg, "--out", str(tmp_path / name)]) == 3
         assert capsys.readouterr().err.startswith(f"hybridsim: validation error: {field}: must be a finite number")
+
+
+@pytest.mark.parametrize("t", [0.5, -0.7])
+def test_trotter_scaling_errors_match_the_flat_product(tmp_path, t):
+    layout, text, steps = new_register([qubit(), qumode(16)]), "sz@0*X@1+sx@0*X@1+0.3*sz@0*P@1", [1, 3, 8, 32]
+    cfg = write_config(
+        tmp_path, "trotter.json",
+        {"experiment": "trotter-scaling", "layout": ["qubit", {"kind": "qumode", "cutoff": 16}],
+         "hamiltonian": text, "t": t, "steps": steps, "seed": 0},
+    )
+    assert main(["trotter-scaling", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    errors = json.loads((tmp_path / "out" / "summary.json").read_text())["results"]["errors"]
+    h = parse_hamiltonian(text)
+    exact = expm_unitary(build(h, layout), t)
+    assert [e["n_steps"] for e in errors] == steps
+    for e in errors:
+        flat = np.linalg.norm(sequence_unitary(trotter(h, t, e["n_steps"]), layout) - exact, 2)
+        assert abs(e["error"] - flat) <= 1e-12 * flat
+
+
+def test_shot_lines_format_each_shot_as_before():
+    from hybridsim.cli import _shot_lines
+
+    samples = (0.5, -1.25, 0.5, 1e-17, -1.25, 3.0000000000000004, 0.5)
+    expected = ["shot,x,eigenvalue_estimate"] + [f"{i},{x!r},{x / 3.7!r}" for i, x in enumerate(samples)]
+    assert _shot_lines(samples, 3.7) == expected

@@ -1,9 +1,11 @@
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hybridsim.evolution import expm_unitary, run_sequence, sequence_unitary
+from hybridsim.evolution import Generators, PulseSequence, expm_unitary, run_sequence, sequence_unitary
 from hybridsim.hilbert import (
     StateVector,
     basis_state,
@@ -382,3 +384,66 @@ def test_szsz_synthesis_disentangles_the_bus(two_spin_registry):
     ) @ plus
     fid = float(np.real(target.conj() @ qubits.matrix @ target))
     assert fid >= 0.99
+
+
+def _flat_plan_error(plan, reg):
+    """Spectral-norm error of the plan's flat pulse list, on the spin-|0> block for a reset alias."""
+    u = sequence_unitary(plan.sequence, reg.layout, reg.matrices)
+    u_target = sequence_unitary(plan.target_sequence, reg.layout, reg.matrices)
+    if plan.reset_spin_required is not None:
+        assert plan.reset_spin_required == 0  # subsystem 0 is the slowest axis: |0> is the first half
+        keep = slice(0, reg.layout.total_dim // 2)
+        u, u_target = u[keep, keep], u_target[keep, keep]
+    return float(np.linalg.norm(u - u_target, 2))
+
+
+def test_plan_error_runs_one_block_and_the_target(two_spin_registry, monkeypatch):
+    reg = two_spin_registry
+    plan = synthesize("sz@0*sz@1", np.pi / 4, 256, reg)
+    calls = []
+    decomposition = Generators.decomposition
+    monkeypatch.setattr(Generators, "decomposition", lambda self, p: calls.append(p) or decomposition(self, p))
+    measure_plan_error(plan, reg)
+    assert len(calls) <= 5  # the four block pulses and the target pulse, not 4 * 256 + 1
+
+
+@pytest.mark.parametrize("n_blocks", [64, 256])
+@pytest.mark.parametrize("dims, target", [
+    ([qubit(), qubit(), qumode(16)], "sz@0*sz@1"),
+    ([qubit(), qumode(6), qumode(6)], "X@1*X@2"),
+])
+def test_plan_error_matches_the_flat_sequence(dims, target, n_blocks):
+    reg = standard_registry(new_register(dims))
+    plan = synthesize(target, 0.6, n_blocks, reg)
+    assert (plan.reset_spin_required is not None) == (target == "X@1*X@2")
+    assert abs(measure_plan_error(plan, reg) - _flat_plan_error(plan, reg)) <= 1e-12
+
+
+def test_plan_sequence_is_the_block_repeated(two_spin_registry):
+    reg = two_spin_registry
+    angle, n = np.pi / 4, 16
+    plan = synthesize("sz@0*sz@1", angle, n, reg)
+    assert len(plan.block) == 4
+    assert plan.sequence.pulses == plan.block.pulses * plan.n_blocks
+    rule = reg.rule_for(plan.target_id)
+    a_id, b_id = (rule.b_id, rule.a_id) if rule.scale * angle < 0 else (rule.a_id, rule.b_id)
+    s = plan.block_step
+    meta = (f"synthesize target={plan.target_id} angle={angle!r} n_blocks={n} s={s!r}",)
+    flat = PulseSequence(group_commutator(a_id, b_id, s, reg).pulses * n, meta)
+    fields = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
+    assert plan_to_json(plan) == plan_to_json(SimpleNamespace(**fields, sequence=flat))
+
+    still = synthesize("sz@0*sz@1", 0.0, 8, reg)
+    assert still.block.pulses == still.sequence.pulses == ()
+    assert measure_plan_error(still, reg) == 0.0
+
+
+def test_third_order_scale_is_computed_once_per_rule_pair(monkeypatch):
+    reg = standard_registry(new_register([qubit(), qumode(8)]))
+    first = synthesize("sy@0", 0.5, 4, reg)
+    built = []
+    matrix = SynthesisRegistry.matrix
+    monkeypatch.setattr(SynthesisRegistry, "matrix", lambda self, gid: built.append(gid) or matrix(self, gid))
+    synthesize("sy@0", 0.5, 64, reg)
+    assert built == []
+    assert synthesize("sy@0", 0.5, 4, reg).predicted_error == first.predicted_error
