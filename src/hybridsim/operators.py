@@ -198,8 +198,56 @@ def build(expr: HamiltonianExpr, layout: RegisterLayout) -> np.ndarray:
     return out
 
 
+Parts = tuple[np.ndarray | None, np.ndarray | None]
+
+
+def hermitian_parts(m: np.ndarray) -> Parts:
+    """(Re M, Im M) as contiguous real arrays, each None when exactly zero.
+
+    For a Hermitian M the real part is symmetric and the imaginary part
+    antisymmetric.  The copies matter: ``M.real`` is a strided view, and a
+    matrix product on it does not reach BLAS.
+    """
+    m = np.asarray(m)
+    re = np.ascontiguousarray(m.real, dtype=float)
+    im = np.ascontiguousarray(m.imag, dtype=float)
+    return (re if re.any() else None), (im if im.any() else None)
+
+
+def _signed_product_sum(*terms: tuple[float, np.ndarray | None, np.ndarray | None]) -> np.ndarray | None:
+    """Sum of sign * p @ q over the terms whose factors are both present; None if none are."""
+    out = None
+    for sign, p, q in terms:
+        if p is None or q is None:
+            continue
+        prod = p @ q
+        if out is None:
+            out = prod if sign > 0 else -prod
+        elif sign > 0:
+            out += prod
+        else:
+            out -= prod
+    return out
+
+
+def commutator_parts(a: Parts, b: Parts) -> Parts:
+    """i[A, B] for Hermitian A and B given and returned as (real, imaginary) parts.
+
+    With AB = X + iY, i[A, B] = i(AB - (AB)†) = -(Y + Yᵀ) + i(X - Xᵀ), so
+    only the real products of present (non-None) parts are formed: one
+    ``dgemm`` when A and B are each purely real or purely imaginary, at
+    most four otherwise.  Such homogeneous inputs give one non-None part.
+    The real part is exactly symmetric and the imaginary part exactly
+    antisymmetric, so the result is exactly Hermitian.
+    """
+    (ar, ai), (br, bi) = a, b
+    x = _signed_product_sum((1.0, ar, br), (-1.0, ai, bi))
+    y = _signed_product_sum((1.0, ar, bi), (1.0, ai, br))
+    return (None if y is None else -(y + y.T)), (None if x is None else x - x.T)
+
+
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """AB - BA for Hermitian A and B, from the one product AB as AB - (AB)†.
+    """AB - BA for Hermitian A and B, as -i times `commutator_parts` of their parts.
 
     Precondition: A and B are Hermitian, so that BA = (AB)†; for other
     inputs the result is not their commutator.  The result is exactly
@@ -209,8 +257,13 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b)
     if a.shape != b.shape:
         raise OperatorError(f"commutator shape mismatch: {a.shape} vs {b.shape}")
-    ab = a @ b
-    return ab - ab.conj().T
+    kr, ki = commutator_parts(hermitian_parts(a), hermitian_parts(b))
+    out = np.zeros(a.shape, dtype=complex)
+    if ki is not None:
+        out.real = ki
+    if kr is not None:
+        np.negative(kr, out=out.imag)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import Generators, Pulse, PulseSequence, run_sequence, sequence_unitary
+from .evolution import HERMITICITY_TOL, Generators, Pulse, PulseSequence, run_sequence, sequence_unitary
 from .hilbert import (
     DEFAULT_GUARD,
     RegisterLayout,
@@ -44,9 +44,12 @@ from .hilbert import (
 from .operators import (
     HamiltonianExpr,
     HamiltonianTerm,
+    Parts,
     build,
     commutator,
+    commutator_parts,
     generator_id,
+    hermitian_parts,
     parse_expr,
     primitive_set,
     term,
@@ -488,7 +491,7 @@ def oscillator_drive(
 class ClosureDirection:
     """One orthonormal direction of the generated algebra (interior block)."""
 
-    vector: np.ndarray  # flattened, unit HS norm on the interior block
+    vector: np.ndarray  # the block's packed real coordinates (`_interior_coordinates`), unit norm
     degree: int
     source: str
 
@@ -499,14 +502,16 @@ class ClosureReport:
     guard: float
     seed_ids: tuple[str, ...]
     directions: tuple[ClosureDirection, ...]
-    basis: np.ndarray  # its rows are the directions' vectors
+    basis: np.ndarray  # float64, m² columns for an m×m interior block; its rows are the directions' vectors
     depth_reached: int
     notes: tuple[str, ...] = ()
 
     def membership(self, query: HamiltonianExpr | np.ndarray) -> float:
-        """Relative interior-block residual of a direction against the basis."""
+        """Relative interior-block residual of a Hermitian direction against the basis."""
         mat = query if isinstance(query, np.ndarray) else build(query, self.layout)
-        vec = compress_to_interior(mat, self.layout, self.guard).ravel()
+        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
+            raise SynthesisError(f"query is not Hermitian within {HERMITICITY_TOL:g}")
+        vec = _interior_coordinates(hermitian_parts(mat), _interior_index(self.layout, self.guard))
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             raise SynthesisError("query direction vanishes on the interior block")
@@ -514,10 +519,39 @@ class ClosureReport:
         return residual
 
 
+def _interior_index(layout: RegisterLayout, guard: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into a D×D matrix of its interior block's diagonal and strict upper triangle."""
+    rows = np.flatnonzero(interior_mask(layout, guard))
+    upper_i, upper_j = np.triu_indices(len(rows), 1)
+    dim = layout.total_dim
+    return rows * (dim + 1), rows[upper_i] * dim + rows[upper_j]
+
+
+def _interior_coordinates(parts: Parts, index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Packed real coordinates of a Hermitian matrix's m×m interior block.
+
+    The m diagonal entries, then √2·Re and √2·Im of the strict upper
+    triangle: m² reals whose dot product is the Hilbert-Schmidt inner
+    product of two such blocks.  Only the upper triangle is read, so the
+    matrix must be Hermitian.
+    """
+    diag, upper = index
+    n, k = len(diag), len(upper)
+    re, im = parts
+    out = np.zeros(n + 2 * k)
+    if re is not None:
+        np.take(re, diag, out=out[:n])
+        np.take(re, upper, out=out[n : n + k])
+    if im is not None:
+        np.take(im, upper, out=out[n + k :])
+    out[n:] *= np.sqrt(2.0)
+    return out
+
+
 def _orthonormal_residual(vec: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
     """vec minus its projection on the orthonormal rows of basis (two passes)."""
     for _ in range(2):
-        vec = vec - (basis @ vec.conj()).conj() @ basis
+        vec = vec - (basis @ vec) @ basis
     return vec, float(np.linalg.norm(vec))
 
 
@@ -541,6 +575,10 @@ def close_algebra(
     seed: the repreparation of the spin in |0> makes those mode-only
     generators available, and without them the bare one-spin Paulis are
     provably outside the commutator closure of the interaction set.
+
+    All arithmetic is real: each direction is kept as its (real,
+    imaginary) parts, commutators are `commutator_parts`, and the
+    Gram-Schmidt runs on the packed interior coordinates.
     """
     layout, guard = registry.layout, registry.guard
     notes: list[str] = []
@@ -558,35 +596,34 @@ def close_algebra(
                 seeds.append((eff_id, reset[1]))
                 notes.append(f"reset-effective seed {eff_id} from {gid}")
 
-    mask = interior_mask(layout, guard)
-    idx = np.ix_(mask, mask)
+    index = _interior_index(layout, guard)
 
     # Only directions below degree_cap can still be commutator operands.
-    full: list[np.ndarray | None] = []
+    full: list[Parts | None] = []
     degrees: list[int] = []
     sources: list[str] = []
-    basis = np.empty((0, int(mask.sum()) ** 2), dtype=complex)
+    basis = np.empty((0, len(index[0]) ** 2))
     most = len(seeds) + max(max_new, 0)  # the basis doubles, but never past this many rows
 
-    def try_add(mat: np.ndarray, degree: int, source: str) -> None:
+    def try_add(parts: Parts, degree: int, source: str) -> None:
         nonlocal basis
-        comp = mat[idx].ravel()
-        norm = np.linalg.norm(comp)
+        coords = _interior_coordinates(parts, index)
+        norm = np.linalg.norm(coords)
         if norm < 1e-12:
             return
         n = len(degrees)
-        vec, resid = _orthonormal_residual(comp / norm, basis[:n])
+        vec, resid = _orthonormal_residual(coords / norm, basis[:n])
         if resid <= NEW_DIRECTION_TOL:
             return
         if n == len(basis):
-            basis = np.concatenate([basis, np.empty((min(max(n, 8), most - n), basis.shape[1]), dtype=complex)])
+            basis = np.concatenate([basis, np.empty((min(max(n, 8), most - n), basis.shape[1]))])
         basis[n] = vec / resid
-        full.append(mat / norm if degree < degree_cap else None)
+        full.append(tuple(None if p is None else p / norm for p in parts) if degree < degree_cap else None)
         degrees.append(degree)
         sources.append(source)
 
     for gid, expr in seeds:
-        try_add(registry.matrix(gid), 1, f"seed {gid}")
+        try_add(hermitian_parts(registry.matrix(gid)), 1, f"seed {gid}")
 
     n_seeds = len(degrees)
     for degree in range(2, degree_cap + 1):
@@ -596,7 +633,7 @@ def close_algebra(
         for i, j in pairs:
             if len(degrees) - n_seeds >= max_new:
                 break
-            try_add(1j * commutator(full[i], full[j]), degree, f"i[{i},{j}]")
+            try_add(commutator_parts(full[i], full[j]), degree, f"i[{i},{j}]")
 
     basis = basis[: len(degrees)]
     return ClosureReport(

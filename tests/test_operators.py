@@ -12,11 +12,13 @@ from hybridsim.operators import (
     OperatorError,
     build,
     commutator,
+    commutator_parts,
     fock_create,
     fock_momentum,
     fock_position,
     format_expr,
     generator_id,
+    hermitian_parts,
     parse_expr,
     pauli,
     primitive_set,
@@ -169,6 +171,31 @@ def test_commutator_of_hermitian_matrices_is_exactly_anti_hermitian(pair):
     assert np.max(np.abs(c - (a @ b - b @ a))) <= bound
     k = 1j * c
     assert np.array_equal(k, k.conj().T)
+
+
+@pytest.mark.parametrize("a_text, b_text, homogeneous", [
+    ("sx@0*X@1", "sz@0*X@1^2", True),  # real with real
+    ("sz@0*P@1", "sy@0*X@1", True),  # imaginary with imaginary
+    ("sx@0*X@1", "sz@0*P@1", True),  # real with imaginary
+    ("sx@0*X@1 + sy@0*X@1", "sz@0*P@1", False),
+    ("sx@0*X@1 + sy@0*X@1", "0.5*P@1^2 - sy@0*P@1 + sz@0*P@1", False),
+])
+def test_commutator_parts_match_the_complex_product(a_text, b_text, homogeneous):
+    layout = new_register([qubit(), qumode(10)])
+    a, b = (build(parse_expr(t), layout) for t in (a_text, b_text))
+    kr, ki = commutator_parts(hermitian_parts(a), hermitian_parts(b))
+    assert (sum(p is not None for p in (kr, ki)) == 1) if homogeneous else (kr is not None and ki is not None)
+    k = np.zeros(a.shape, dtype=complex)
+    for part, unit in ((kr, 1.0), (ki, 1j)):
+        if part is not None:
+            assert part.dtype == np.float64
+            k += unit * part
+    assert np.array_equal(k, k.conj().T)
+    bound = 1e-12 * np.linalg.norm(a, 2) * np.linalg.norm(b, 2)
+    assert np.max(np.abs(k - 1j * (a @ b - b @ a))) <= bound
+    c = commutator(a, b)
+    assert np.array_equal(c, -c.conj().T)
+    assert np.max(np.abs(c - (a @ b - b @ a))) <= bound
 
 
 def test_primitive_set():

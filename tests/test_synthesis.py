@@ -10,13 +10,16 @@ from hybridsim.hilbert import (
     StateVector,
     basis_state,
     compress_to_interior,
+    embed,
+    interior_mask,
     new_register,
     qubit,
     qumode,
     reduced_density,
 )
-from hybridsim.operators import build, generator_id, parse_expr, primitive_set, term
+from hybridsim.operators import build, fock_annihilate, generator_id, parse_expr, primitive_set, term
 from hybridsim.synthesis import (
+    NEW_DIRECTION_TOL,
     DerivationError,
     SynthesisError,
     SynthesisRegistry,
@@ -313,6 +316,79 @@ def test_closure_membership_rejects_vanishing_query(spin_mode_registry):
     rep = close_algebra(seeds, max_new=5, degree_cap=2, registry=reg)
     with pytest.raises(SynthesisError):
         rep.membership(np.zeros((reg.layout.total_dim, reg.layout.total_dim)))
+
+
+def test_closure_membership_rejects_a_non_hermitian_query(spin_mode_registry):
+    # the packed coordinates read only the upper triangle, so a non-Hermitian
+    # query would otherwise get a residual of the wrong matrix
+    reg = spin_mode_registry
+    seeds = [g.generator_id for g in primitive_set(reg.layout, 0, 1).members]
+    rep = close_algebra(seeds, max_new=5, degree_cap=2, registry=reg)
+    with pytest.raises(SynthesisError, match="not Hermitian"):
+        rep.membership(embed(fock_annihilate(16), [1], reg.layout))
+
+
+def _dense_reference_closure(mats, max_new, degree_cap, mask):
+    """close_algebra's search in complex arithmetic: dense i[A, B], Gram-Schmidt on flattened interior blocks."""
+    idx = np.ix_(mask, mask)
+    full, degrees, sources, basis = [], [], [], []
+
+    def residual(vec):
+        for _ in range(2):
+            for row in basis:
+                vec = vec - np.vdot(row, vec) * row
+        return vec, np.linalg.norm(vec)
+
+    def try_add(mat, degree, source):
+        comp = mat[idx].ravel()
+        norm = np.linalg.norm(comp)
+        if norm < 1e-12:
+            return
+        vec, resid = residual(comp / norm)
+        if resid <= NEW_DIRECTION_TOL:
+            return
+        basis.append(vec / resid)
+        full.append(mat / norm)
+        degrees.append(degree)
+        sources.append(source)
+
+    for k, mat in enumerate(mats):
+        try_add(mat, 1, k)
+    n_seeds = len(degrees)
+    for degree in range(2, degree_cap + 1):
+        prev = [j for j, d in enumerate(degrees) if d == degree - 1]
+        for i, j in [(i, j) for j in prev for i in range(len(degrees)) if degrees[i] < degree - 1 or i < j]:
+            if len(degrees) - n_seeds >= max_new:
+                break
+            a, b = full[i], full[j]
+            try_add(1j * (a @ b - b @ a), degree, f"i[{i},{j}]")
+
+    def membership(query):
+        comp = query[idx].ravel()
+        return residual(comp / np.linalg.norm(comp))[1]
+
+    return list(zip(degrees, sources)), membership
+
+
+@pytest.mark.parametrize("max_new", [12, 40])  # stops inside degree 3 (residuals up to 0.64), or at degree 4
+def test_closure_of_a_mixed_parity_seed_matches_the_complex_reference(max_new):
+    layout = new_register([qubit(), qumode(8)])
+    reg = SynthesisRegistry(layout)
+    seeds = [reg.register(parse_expr(t), drivable=True, origin="primitive")
+             for t in ("0.8*sx@0*X@1 + 0.6*sy@0*X@1", "sz@0*P@1", "sz@0*X@1")]
+    rep = close_algebra(seeds, max_new=max_new, degree_cap=4, registry=reg)
+    mask = interior_mask(layout, reg.guard)
+    order, membership = _dense_reference_closure([reg.matrix(g) for g in rep.seed_ids], max_new, 4, mask)
+    assert [(d.degree, d.source) for d in rep.directions] == [
+        (degree, f"seed {rep.seed_ids[src]}" if degree == 1 else src) for degree, src in order]
+    for probe in ("sx@0", "sy@0", "id@0", "sy@0*X@1^2", "sx@0*P@1 + sy@0*P@1", "X@1^2", "sz@0*X@1^3"):
+        query = build(parse_expr(probe), layout)
+        assert abs(rep.membership(query) - membership(query)) <= 1e-12, probe
+
+    m = int(mask.sum())
+    assert rep.basis.dtype == np.float64
+    assert rep.basis.shape == (len(rep.directions), m * m)
+    assert np.max(np.abs(rep.basis @ rep.basis.T - np.eye(len(rep.directions)))) <= 1e-12
 
 
 def _bare_closure(specs, spins, max_new, degree_cap):
