@@ -75,11 +75,11 @@ class ConfigError(ValueError):
 
 
 _COMMON_KEYS = {"experiment", "seed", "out"}
+_SPECTRUM_KEYS = {"layout", "hamiltonian", "initial_state", "beta", "t_couple", "pointer_cutoff",
+                  "n_shots", "method", "trotter_steps", "guard"}  # read by _spectrum_inputs
 _ALLOWED_KEYS = {
-    "spectrum": {"layout", "hamiltonian", "initial_state", "beta", "t_couple", "pointer_cutoff",
-                 "n_shots", "method", "trotter_steps", "guard"},
-    "robustness": {"layout", "hamiltonian", "initial_state", "beta", "t_couple", "pointer_cutoff",
-                   "n_shots", "method", "trotter_steps", "guard"},
+    "spectrum": _SPECTRUM_KEYS,
+    "robustness": _SPECTRUM_KEYS,
     "synth": {"layout", "target", "angle", "n_blocks", "guard"},
     "closure": {"layout", "seeds", "max_new", "degree_cap", "probes",
                 "include_reset_effectives", "guard"},

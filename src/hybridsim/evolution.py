@@ -220,17 +220,14 @@ class Generators:
     def decomposition(self, pulse: Pulse) -> _Factored:
         gid = pulse.generator_id
         if gid not in self._decompositions:
-            self._decompositions[gid] = self._decompose(pulse, gid)
+            expr = pulse.generator
+            if not isinstance(expr, HamiltonianExpr):
+                try:
+                    expr = parse_expr(gid)
+                except OperatorError:
+                    raise UnknownGeneratorError(f"cannot resolve generator id {gid!r}") from None
+            self._decompositions[gid] = self._factor(expr)
         return self._decompositions[gid]
-
-    def _decompose(self, pulse: Pulse, gid: str) -> _Factored:
-        if isinstance(pulse.generator, HamiltonianExpr):
-            return self._factor(pulse.generator)
-        try:
-            expr = parse_expr(gid)
-        except OperatorError:
-            raise UnknownGeneratorError(f"cannot resolve generator id {gid!r}") from None
-        return self._factor(expr)
 
     def _factor(self, expr: HamiltonianExpr) -> _Factored:
         layout, dims = self.layout, self.layout.dims

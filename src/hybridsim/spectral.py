@@ -265,9 +265,6 @@ class SpectrumEstimate:
     method: str
     notes: tuple[str, ...] = ()
 
-    def eigenvalue_estimates(self) -> tuple[float, ...]:
-        return tuple(p.eigenvalue for p in self.peaks)
-
 
 def _cluster(samples: np.ndarray, gap: float) -> list[np.ndarray]:
     order = np.sort(samples)

@@ -14,16 +14,19 @@ constants are convention dependent.
 
 Scale measurement and rule residuals use the Hilbert-Schmidt inner product
 restricted to the interior block (truncation corrupts the top Fock corner
-by construction).  Synthesis *error*, in contrast, is measured with the
-plain spectral norm on the whole truncated space: it quantifies what the
-compiled sequence does in this simulator.  A plan is one block and a
-repeat count, so its unitary is the block's unitary raised to the n-th
-power by repeated squaring, at a cost that grows like log n.
+by construction), as a real dot product of the packed interior coordinates
+on which the closure's Gram-Schmidt also runs.  Synthesis *error*, in
+contrast, is measured with the plain spectral norm on the whole truncated
+space: it quantifies what the compiled sequence does in this simulator.
+A plan is one block and a repeat count, so its unitary is the block's
+unitary raised to the n-th power by repeated squaring, at a cost that
+grows like log n.
 
 The spin-reset rule: with a spin held in |0>, a one-term generator sz(x)M
 with M on modes only acts on the modes as M alone.  ``_reset_effective``
 alone decides that form; through it the registry gets bare X and P, the
-closure its mode-only seeds, and sz X1 X2 its alias X1 X2.
+closure its mode-only seeds, and sz X1 X2 its alias X1 X2, which is stored
+in the rule table as the sz X1 X2 rule under the id of X1 X2.
 """
 
 from __future__ import annotations
@@ -34,13 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import HERMITICITY_TOL, Generators, Pulse, PulseSequence, run_sequence, sequence_unitary
-from .hilbert import (
-    DEFAULT_GUARD,
-    RegisterLayout,
-    StateVector,
-    compress_to_interior,
-    interior_mask,
-)
+from .hilbert import DEFAULT_GUARD, RegisterLayout, StateVector, interior_mask
 from .operators import (
     HamiltonianExpr,
     HamiltonianTerm,
@@ -80,15 +77,6 @@ class DerivationRule:
     direction_id: str
     scale: float
     residual: float
-
-
-@dataclass(frozen=True)
-class ResetAlias:
-    """Mode-only target realized by a sz(x)target rule plus a spin held in |0>."""
-
-    target_id: str
-    direction_id: str
-    spin: int
 
 
 @dataclass(frozen=True)
@@ -139,9 +127,12 @@ class SynthesisRegistry:
     Generators are keyed by the compact canonical text of their Hamiltonian,
     so ids are stable, serializable, and parse back to the same expression;
     the registry stores expressions, never dense matrices.  ``matrix(gid)``
-    builds one on demand for the dense users (rule measurement, the error
-    prediction, closure seeds); pulses run through ``matrices``, the
-    registry's ``Generators`` table, which factors each id's expression.
+    builds one on demand for the dense users (the operands of a rule
+    measurement, the third-order error prediction, closure seeds); pulses
+    run through ``matrices``, the registry's ``Generators`` table, which
+    factors each id's expression.  One table maps a target id to its rule:
+    a derived direction's own rule, or for a reset alias the sz(x)target
+    rule whose direction differs from the target.
     """
 
     def __init__(self, layout: RegisterLayout, guard: float = DEFAULT_GUARD):
@@ -150,7 +141,6 @@ class SynthesisRegistry:
         self._records: dict[str, GeneratorRecord] = {}
         self._generators = Generators(layout)
         self._rules: dict[str, DerivationRule] = {}
-        self._aliases: dict[str, ResetAlias] = {}
         self._third_order: dict[tuple[str, str], float] = {}
 
     # -- generators ---------------------------------------------------------
@@ -195,17 +185,19 @@ class SynthesisRegistry:
     def rule_for(self, target_id: str) -> DerivationRule | None:
         return self._rules.get(target_id)
 
-    def add_reset_alias(self, rule: DerivationRule, spin: int) -> str:
-        """Expose the mode-only version of a sz(x)modes rule (spin held in |0>)."""
+    def add_reset_alias(self, rule: DerivationRule) -> str:
+        """Store a sz(x)modes rule under its mode-only target id (spin held in |0>)."""
         reset = _reset_effective(rule.direction, self.layout)
-        if reset is None or reset[0] != spin:
-            raise SynthesisError(f"direction {rule.direction_id!r} is not sz@{spin} times mode operators")
+        if reset is None:
+            raise SynthesisError(f"direction {rule.direction_id!r} is not sz times mode operators")
         target_id = self.register(reset[1], drivable=False, origin="derived")
-        self._aliases.setdefault(target_id, ResetAlias(target_id, rule.direction_id, spin))
+        self._rules.setdefault(target_id, rule)
         return target_id
 
-    def alias_for(self, target_id: str) -> ResetAlias | None:
-        return self._aliases.get(target_id)
+    def alias_for(self, target_id: str) -> DerivationRule | None:
+        """The rule stored under a reset alias's target id, else None."""
+        rule = self._rules.get(target_id)
+        return rule if rule is not None and rule.direction_id != target_id else None
 
     def derivation_tree(self, gid: str) -> DerivationNode:
         rule = self._rules.get(gid)
@@ -236,27 +228,25 @@ def derive_rule(
 ) -> DerivationRule:
     """Measure i[A, B] against a candidate direction on the interior block.
 
-    Returns the accepted rule (scale and residual measured numerically) or
-    raises DerivationError when the projection residual exceeds 1e-8, which
-    signals a wrong identity.
+    Both are taken to their packed interior coordinates (`_interior_coordinates`),
+    so with g the candidate's and k those of i[A, B] the scale is g.k / g.g and
+    the residual |k - scale g| / |scale g|.  Returns the accepted rule or raises
+    DerivationError when the residual exceeds RULE_RESIDUAL_TOL, which signals
+    a wrong identity.
     """
-    a = registry.matrix(a_id)
-    b = registry.matrix(b_id)
-    k = 1j * commutator(a, b)
-    layout, guard = registry.layout, registry.guard
-    k_int = compress_to_interior(k, layout, guard)
-    g_int = compress_to_interior(build(candidate_direction, layout), layout, guard)
-    g_norm2 = np.vdot(g_int, g_int).real
+    layout = registry.layout
+    index = _interior_index(layout, registry.guard)
+    parts = (hermitian_parts(registry.matrix(gid)) for gid in (a_id, b_id))
+    k = _interior_coordinates(commutator_parts(*parts), index)
+    g = _interior_coordinates(hermitian_parts(build(candidate_direction, layout)), index)
+    g_norm2 = float(g @ g)
     if g_norm2 <= 0.0:
         raise SynthesisError("candidate direction vanishes on the interior block")
-    scale_c = complex(np.vdot(g_int, k_int)) / g_norm2
-    if abs(scale_c.imag) > 1e-8 * max(1.0, abs(scale_c)):
-        raise DerivationError(f"projection of i[A,B] onto candidate is not real: {scale_c}")
-    scale = float(scale_c.real)
+    scale = float(g @ k) / g_norm2
     denom = abs(scale) * np.sqrt(g_norm2)
     if denom == 0.0:
         raise DerivationError("i[A,B] has no component along the candidate direction")
-    residual = float(np.linalg.norm(k_int - scale * g_int) / denom)
+    residual = float(np.linalg.norm(k - scale * g) / denom)
     if residual > RULE_RESIDUAL_TOL:
         raise DerivationError(
             f"candidate {generator_id(candidate_direction)!r} rejected: "
@@ -291,29 +281,25 @@ def synthesize(
 ) -> SynthPlan:
     """Compile exp(-i build(target) angle) into group-commutator blocks.
 
-    The target must have a registered derivation rule (or a reset alias).
-    Each of the ``n_blocks`` blocks pulses the rule's two input generators
-    with step s = sqrt(|angle| / (n_blocks |scale|)); a negative effective
-    angle is realized by swapping the pulse order of A and B.  The measured
-    error of the plan decreases like n_blocks^(-1/2).
+    The target must have a rule in the registry's table; when that rule's
+    direction is sz(x)target (a reset alias), the plan records the spin to
+    hold in |0>.  Each of the ``n_blocks`` blocks pulses the rule's two input
+    generators with step s = sqrt(|angle| / (n_blocks |scale|)); a negative
+    effective angle is realized by swapping the pulse order of A and B.  The
+    measured error of the plan decreases like n_blocks^(-1/2).
     """
     if n_blocks < 1:
         raise SynthesisError(f"n_blocks must be >= 1, got {n_blocks}")
     target_expr = parse_expr(target) if isinstance(target, str) else target
     tid = generator_id(target_expr)
 
-    reset_spin_required = None
     rule = registry.rule_for(tid)
-    if rule is None:
-        alias = registry.alias_for(tid)
-        if alias is not None:
-            rule = registry.rule_for(alias.direction_id)
-            reset_spin_required = alias.spin
     if rule is None:
         raise SynthesisError(
             f"target {tid!r} has no derivation rule in the registry; "
             "derive one from registered generators first"
         )
+    reset_spin_required = None if rule.direction_id == tid else _reset_effective(rule.direction, registry.layout)[0]
 
     angle = float(angle)
     swap = rule.scale * angle < 0
@@ -421,7 +407,7 @@ def standard_registry(layout: RegisterLayout, guard: float = DEFAULT_GUARD) -> S
                 a_id, b_id = (generator_id(parse_expr(x.format(**fill))) for x in (a, b))
                 rule = derive_rule(a_id, b_id, parse_expr(direction.format(**fill)), reg)
                 if reset:
-                    reg.add_reset_alias(rule, fill["s"])
+                    reg.add_reset_alias(rule)
     return reg
 
 

@@ -18,8 +18,10 @@ from hybridsim.hilbert import (
     reduced_density,
 )
 from hybridsim.operators import build, fock_annihilate, generator_id, parse_expr, primitive_set, term
+from hybridsim import synthesis
 from hybridsim.synthesis import (
     NEW_DIRECTION_TOL,
+    RULE_RESIDUAL_TOL,
     DerivationError,
     SynthesisError,
     SynthesisRegistry,
@@ -523,3 +525,37 @@ def test_third_order_scale_is_computed_once_per_rule_pair(monkeypatch):
     synthesize("sy@0", 0.5, 64, reg)
     assert built == []
     assert synthesize("sy@0", 0.5, 4, reg).predicted_error == first.predicted_error
+
+
+def _dense_rule_oracle(reg, rule):
+    """Scale and residual of i(AB - BA) against the rule's direction, projected
+    with a complex vdot on the compressed interior blocks."""
+    a, b = reg.matrix(rule.a_id), reg.matrix(rule.b_id)
+    k = compress_to_interior(1j * (a @ b - b @ a), reg.layout, reg.guard)
+    g = compress_to_interior(build(rule.direction, reg.layout), reg.layout, reg.guard)
+    scale = complex(np.vdot(g, k)) / np.vdot(g, g).real
+    return scale, float(np.linalg.norm(k - scale * g) / (abs(scale) * np.linalg.norm(g)))
+
+
+@pytest.mark.parametrize("dims", [(2, 16), (2, 2, 16), (2, 8, 8)])
+def test_registry_rules_match_the_dense_complex_projection(dims, monkeypatch):
+    rules = []
+    derive = synthesis.derive_rule
+    monkeypatch.setattr(synthesis, "derive_rule", lambda *a, **k: rules.append(derive(*a, **k)) or rules[-1])
+    reg = standard_registry(new_register([qubit() if d == 2 else qumode(d) for d in dims]))
+    assert rules
+    for rule in rules:
+        scale, residual = _dense_rule_oracle(reg, rule)
+        assert abs(scale - rule.scale) <= 1e-12 * abs(rule.scale)
+        assert residual <= RULE_RESIDUAL_TOL and rule.residual <= RULE_RESIDUAL_TOL
+
+
+def test_reset_alias_is_the_sz_rule_under_the_mode_only_id():
+    reg = standard_registry(new_register([qubit(), qumode(8), qumode(8)]))
+    plan = synthesize("X@1*X@2", 0.3, 4, reg)
+    assert plan.reset_spin_required == 0
+    assert plan.derivation.generator_id == "1.0*sz@0*X@1*X@2"
+    rule = reg.rule_for("1.0*sz@0*X@1*X@2")
+    assert plan.derivation.rule == rule
+    assert reg.alias_for("1.0*X@1*X@2") == rule
+    assert reg.alias_for("1.0*sy@0") is None
