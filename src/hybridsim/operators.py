@@ -14,10 +14,14 @@ operators, one factor per subsystem at most.  They have a canonical text
 form, e.g. ``1.5 * sz@0 * X@1 + 0.5 * X@1^2``; see `parse_expr` for the
 grammar.  The compact (space-free) rendering of an expression doubles as
 the stable generator id used by pulse sequences and the synthesis registry.
+
+Without a cutoff an expression is exactly its Weyl symbol (`weyl_symbol`), on
+which `symbol_commutator` forms i[A, B] with no truncation corner.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -264,6 +268,81 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if kr is not None:
         np.negative(kr, out=out.imag)
     return out
+
+
+# ---------------------------------------------------------------------------
+# exact Weyl-symbol algebra (no cutoff)
+
+# A symbol maps a key to a coefficient.  The key lists a term's non-identity
+# factors by subsystem: (idx, "x" | "y" | "z") for a Pauli on a qubit, and
+# (idx, (a, b)) for the Weyl-ordered monomial x^a p^b on a mode.
+Symbol = dict[tuple, complex]
+
+
+def weyl_symbol(expr: HamiltonianExpr, layout: RegisterLayout) -> Symbol:
+    """The Weyl symbol of an expression, its factors checked as `build` checks them:
+    ``X^a`` and ``P^b`` become x^a and p^b, and ``id`` becomes 1."""
+    out: Symbol = {}
+    for t in expr.terms:
+        for idx, op in t.factors:
+            check_factor(idx, op, layout)
+        key = tuple((idx, op.tag[1] if op.tag in QUBIT_TAGS else (op.power, 0) if op.tag == "X" else (0, op.power))
+                    for idx, op in t.factors if op.tag != "id")
+        out[key] = out.get(key, 0.0) + t.coefficient
+    return {key: c for key, c in out.items() if c}
+
+
+def _moyal(f: tuple[int, int], g: tuple[int, int]) -> list[tuple[tuple[int, int] | None, complex]]:
+    """x^a p^b ⋆ x^c p^d, None standing for the monomial 1.  Order n of the Moyal sum,
+    (i/2)^n / n! Σ_k C(n,k) (-1)^k ∂x^(n-k) ∂p^k f · ∂x^k ∂p^(n-k) g, is x^(a+c-n) p^(b+d-n)
+    times an integer weight."""
+    (a, b), (c, d) = f, g
+    out = []
+    for n in range(min(a, d) + min(b, c) + 1):
+        weight = sum((-1) ** k * math.comb(n, k) * math.perm(a, n - k) * math.perm(b, k) * math.perm(c, k)
+                     * math.perm(d, n - k) for k in range(n + 1))
+        mono = (a + c - n, b + d - n)
+        out.append((mono if any(mono) else None, weight / (2**n * math.factorial(n)) * (1, 1j, -1, -1j)[n % 4]))
+    return out
+
+
+def symbol_product(a: Symbol, b: Symbol) -> Symbol:
+    """The symbol of the operator product AB: per subsystem, a Pauli product on a qubit
+    and the Moyal product on a mode (Groenewold, Physica 12, 405 (1946); Moyal,
+    Proc. Camb. Phil. Soc. 45, 99 (1949))."""
+    out: Symbol = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            fa, fb = dict(ka), dict(kb)
+            terms = [((), ca * cb)]
+            for idx in sorted(fa.keys() | fb.keys()):
+                f, g = fa.get(idx), fb.get(idx)
+                if f is None or g is None:
+                    local = [(f or g, 1.0)]
+                elif isinstance(f, str):  # sigma_f sigma_g = i eps_fgh sigma_h
+                    local = [(None, 1.0)] if f == g else [("xyz".strip(f + g), 1j if f + g in "xyzx" else -1j)]
+                else:
+                    local = _moyal(f, g)
+                terms = [(key + ((idx, h),) if h else key, c * ch) for key, c in terms for h, ch in local]
+            for key, c in terms:
+                out[key] = out.get(key, 0.0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def symbol_commutator(a: Symbol, b: Symbol) -> dict[tuple, float]:
+    """i[A, B] from the symbols of two Hermitian operators, as real coefficients.
+
+    Each pair of terms s, t adds i(st - ts).  For real s and t the products are
+    exact conjugates, so a coefficient that is not real raises OperatorError."""
+    out: Symbol = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            st, ts = symbol_product({ka: ca}, {kb: cb}), symbol_product({kb: cb}, {ka: ca})
+            for key in {**st, **ts}:
+                out[key] = out.get(key, 0.0) + 1j * (st.get(key, 0.0) - ts.get(key, 0.0))
+    if any(c.imag for c in out.values()):
+        raise OperatorError("i[A, B] has an imaginary coefficient: an input is not Hermitian")
+    return {key: c.real for key, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,14 @@ The compiled product for a generator pair (A, B) with step s is
 
 i.e. one block turns on the effective Hermitian generator i[A, B] for an
 effective time s^2.  Directions of effective generators are taken from the
-derivation-rule registry; their scale and sign are always *measured*
-numerically on the guard-banded interior block, never assumed, because the
-constants are convention dependent.
+derivation-rule registry; their scale and sign are *computed* exactly in
+the algebra of [X, P] = i, from the Weyl symbols of A, B and the direction
+(`operators.symbol_commutator`), with no matrix and no cutoff.  The tests
+check them against the dense interior block.
 
-Scale measurement and rule residuals use the Hilbert-Schmidt inner product
-restricted to the interior block (truncation corrupts the top Fock corner
-by construction), as a real dot product of the packed interior coordinates
-on which the closure's Gram-Schmidt also runs.  Synthesis *error*, in
+The closure's directions and membership are measured on the guard-banded
+interior block (truncation corrupts the top Fock corner by construction),
+as real dot products of its packed coordinates.  Synthesis *error*, in
 contrast, is measured with the plain spectral norm on the whole truncated
 space: it quantifies what the compiled sequence does in this simulator.
 A plan is one block and a repeat count, so its unitary is the block's
@@ -32,6 +32,7 @@ in the rule table as the sz X1 X2 rule under the id of X1 X2.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,9 @@ from .operators import (
     hermitian_parts,
     parse_expr,
     primitive_set,
+    symbol_commutator,
     term,
+    weyl_symbol,
 )
 
 RULE_RESIDUAL_TOL = 1e-8
@@ -69,7 +72,7 @@ class DerivationError(SynthesisError):
 
 @dataclass(frozen=True)
 class DerivationRule:
-    """Measured identity i[A, B] = scale * direction (on the interior block)."""
+    """Exact identity i[A, B] = scale * direction, with the residual of that projection."""
 
     a_id: str
     b_id: str
@@ -127,8 +130,8 @@ class SynthesisRegistry:
     Generators are keyed by the compact canonical text of their Hamiltonian,
     so ids are stable, serializable, and parse back to the same expression;
     the registry stores expressions, never dense matrices.  ``matrix(gid)``
-    builds one on demand for the dense users (the operands of a rule
-    measurement, the third-order error prediction, closure seeds); pulses
+    builds one on demand for the dense users (the third-order error
+    prediction and closure seeds; rules need none); pulses
     run through ``matrices``, the registry's ``Generators`` table, which
     factors each id's expression.  One table maps a target id to its rule:
     a derived direction's own rule, or for a reset alias the sz(x)target
@@ -226,32 +229,27 @@ def derive_rule(
     *,
     register: bool = True,
 ) -> DerivationRule:
-    """Measure i[A, B] against a candidate direction on the interior block.
+    """Compute i[A, B] exactly and project it on a candidate direction.
 
-    Both are taken to their packed interior coordinates (`_interior_coordinates`),
-    so with g the candidate's and k those of i[A, B] the scale is g.k / g.g and
-    the residual |k - scale g| / |scale g|.  Returns the accepted rule or raises
-    DerivationError when the residual exceeds RULE_RESIDUAL_TOL, which signals
-    a wrong identity.
+    With k the Weyl symbol of i[A, B] (`symbol_commutator`) and g the
+    candidate's, as coefficient vectors, the scale is g.k / g.g and the
+    residual |k - scale g| / |scale g|, exactly 0.0 for a true identity at
+    any cutoff.  Raises DerivationError when the residual exceeds
+    RULE_RESIDUAL_TOL, which signals a wrong identity.
     """
-    layout = registry.layout
-    index = _interior_index(layout, registry.guard)
-    parts = (hermitian_parts(registry.matrix(gid)) for gid in (a_id, b_id))
-    k = _interior_coordinates(commutator_parts(*parts), index)
-    g = _interior_coordinates(hermitian_parts(build(candidate_direction, layout)), index)
-    g_norm2 = float(g @ g)
+    k = symbol_commutator(*(weyl_symbol(registry.record(gid).expr, registry.layout) for gid in (a_id, b_id)))
+    g = weyl_symbol(candidate_direction, registry.layout)
+    g_norm2 = math.fsum(c * c for c in g.values())
     if g_norm2 <= 0.0:
-        raise SynthesisError("candidate direction vanishes on the interior block")
-    scale = float(g @ k) / g_norm2
-    denom = abs(scale) * np.sqrt(g_norm2)
+        raise SynthesisError("candidate direction vanishes")
+    scale = math.fsum(c * k.get(key, 0.0) for key, c in g.items()) / g_norm2
+    denom = abs(scale) * math.sqrt(g_norm2)
     if denom == 0.0:
         raise DerivationError("i[A,B] has no component along the candidate direction")
-    residual = float(np.linalg.norm(k - scale * g) / denom)
+    residual = math.sqrt(math.fsum((k.get(key, 0.0) - scale * g.get(key, 0.0)) ** 2 for key in {**k, **g})) / denom
     if residual > RULE_RESIDUAL_TOL:
-        raise DerivationError(
-            f"candidate {generator_id(candidate_direction)!r} rejected: "
-            f"interior residual {residual:.3e} > {RULE_RESIDUAL_TOL:g}"
-        )
+        raise DerivationError(f"candidate {generator_id(candidate_direction)!r} rejected: "
+                              f"residual {residual:.3e} > {RULE_RESIDUAL_TOL:g}")
     rule = DerivationRule(a_id, b_id, candidate_direction, generator_id(candidate_direction), scale, residual)
     if register:
         registry.register(candidate_direction, drivable=True, origin="derived")
@@ -383,7 +381,8 @@ def standard_registry(layout: RegisterLayout, guard: float = DEFAULT_GUARD) -> S
     reset-effective X and P on each mode; and the derived chain
     sx, sz, sy, the identity direction, sy X^2, sz X^3.  With a second spin
     sharing a mode it derives sz^1 sz^2; with a second mode sharing a spin,
-    sy X_1 and sz X_1 X_2 (aliased to the mode-only X_1 X_2).
+    sy X_1 and sz X_1 X_2 (aliased to the mode-only X_1 X_2).  Each direction
+    is derived once, by the first template row that names it.
     """
     reg = SynthesisRegistry(layout, guard)
     spins, modes = spins_and_modes(layout)
@@ -405,7 +404,8 @@ def standard_registry(layout: RegisterLayout, guard: float = DEFAULT_GUARD) -> S
         for fill in slots[scope]:
             for a, b, direction, *reset in rows:
                 a_id, b_id = (generator_id(parse_expr(x.format(**fill))) for x in (a, b))
-                rule = derive_rule(a_id, b_id, parse_expr(direction.format(**fill)), reg)
+                target = parse_expr(direction.format(**fill))
+                rule = reg.rule_for(generator_id(target)) or derive_rule(a_id, b_id, target, reg)
                 if reset:
                     reg.add_reset_alias(rule)
     return reg

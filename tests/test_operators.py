@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,10 @@ from hybridsim.operators import (
     parse_expr,
     pauli,
     primitive_set,
+    symbol_commutator,
+    symbol_product,
     term,
+    weyl_symbol,
 )
 
 
@@ -196,6 +201,89 @@ def test_commutator_parts_match_the_complex_product(a_text, b_text, homogeneous)
     c = commutator(a, b)
     assert np.array_equal(c, -c.conj().T)
     assert np.max(np.abs(c - (a @ b - b @ a))) <= bound
+
+
+def _mccoy(a, b, cutoff):
+    """Weyl-ordered x^a p^b on a truncated mode, 2^-a Σ_k C(a,k) X^(a-k) P^b X^k
+    (McCoy, PNAS 18, 674 (1932))."""
+    x, p = fock_position(cutoff), fock_momentum(cutoff)
+    power = np.linalg.matrix_power
+    return sum(math.comb(a, k) * power(x, a - k) @ power(p, b) @ power(x, k) for k in range(a + 1)) / 2**a
+
+
+def _realize(symbol, layout):
+    out = np.zeros((layout.total_dim,) * 2, dtype=complex)
+    for key, c in symbol.items():
+        factors = dict(key)
+        mat = np.eye(1)
+        for idx, dim in enumerate(layout.dims):
+            f = factors.get(idx)
+            mat = np.kron(mat, np.eye(dim) if f is None else pauli(f) if isinstance(f, str) else _mccoy(*f, dim))
+        out += c * mat
+    return out
+
+
+@st.composite
+def _pauli_mode_exprs(draw, dims):
+    """One or two terms, each a Pauli string times X^a or P^b (or nothing) per mode."""
+    expr = None
+    for _ in range(draw(st.integers(1, 2))):
+        factors = []
+        for idx, dim in enumerate(dims):
+            tag = draw(st.sampled_from(("", "sx", "sy", "sz") if dim == 2 else ("", "X", "P")))
+            if tag:
+                factors.append((idx, tag) if dim == 2 else (idx, tag, draw(st.integers(1, 3))))
+        one = term(draw(st.sampled_from((0.5, -1.0, 1.5, -2.25))), *(factors or [(0, "id")]))
+        expr = one if expr is None else expr + one
+    return expr
+
+
+@st.composite
+def _commutator_cases(draw):
+    dims = draw(st.sampled_from(((2, 14), (2, 2, 14), (2, 12, 12))))
+    return dims, [draw(_pauli_mode_exprs(dims)) for _ in range(3)], draw(st.booleans())
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(case=_commutator_cases())
+def test_exact_commutator_matches_the_dense_one_below_the_cutoff(case):
+    # nested: A = i[E0, E1] carries mixed x^a p^b terms, and B = E2
+    dims, exprs, nested = case
+    layout = new_register([qubit() if d == 2 else qumode(d) for d in dims])
+    symbols = [weyl_symbol(e, layout) for e in exprs]
+    mats = [build(e, layout) for e in exprs]
+    assert np.allclose(_realize(symbols[0], layout), mats[0], rtol=0, atol=1e-9)
+    a_sym, a_mat = symbols[0], mats[0]
+    if nested:
+        a_sym, a_mat = symbol_commutator(symbols[0], symbols[1]), 1j * (mats[0] @ mats[1] - mats[1] @ mats[0])
+    b_sym, b_mat = symbols[2 if nested else 1], mats[2 if nested else 1]
+    k = symbol_commutator(a_sym, b_sym)
+    assert all(isinstance(c, float) for c in k.values())
+    exact, dense = _realize(k, layout), 1j * (a_mat @ b_mat - b_mat @ a_mat)
+
+    # a product of `degree` quadratures is exact on Fock levels below cutoff - degree
+    used = exprs[: 3 if nested else 2]
+    powers = ([op.power for t in e.terms for _, op in t.factors if op.tag in ("X", "P")] for e in used)
+    degree = sum(max(p, default=0) for p in powers)
+    levels = np.unravel_index(np.arange(layout.total_dim), dims)
+    keep = np.flatnonzero(np.all([lv < d - degree for lv, d in zip(levels, dims) if d > 2], axis=0))
+    assert len(keep)
+    block = np.ix_(keep, keep)
+    assert np.max(np.abs(exact[block] - dense[block])) <= 1e-9 * max(1.0, np.max(np.abs(dense[block])))
+
+
+def test_symbol_products_are_exact_and_a_non_hermitian_commutator_raises():
+    layout = new_register([qubit(), qumode(4)])
+    sx, sz, x, p = (weyl_symbol(parse_expr(t), layout) for t in ("sx@0", "sz@0", "X@1", "P@1"))
+    assert symbol_product(x, p) == {((1, (1, 1)),): 1.0, (): 0.5j}  # XP = W(xp) + i/2
+    assert symbol_commutator(x, p) == {(): -1.0}  # i[X, P] = -1
+    assert symbol_commutator(sz, sx) == {((0, "y"),): -2.0}
+    product = symbol_product(sx, sz)
+    assert product == {((0, "y"),): -1j}  # sx sz = -i sy is not Hermitian
+    with pytest.raises(OperatorError):
+        symbol_commutator(product, sx)
+    with pytest.raises(OperatorError):
+        weyl_symbol(parse_expr("X@0"), layout)
 
 
 def test_primitive_set():

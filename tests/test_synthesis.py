@@ -17,8 +17,8 @@ from hybridsim.hilbert import (
     qumode,
     reduced_density,
 )
-from hybridsim.operators import build, fock_annihilate, generator_id, parse_expr, primitive_set, term
-from hybridsim import synthesis
+from hybridsim.operators import OperatorError, build, fock_annihilate, generator_id, parse_expr, primitive_set, term
+from hybridsim import cli, evolution, operators, spectral, synthesis
 from hybridsim.synthesis import (
     NEW_DIRECTION_TOL,
     RULE_RESIDUAL_TOL,
@@ -559,3 +559,64 @@ def test_reset_alias_is_the_sz_rule_under_the_mode_only_id():
     assert plan.derivation.rule == rule
     assert reg.alias_for("1.0*X@1*X@2") == rule
     assert reg.alias_for("1.0*sy@0") is None
+
+
+# The rule table of [qubit, qumode12, qumode12], target id -> (a_id, b_id, direction id);
+# the last entry is the reset alias.
+_RULES_2_12_12 = {
+    "1.0*sx@0": ("1.0*P@1", "1.0*sx@0*X@1", "1.0*sx@0"),
+    "1.0*sz@0": ("1.0*P@1", "1.0*sz@0*X@1", "1.0*sz@0"),
+    "1.0*sy@0": ("1.0*sz@0", "1.0*sx@0", "1.0*sy@0"),
+    "1.0*id@0": ("1.0*sz@0*P@1", "1.0*sz@0*X@1", "1.0*id@0"),
+    "1.0*sy@0*X@1^2": ("1.0*sz@0*X@1", "1.0*sx@0*X@1", "1.0*sy@0*X@1^2"),
+    "1.0*sz@0*X@1^3": ("1.0*sy@0*X@1^2", "1.0*sx@0*X@1", "1.0*sz@0*X@1^3"),
+    "1.0*sy@0*X@2^2": ("1.0*sz@0*X@2", "1.0*sx@0*X@2", "1.0*sy@0*X@2^2"),
+    "1.0*sz@0*X@2^3": ("1.0*sy@0*X@2^2", "1.0*sx@0*X@2", "1.0*sz@0*X@2^3"),
+    "1.0*sy@0*X@1": ("1.0*sz@0", "1.0*sx@0*X@1", "1.0*sy@0*X@1"),
+    "1.0*sz@0*X@1*X@2": ("1.0*sy@0*X@1", "1.0*sx@0*X@2", "1.0*sz@0*X@1*X@2"),
+    "1.0*X@1*X@2": ("1.0*sy@0*X@1", "1.0*sx@0*X@2", "1.0*sz@0*X@1*X@2"),
+}
+
+
+def test_standard_registry_derives_each_direction_once(monkeypatch):
+    derived = []
+    derive = synthesis.derive_rule
+    monkeypatch.setattr(synthesis, "derive_rule", lambda *a, **k: derived.append(generator_id(a[2])) or derive(*a, **k))
+    reg = standard_registry(new_register([qubit(), qumode(12), qumode(12)]))
+    assert len(derived) == 10
+    assert set(derived) == {d for _, _, d in _RULES_2_12_12.values()}
+    table = {tid: reg.rule_for(tid) for tid in _RULES_2_12_12}
+    assert {tid: (r.a_id, r.b_id, r.direction_id) for tid, r in table.items()} == _RULES_2_12_12
+
+
+def test_standard_registry_rules_are_exact_and_build_no_matrix(monkeypatch):
+    built = []
+    dense_build, matrix = operators.build, SynthesisRegistry.matrix
+    for module in (operators, synthesis, evolution, spectral, cli):
+        monkeypatch.setattr(module, "build", lambda *a, **k: built.append("build") or dense_build(*a, **k))
+    monkeypatch.setattr(SynthesisRegistry, "matrix", lambda self, gid: built.append("matrix") or matrix(self, gid))
+    scales = []
+    for cutoff in (8, 16, 32):
+        reg = standard_registry(new_register([qubit(), qumode(cutoff), qumode(cutoff)]))
+        scales.append({tid: (reg.rule_for(tid).scale, reg.rule_for(tid).residual) for tid in _RULES_2_12_12})
+    two_spin = standard_registry(new_register([qubit(), qubit(), qumode(16)])).rule_for("1.0*sz@0*sz@1")
+    assert built == []
+    assert scales[0] == scales[1] == scales[2]
+    pinned = {"1.0*sx@0": 1.0, "1.0*sz@0": 1.0, "1.0*sy@0": -2.0, "1.0*id@0": 1.0, "1.0*sy@0*X@1^2": -2.0,
+              "1.0*sz@0*X@1^3": 2.0, "1.0*sz@0*X@1*X@2": 2.0}
+    assert {tid: scales[0][tid] for tid in pinned} == {tid: (scale, 0.0) for tid, scale in pinned.items()}
+    assert all(residual == 0.0 for _, residual in scales[0].values())
+    assert (two_spin.scale, two_spin.residual) == (1.0, 0.0)
+
+
+def test_derive_rule_validates_its_inputs_as_build_does(spin_mode_registry):
+    reg = spin_mode_registry
+    for text in ("sz@5", "X@0"):
+        with pytest.raises(OperatorError):
+            build(parse_expr(text), reg.layout)
+        with pytest.raises(OperatorError):
+            derive_rule(SZP, SZX, parse_expr(text), reg, register=False)
+    with pytest.raises(SynthesisError, match="vanishes"):
+        derive_rule(SZP, SZX, parse_expr("X@1 - X@1"), reg, register=False)
+    with pytest.raises(SynthesisError, match="unknown generator id"):
+        derive_rule("1.0*sy@0*P@1", SZX, parse_expr("id@0"), reg, register=False)
