@@ -403,6 +403,7 @@ def _run_closure(cfg: ExperimentConfig):
         "seed_ids": list(report.seed_ids),
         "depth_reached": report.depth_reached,
         "n_directions": len(report.directions),
+        "directions_per_degree": report.directions_per_degree,
         "probes": probes,
         "notes": list(report.notes),
     }

@@ -16,7 +16,10 @@ grammar.  The compact (space-free) rendering of an expression doubles as
 the stable generator id used by pulse sequences and the synthesis registry.
 
 Without a cutoff an expression is exactly its Weyl symbol (`weyl_symbol`), on
-which `symbol_commutator` forms i[A, B] with no truncation corner.
+which `symbol_commutator` forms i[A, B] with no truncation corner.  One
+realizer, `realize`, turns a symbol into its dense matrix on the truncated
+space; `build` is `realize` of an expression's symbol, and `commutator` is
+the one dense commutator (one product).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import RegisterLayout, embed
+from .hilbert import RegisterLayout
 
 QUBIT_TAGS = ("sx", "sy", "sz")
 QUMODE_TAGS = ("X", "P")
@@ -184,74 +187,8 @@ def check_factor(idx: int, op: LocalOp, layout: RegisterLayout) -> None:
         raise OperatorError(f"{op.tag} at subsystem {idx}: not a qumode")
 
 
-def build(expr: HamiltonianExpr, layout: RegisterLayout) -> np.ndarray:
-    """Realize an expression as a dense Hermitian matrix on the layout."""
-    total = layout.total_dim
-    out = np.zeros((total, total), dtype=complex)
-    for t in expr.terms:
-        mats = []
-        targets = []
-        for idx, op in t.factors:
-            check_factor(idx, op, layout)
-            mats.append(local_matrix(op, layout.dims[idx]))
-            targets.append(idx)
-        local = mats[0]
-        for m in mats[1:]:
-            local = np.kron(local, m)
-        out += t.coefficient * embed(local, targets, layout)
-    return out
-
-
-Parts = tuple[np.ndarray | None, np.ndarray | None]
-
-
-def hermitian_parts(m: np.ndarray) -> Parts:
-    """(Re M, Im M) as contiguous real arrays, each None when exactly zero.
-
-    For a Hermitian M the real part is symmetric and the imaginary part
-    antisymmetric.  The copies matter: ``M.real`` is a strided view, and a
-    matrix product on it does not reach BLAS.
-    """
-    m = np.asarray(m)
-    re = np.ascontiguousarray(m.real, dtype=float)
-    im = np.ascontiguousarray(m.imag, dtype=float)
-    return (re if re.any() else None), (im if im.any() else None)
-
-
-def _signed_product_sum(*terms: tuple[float, np.ndarray | None, np.ndarray | None]) -> np.ndarray | None:
-    """Sum of sign * p @ q over the terms whose factors are both present; None if none are."""
-    out = None
-    for sign, p, q in terms:
-        if p is None or q is None:
-            continue
-        prod = p @ q
-        if out is None:
-            out = prod if sign > 0 else -prod
-        elif sign > 0:
-            out += prod
-        else:
-            out -= prod
-    return out
-
-
-def commutator_parts(a: Parts, b: Parts) -> Parts:
-    """i[A, B] for Hermitian A and B given and returned as (real, imaginary) parts.
-
-    With AB = X + iY, i[A, B] = i(AB - (AB)†) = -(Y + Yᵀ) + i(X - Xᵀ), so
-    only the real products of present (non-None) parts are formed: one
-    ``dgemm`` when A and B are each purely real or purely imaginary, at
-    most four otherwise.  Such homogeneous inputs give one non-None part.
-    The real part is exactly symmetric and the imaginary part exactly
-    antisymmetric, so the result is exactly Hermitian.
-    """
-    (ar, ai), (br, bi) = a, b
-    x = _signed_product_sum((1.0, ar, br), (-1.0, ai, bi))
-    y = _signed_product_sum((1.0, ar, bi), (1.0, ai, br))
-    return (None if y is None else -(y + y.T)), (None if x is None else x - x.T)
-
-
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """AB - BA for Hermitian A and B, as -i times `commutator_parts` of their parts.
+    """AB - BA for Hermitian A and B, as C - C† with C = AB: one product.
 
     Precondition: A and B are Hermitian, so that BA = (AB)†; for other
     inputs the result is not their commutator.  The result is exactly
@@ -261,13 +198,9 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b)
     if a.shape != b.shape:
         raise OperatorError(f"commutator shape mismatch: {a.shape} vs {b.shape}")
-    kr, ki = commutator_parts(hermitian_parts(a), hermitian_parts(b))
-    out = np.zeros(a.shape, dtype=complex)
-    if ki is not None:
-        out.real = ki
-    if kr is not None:
-        np.negative(kr, out=out.imag)
-    return out
+    c = a @ b
+    c -= c.conj().T  # from a copy of C, so C† is read before C is written
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +276,41 @@ def symbol_commutator(a: Symbol, b: Symbol) -> dict[tuple, float]:
     if any(c.imag for c in out.values()):
         raise OperatorError("i[A, B] has an imaginary coefficient: an input is not Hermitian")
     return {key: c.real for key, c in out.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# dense realization on the truncated space
+
+
+def _monomial_matrix(a: int, b: int, cutoff: int) -> np.ndarray:
+    """Weyl-ordered x^a p^b on a truncated mode: `local_matrix`'s power when pure, else McCoy's
+    2^-a Σ_k C(a,k) X^(a-k) P^b X^k (McCoy, PNAS 18, 674 (1932))."""
+    if not a or not b:
+        return local_matrix(LocalOp("X", a) if a else LocalOp("P", b), cutoff)
+    x, p, power = fock_position(cutoff), local_matrix(LocalOp("P", b), cutoff), np.linalg.matrix_power
+    return sum(math.comb(a, k) * power(x, a - k) @ p @ power(x, k) for k in range(a + 1)) / 2**a
+
+
+def realize(symbol: Symbol, layout: RegisterLayout) -> np.ndarray:
+    """The dense matrix of a symbol on the layout's truncated space: each term is the Kronecker
+    product over subsystems of its Pauli, its mode monomial (`_monomial_matrix`) or the identity.
+    A monomial of total degree n is exact on Fock levels below cutoff - n."""
+    out = np.zeros((layout.total_dim,) * 2, dtype=complex)
+    for key, c in symbol.items():
+        factors = dict(key)
+        mat = np.ones((1, 1), dtype=complex)
+        for idx, dim in enumerate(layout.dims):
+            f = factors.get(idx)
+            local = np.eye(dim) if f is None else pauli(f) if isinstance(f, str) else _monomial_matrix(*f, dim)
+            mat = np.kron(mat, local)
+        mat *= c
+        out += mat
+    return out
+
+
+def build(expr: HamiltonianExpr, layout: RegisterLayout) -> np.ndarray:
+    """Realize an expression as a dense Hermitian matrix on the layout."""
+    return realize(weyl_symbol(expr, layout), layout)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,12 @@ the algebra of [X, P] = i, from the Weyl symbols of A, B and the direction
 (`operators.symbol_commutator`), with no matrix and no cutoff.  The tests
 check them against the dense interior block.
 
-The closure's directions and membership are measured on the guard-banded
-interior block (truncation corrupts the top Fock corner by construction),
-as real dot products of its packed coordinates.  Synthesis *error*, in
+The closure runs in the same exact algebra: its directions are Weyl
+symbols, found and orthogonalized with no matrix, so their count and order
+do not depend on the cutoff.  Only its report is dense: each direction is
+realized once and its membership measured on the guard-banded interior
+block (truncation corrupts the top Fock corner by construction), as real
+dot products of the block's packed coordinates.  Synthesis *error*, in
 contrast, is measured with the plain spectral norm on the whole truncated
 space: it quantifies what the compiled sequence does in this simulator.
 A plan is one block and a repeat count, so its unitary is the block's
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,14 +46,13 @@ from .hilbert import DEFAULT_GUARD, RegisterLayout, StateVector, interior_mask
 from .operators import (
     HamiltonianExpr,
     HamiltonianTerm,
-    Parts,
+    Symbol,
     build,
     commutator,
-    commutator_parts,
     generator_id,
-    hermitian_parts,
     parse_expr,
     primitive_set,
+    realize,
     symbol_commutator,
     term,
     weyl_symbol,
@@ -57,8 +60,9 @@ from .operators import (
 
 RULE_RESIDUAL_TOL = 1e-8
 
-# Candidate directions whose novel component is below this fraction of their
-# interior norm are treated as already contained in the closure basis.
+# A closure candidate whose novel component is below this fraction of its
+# norm is treated as already contained in the closure: in the search, of its
+# symbol's coefficient vector; in the report, of its realized interior block.
 NEW_DIRECTION_TOL = 1e-6
 
 
@@ -130,8 +134,8 @@ class SynthesisRegistry:
     Generators are keyed by the compact canonical text of their Hamiltonian,
     so ids are stable, serializable, and parse back to the same expression;
     the registry stores expressions, never dense matrices.  ``matrix(gid)``
-    builds one on demand for the dense users (the third-order error
-    prediction and closure seeds; rules need none); pulses
+    builds one on demand for its one dense user, the third-order error
+    prediction (rules and the closure read expressions); pulses
     run through ``matrices``, the registry's ``Generators`` table, which
     factors each id's expression.  One table maps a target id to its rule:
     a derived direction's own rule, or for a reset alias the sz(x)target
@@ -160,7 +164,7 @@ class SynthesisRegistry:
         return self._records[gid]
 
     def matrix(self, gid: str) -> np.ndarray:
-        """The dense matrix of a registered generator, built on each call."""
+        """The dense matrix of a registered generator, built on each call (for `third_order_scale`)."""
         return build(self.record(gid).expr, self.layout)
 
     def third_order_scale(self, a_id: str, b_id: str) -> float:
@@ -475,29 +479,42 @@ def oscillator_drive(
 
 @dataclass(frozen=True)
 class ClosureDirection:
-    """One orthonormal direction of the generated algebra (interior block)."""
+    """One direction of the generated algebra, found as an exact Weyl symbol.
 
-    vector: np.ndarray  # the block's packed real coordinates (`_interior_coordinates`), unit norm
+    ``vector`` is its row of the report's basis (its realized interior block's
+    packed coordinates, orthonormalized against the earlier rows), or None when
+    that block depends on the earlier ones within NEW_DIRECTION_TOL.
+    """
+
+    vector: np.ndarray | None
     degree: int
     source: str
 
 
 @dataclass(frozen=True)
 class ClosureReport:
+    """The directions found in the exact algebra; ``basis`` (float64, m² columns for an
+    m×m interior block) holds the orthonormal row of each direction with a ``vector``."""
+
     layout: RegisterLayout
     guard: float
     seed_ids: tuple[str, ...]
     directions: tuple[ClosureDirection, ...]
-    basis: np.ndarray  # float64, m² columns for an m×m interior block; its rows are the directions' vectors
+    basis: np.ndarray
     depth_reached: int
     notes: tuple[str, ...] = ()
+
+    @property
+    def directions_per_degree(self) -> dict[int, int]:
+        """How many directions the search found at each degree, with or without a basis row."""
+        return dict(Counter(d.degree for d in self.directions))
 
     def membership(self, query: HamiltonianExpr | np.ndarray) -> float:
         """Relative interior-block residual of a Hermitian direction against the basis."""
         mat = query if isinstance(query, np.ndarray) else build(query, self.layout)
         if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
             raise SynthesisError(f"query is not Hermitian within {HERMITICITY_TOL:g}")
-        vec = _interior_coordinates(hermitian_parts(mat), _interior_index(self.layout, self.guard))
+        vec = _interior_coordinates(mat, _interior_index(self.layout, self.guard))
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             raise SynthesisError("query direction vanishes on the interior block")
@@ -513,7 +530,7 @@ def _interior_index(layout: RegisterLayout, guard: float) -> tuple[np.ndarray, n
     return rows * (dim + 1), rows[upper_i] * dim + rows[upper_j]
 
 
-def _interior_coordinates(parts: Parts, index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _interior_coordinates(mat: np.ndarray, index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Packed real coordinates of a Hermitian matrix's m×m interior block.
 
     The m diagonal entries, then √2·Re and √2·Im of the strict upper
@@ -522,16 +539,8 @@ def _interior_coordinates(parts: Parts, index: tuple[np.ndarray, np.ndarray]) ->
     matrix must be Hermitian.
     """
     diag, upper = index
-    n, k = len(diag), len(upper)
-    re, im = parts
-    out = np.zeros(n + 2 * k)
-    if re is not None:
-        np.take(re, diag, out=out[:n])
-        np.take(re, upper, out=out[n : n + k])
-    if im is not None:
-        np.take(im, upper, out=out[n + k :])
-    out[n:] *= np.sqrt(2.0)
-    return out
+    off = np.take(mat, upper)
+    return np.concatenate([np.take(mat, diag).real, np.sqrt(2.0) * off.real, np.sqrt(2.0) * off.imag])
 
 
 def _orthonormal_residual(vec: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
@@ -549,7 +558,7 @@ def close_algebra(
     *,
     include_reset_effectives: bool = True,
 ) -> ClosureReport:
-    """Breadth-first commutator closure of the seed generators.
+    """Breadth-first commutator closure of the seed generators, in the exact algebra.
 
     Seeds sit at degree 1; a direction found as i[a, b] has degree
     max(deg a, deg b) + 1.  Exploration stops after ``max_new`` accepted
@@ -562,16 +571,18 @@ def close_algebra(
     generators available, and without them the bare one-spin Paulis are
     provably outside the commutator closure of the interaction set.
 
-    All arithmetic is real: each direction is kept as its (real,
-    imaginary) parts, commutators are `commutator_parts`, and the
-    Gram-Schmidt runs on the packed interior coordinates.
+    The search never touches a matrix: each direction is a Weyl symbol, each
+    candidate the `symbol_commutator` of two unit-norm directions, and the
+    Gram-Schmidt runs on symbol coefficient vectors, so the directions, their
+    count and their order do not depend on the cutoff.  Only the report is
+    dense: each accepted direction is realized once (`operators.realize`) and
+    its interior block orthonormalized into ``basis``.  A block that depends
+    on the earlier ones there gets ``vector=None`` and a note.
     """
     layout, guard = registry.layout, registry.guard
     notes: list[str] = []
 
-    seeds: list[tuple[str, HamiltonianExpr]] = []
-    for gid in seed_ids:
-        seeds.append((gid, registry.record(gid).expr))
+    seeds = [(gid, registry.record(gid).expr) for gid in seed_ids]
     if include_reset_effectives:
         for gid, expr in list(seeds):
             reset = _reset_effective(expr, layout)
@@ -582,53 +593,64 @@ def close_algebra(
                 seeds.append((eff_id, reset[1]))
                 notes.append(f"reset-effective seed {eff_id} from {gid}")
 
-    index = _interior_index(layout, guard)
+    columns: dict[tuple, int] = {}  # symbol key -> coefficient-vector coordinate
+    found: list[tuple[Symbol, int, str]] = []  # unit-norm symbol, degree, source
+    span = np.empty((0, 0))  # orthonormal rows spanning the found symbols
 
-    # Only directions below degree_cap can still be commutator operands.
-    full: list[Parts | None] = []
-    degrees: list[int] = []
-    sources: list[str] = []
-    basis = np.empty((0, len(index[0]) ** 2))
-    most = len(seeds) + max(max_new, 0)  # the basis doubles, but never past this many rows
-
-    def try_add(parts: Parts, degree: int, source: str) -> None:
-        nonlocal basis
-        coords = _interior_coordinates(parts, index)
+    def try_add(symbol: Symbol, degree: int, source: str) -> None:
+        nonlocal span
+        for key in symbol:
+            columns.setdefault(key, len(columns))
+        coords = np.zeros(len(columns))
+        coords[[columns[key] for key in symbol]] = list(symbol.values())
         norm = np.linalg.norm(coords)
         if norm < 1e-12:
             return
-        n = len(degrees)
-        vec, resid = _orthonormal_residual(coords / norm, basis[:n])
+        span = np.pad(span, ((0, 0), (0, len(columns) - span.shape[1])))
+        vec, resid = _orthonormal_residual(coords / norm, span)
         if resid <= NEW_DIRECTION_TOL:
             return
-        if n == len(basis):
-            basis = np.concatenate([basis, np.empty((min(max(n, 8), most - n), basis.shape[1]))])
-        basis[n] = vec / resid
-        full.append(tuple(None if p is None else p / norm for p in parts) if degree < degree_cap else None)
-        degrees.append(degree)
-        sources.append(source)
+        span = np.concatenate([span, vec[None] / resid])
+        found.append(({key: c / norm for key, c in symbol.items()}, degree, source))
 
     for gid, expr in seeds:
-        try_add(hermitian_parts(registry.matrix(gid)), 1, f"seed {gid}")
+        try_add(weyl_symbol(expr, layout), 1, f"seed {gid}")
 
-    n_seeds = len(degrees)
+    n_seeds = len(found)
     for degree in range(2, degree_cap + 1):
+        degrees = [d for _, d, _ in found]
         prev = [j for j, d in enumerate(degrees) if d == degree - 1]
         # every older direction with each of prev, and each pair within prev once
         pairs = [(i, j) for j in prev for i in range(len(degrees)) if degrees[i] < degree - 1 or i < j]
         for i, j in pairs:
-            if len(degrees) - n_seeds >= max_new:
+            if len(found) - n_seeds >= max_new:
                 break
-            try_add(commutator_parts(full[i], full[j]), degree, f"i[{i},{j}]")
+            try_add(symbol_commutator(found[i][0], found[j][0]), degree, f"i[{i},{j}]")
 
-    basis = basis[: len(degrees)]
+    index = _interior_index(layout, guard)
+    basis = np.empty((len(found), len(index[0]) ** 2))
+    directions = []
+    rows = 0
+    for k, (symbol, degree, source) in enumerate(found):
+        coords = _interior_coordinates(realize(symbol, layout), index)
+        norm = np.linalg.norm(coords)
+        vec, resid = _orthonormal_residual(coords / norm, basis[:rows]) if norm >= 1e-12 else (None, 0.0)
+        if resid <= NEW_DIRECTION_TOL:
+            notes.append(f"direction {k} ({source}) depends on the earlier ones on the interior block "
+                         f"(residual {resid:.1e}): no basis row")
+            directions.append(ClosureDirection(None, degree, source))
+            continue
+        basis[rows] = vec / resid
+        directions.append(ClosureDirection(basis[rows], degree, source))
+        rows += 1
+
     return ClosureReport(
         layout=layout,
         guard=guard,
         seed_ids=tuple(s[0] for s in seeds),
-        directions=tuple(ClosureDirection(*d) for d in zip(basis, degrees, sources)),
-        basis=basis,
-        depth_reached=max(degrees, default=1),
+        directions=tuple(directions),
+        basis=basis[:rows],
+        depth_reached=max((d.degree for d in directions), default=1),
         notes=tuple(notes),
     )
 
@@ -671,6 +693,7 @@ def closure_to_json(report: ClosureReport, probes: dict[str, float] | None = Non
         "guard": report.guard,
         "depth_reached": report.depth_reached,
         "n_directions": len(report.directions),
+        "directions_per_degree": report.directions_per_degree,
         "directions": [{"degree": d.degree, "source": d.source} for d in report.directions],
         "notes": list(report.notes),
     }

@@ -432,6 +432,39 @@ def test_closure_basis_grows_with_the_directions_found():
     assert all(np.shares_memory(d.vector, huge.basis) for d in huge.directions)
 
 
+def _closure_without_resets(seed_texts, cutoff, degree_cap):
+    reg = SynthesisRegistry(new_register([qubit(), qumode(cutoff)]))
+    seeds = [reg.register(parse_expr(t), drivable=True, origin="primitive") for t in seed_texts]
+    return close_algebra(seeds, max_new=10**9, degree_cap=degree_cap, registry=reg, include_reset_effectives=False)
+
+
+def test_closure_directions_do_not_depend_on_the_cutoff():
+    # a closure of dense truncated products found 101, 100, 79 and 72 directions at degree 6
+    found = {}
+    for cutoff in (16, 24, 32, 48):
+        rep = _closure_without_resets(("sx@0*X@1", "sz@0*P@1"), cutoff, 6)
+        assert rep.directions_per_degree == {1: 2, 2: 1, 3: 2, 4: 6, 5: 20, 6: 74}, cutoff
+        found[cutoff] = [(d.degree, d.source) for d in rep.directions]
+    assert all(order == found[16] for order in found.values())
+
+
+# Measured basis rows: at cutoff 8 the interaction set's even sector holds at
+# most m²/2 = 72; at cutoff 10 the directions 55, 57 and 71 (sz x^11, sx x^11
+# and x^10) lie in the span of lower powers of the truncated X.
+@pytest.mark.parametrize("cutoff, rows, m2", [(8, 70, 144), (10, 99, 256)])
+def test_closure_basis_keeps_only_directions_independent_on_the_interior(cutoff, rows, m2):
+    rep = _closure_without_resets(("sx@0*X@1", "sz@0*X@1", "sz@0*P@1"), cutoff, 5)
+    assert list(rep.directions_per_degree.values()) == [3, 3, 6, 19, 71]
+    assert rep.basis.shape == (rows, m2)
+    assert np.all(np.isfinite(rep.basis))
+    assert np.max(np.abs(rep.basis @ rep.basis.T - np.eye(rows))) <= 1e-12
+    without = [d for d in rep.directions if d.vector is None]
+    assert len(without) == len(rep.directions) - rows == len(rep.notes)
+    assert all(np.shares_memory(d.vector, rep.basis) for d in rep.directions if d.vector is not None)
+    assert rep.membership(parse_expr("sy@0*X@1^2")) <= 1e-8
+    assert rep.membership(parse_expr("sx@0")) >= 0.9
+
+
 def test_serialization_documents():
     reg = standard_registry(new_register([qubit(), qumode(8)]))
     plan = synthesize("sy@0", 0.5, 4, reg)
