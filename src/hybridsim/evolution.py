@@ -326,15 +326,16 @@ def cv_qft(state: StateVector, mode_idx: int) -> StateVector:
     Implemented as exp(-i H t) with H = (X^2 + P^2)/2 = n + 1/2 and t = pi/2,
     the generator normalization under [X, P] = i for which a quarter rotation
     takes exactly a quarter period.  Applying it four times is the identity
-    up to global phase.  The built H is exactly diagonal in the Fock basis
-    (the a^2 and a†^2 parts of X^2 and P^2 cancel bit for bit), so its
-    phases are applied directly, with no eigendecomposition.
+    up to global phase.  H is built on the one mode, exactly diagonal in the
+    Fock basis (the a^2 and a†^2 parts of X^2 and P^2 cancel bit for bit), and
+    its phases multiply that axis of the amplitudes: no eigendecomposition.
     """
     if not state.layout.is_qumode(mode_idx):
         raise EvolutionError(f"subsystem {mode_idx} is not a qumode")
-    rot = term(0.5, (mode_idx, "X", 2)) + term(0.5, (mode_idx, "P", 2))
-    energies = build(rot, state.layout).diagonal().real
-    return StateVector(state.layout, np.exp(-1j * energies * (np.pi / 2)) * state.amplitudes)
+    mode = RegisterLayout((state.layout.subsystems[mode_idx],))
+    energies = build(term(0.5, (0, "X", 2)) + term(0.5, (0, "P", 2)), mode).diagonal().real
+    phases = np.exp(-1j * energies * (np.pi / 2)).reshape((-1,) + (1,) * (len(state.layout) - mode_idx - 1))
+    return StateVector(state.layout, (phases * state.tensor()).reshape(-1))
 
 
 def leakage(state: StateVector, guard: float = DEFAULT_GUARD) -> float:

@@ -250,16 +250,16 @@ def guard_start(cutoff: int, guard: float = DEFAULT_GUARD) -> int:
     return max(1, min(cutoff - 1, start))
 
 
+def interior_levels(layout: RegisterLayout, guard: float = DEFAULT_GUARD) -> tuple[int, ...]:
+    """The one definition of the interior: the leading levels of each subsystem below its
+    guard band (both for a qubit, those below `guard_start` for a qumode), whose product is
+    the interior block read by `interior_mask` and by `operators.realize`'s ``levels``."""
+    return tuple(2 if spec.kind == "qubit" else guard_start(spec.dim, guard) for spec in layout.subsystems)
+
+
 def interior_mask(layout: RegisterLayout, guard: float = DEFAULT_GUARD) -> np.ndarray:
-    """Boolean mask over flat indices with every qumode below its guard band."""
-    masks = []
-    for spec in layout.subsystems:
-        if spec.kind == "qubit":
-            masks.append(np.ones(2, dtype=bool))
-        else:
-            m = np.arange(spec.dim) < guard_start(spec.dim, guard)
-            masks.append(m)
-    return reduce(lambda a, b: np.kron(a, b), masks)
+    """Boolean mask over flat indices of the `interior_levels` block."""
+    return reduce(np.kron, [np.arange(dim) < n for dim, n in zip(layout.dims, interior_levels(layout, guard))])
 
 
 def compress_to_interior(op: np.ndarray, layout: RegisterLayout, guard: float = DEFAULT_GUARD) -> np.ndarray:

@@ -18,8 +18,8 @@ the stable generator id used by pulse sequences and the synthesis registry.
 Without a cutoff an expression is exactly its Weyl symbol (`weyl_symbol`), on
 which `symbol_commutator` forms i[A, B] with no truncation corner.  One
 realizer, `realize`, turns a symbol into its dense matrix on the truncated
-space; `build` is `realize` of an expression's symbol, and `commutator` is
-the one dense commutator (one product).
+space or into only its block on leading levels (the closure's interior); `build`
+is `realize` of an expression's symbol, and `commutator` is the one dense one.
 """
 
 from __future__ import annotations
@@ -291,18 +291,21 @@ def _monomial_matrix(a: int, b: int, cutoff: int) -> np.ndarray:
     return sum(math.comb(a, k) * power(x, a - k) @ p @ power(x, k) for k in range(a + 1)) / 2**a
 
 
-def realize(symbol: Symbol, layout: RegisterLayout) -> np.ndarray:
+def realize(symbol: Symbol, layout: RegisterLayout, levels: tuple[int, ...] | None = None) -> np.ndarray:
     """The dense matrix of a symbol on the layout's truncated space: each term is the Kronecker
     product over subsystems of its Pauli, its mode monomial (`_monomial_matrix`) or the identity.
-    A monomial of total degree n is exact on Fock levels below cutoff - n."""
-    out = np.zeros((layout.total_dim,) * 2, dtype=complex)
+    A monomial of total degree n is exact on Fock levels below cutoff - n.  ``levels`` (one count
+    per subsystem) forms only the block on each subsystem's leading levels: each factor is sliced
+    before the Kronecker product, so the block is bit-identical to that slice of the full matrix."""
+    levels = layout.dims if levels is None else levels
+    out = np.zeros((math.prod(levels),) * 2, dtype=complex)
     for key, c in symbol.items():
         factors = dict(key)
         mat = np.ones((1, 1), dtype=complex)
-        for idx, dim in enumerate(layout.dims):
+        for idx, (dim, n) in enumerate(zip(layout.dims, levels)):
             f = factors.get(idx)
             local = np.eye(dim) if f is None else pauli(f) if isinstance(f, str) else _monomial_matrix(*f, dim)
-            mat = np.kron(mat, local)
+            mat = np.kron(mat, local[:n, :n])
         mat *= c
         out += mat
     return out

@@ -215,8 +215,8 @@ def _collapse_to_bin(
 def _position_bins(node_amps: np.ndarray, nodes: np.ndarray, width: float) -> tuple[list[np.ndarray], np.ndarray]:
     """Node indices of each occupied bin floor(x / width), and the bins' Born probabilities."""
     probs = _born(node_amps)
-    bins = np.floor(nodes / width).astype(int)
-    members = [np.flatnonzero(bins == lab) for lab in np.unique(bins)]
+    bins = np.floor(nodes / width)  # the nodes ascend: a bin is a run of consecutive nodes
+    members = np.split(np.arange(len(nodes)), np.flatnonzero(np.diff(bins)) + 1)
     bin_probs = np.array([probs[m].sum() for m in members])
     return members, bin_probs / bin_probs.sum()
 
@@ -445,7 +445,7 @@ def robustness_midmeasure(
     rng = _stream(seed, 1)
     shot_bins = rng.choice(len(members), size=n_shots, p=bin_probs)
     shot_nodes = np.empty(n_shots, dtype=int)
-    for bin_i in np.unique(shot_bins):
+    for bin_i in np.flatnonzero(np.bincount(shot_bins)):
         in_bin = shot_bins == bin_i
         _, _, probs2 = branch_for(int(bin_i))
         shot_nodes[in_bin] = rng.choice(len(basis.nodes), size=int(in_bin.sum()), p=probs2)

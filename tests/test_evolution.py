@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hybridsim import evolution
 from hybridsim.evolution import (
     EvolutionError,
     Generators,
@@ -252,6 +253,21 @@ def test_cv_qft_needs_no_eigendecomposition(monkeypatch):
     out = cv_qft(state, 1)
     assert calls == []
     assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
+
+
+def test_cv_qft_builds_only_the_one_mode(monkeypatch):
+    layout = new_register([qubit(), qumode(10), qumode(6)])
+    amps = np.arange(1, layout.total_dim + 1, dtype=complex)
+    state = StateVector(layout, amps / np.linalg.norm(amps))
+    shapes = []
+
+    def recording(*args):
+        shapes.append((out := build(*args)).shape)
+        return out
+
+    monkeypatch.setattr(evolution, "build", recording)
+    cv_qft(state, 1)
+    assert shapes and max(max(s) for s in shapes) <= 10
 
 
 def test_cv_qft_fock_phases():

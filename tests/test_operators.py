@@ -22,6 +22,7 @@ from hybridsim.operators import (
     parse_expr,
     pauli,
     primitive_set,
+    realize,
     symbol_commutator,
     symbol_product,
     term,
@@ -353,3 +354,36 @@ def test_syntax_errors_carry_column():
 def test_expr_builder_matches_parser():
     built = term(0.5, (0, "sz"), (1, "X", 2)) + term(-1.0, (1, "P"))
     assert built == parse_expr("0.5*sz@0*X@1^2 - P@1")
+
+
+@st.composite
+def _leading_block_cases(draw):
+    """A symbol of one to three terms, each a Pauli or a mixed x^a p^b (or nothing) per subsystem,
+    on a layout of one to three subsystems, with a leading level count per subsystem."""
+    dims = draw(st.sampled_from(((9,), (2, 11), (2, 2, 8), (2, 7, 6), (5, 2, 4))))
+    symbol = {}
+    for _ in range(draw(st.integers(1, 3))):
+        key = []
+        for idx, dim in enumerate(dims):
+            if dim == 2:
+                f = draw(st.sampled_from((None, "x", "y", "z")))
+            else:
+                f = draw(st.sampled_from((None, (draw(st.integers(0, 3)), draw(st.integers(0, 3))))))
+            if f is not None and f != (0, 0):
+                key.append((idx, f))
+        symbol[tuple(key)] = draw(st.sampled_from((0.5, -1.0, 1.5, -2.25)))
+    levels = tuple(draw(st.integers(1, dim)) for dim in dims)
+    return dims, symbol, levels
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(case=_leading_block_cases())
+def test_realize_on_leading_levels_is_the_slice_of_the_full_matrix(case):
+    dims, symbol, levels = case
+    layout = new_register([qubit() if d == 2 else qumode(d) for d in dims])
+    full = realize(symbol, layout)
+    flat = np.unravel_index(np.arange(layout.total_dim), dims)
+    keep = np.flatnonzero(np.all([lv < n for lv, n in zip(flat, levels)], axis=0))
+    block = realize(symbol, layout, levels)
+    assert block.shape == (len(keep),) * 2
+    assert np.array_equal(block, full[np.ix_(keep, keep)])

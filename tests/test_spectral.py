@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hybridsim
 from hybridsim.hilbert import StateVector, basis_state, new_register, qubit, qumode
 from hybridsim.operators import build, fock_momentum, fock_position, parse_expr
 from hybridsim.spectral import (
@@ -354,3 +361,18 @@ def test_robustness_deterministic_per_seed():
     assert a.samples == b.samples
     assert a.peaks == b.peaks
     assert a.branches == b.branches
+
+
+def test_robustness_run_does_not_import_numpy_ma(tmp_path):
+    # the first np.unique in a process imports numpy.ma, about 10 ms of every CLI run
+    config = {"layout": ["qubit"], "hamiltonian": "0.8*sz@0 + 0.6*sx@0", "beta": 4.0, "t_couple": 5.0,
+              "pointer_cutoff": 64, "n_shots": 200}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code = ("import sys\nfrom hybridsim import cli\n"
+            f"rc = cli.main(['robustness', '--config', {str(tmp_path / 'config.json')!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}])\n"
+            "print(rc, 'numpy.ma' in sys.modules)")
+    src = str(Path(hybridsim.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert run.stdout.split()[-2:] == ["0", "False"]

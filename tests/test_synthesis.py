@@ -465,6 +465,34 @@ def test_closure_basis_keeps_only_directions_independent_on_the_interior(cutoff,
     assert rep.membership(parse_expr("sx@0")) >= 0.9
 
 
+@pytest.mark.parametrize("cutoff", [48, 64])
+def test_closure_report_keeps_genuine_directions_of_a_large_interior(cutoff):
+    # directions 50 (i[5,17]) and 91 (i[8,26]) are new in the exact algebra, with realized
+    # interior residuals down to 2e-7; a dependent direction's residual is rounding, below 1e-13
+    rep = _closure_without_resets(("sx@0*X@1", "sz@0*P@1"), cutoff, 6)
+    assert len(rep.directions) == rep.basis.shape[0] == 105
+    assert rep.notes == ()
+
+
+def test_closure_report_and_membership_realize_only_the_interior(monkeypatch):
+    layout = new_register([qubit(), qumode(12)])  # interior: 2 x 9 levels of 2 x 12
+    reg = SynthesisRegistry(layout)
+    seeds = [reg.register(g.expr, drivable=True, origin="primitive") for g in primitive_set(layout, 0, 1).members]
+    shapes = []
+    realize = operators.realize
+
+    def recording(*args):
+        shapes.append((out := realize(*args)).shape)
+        return out
+
+    monkeypatch.setattr(operators, "realize", recording)
+    monkeypatch.setattr(synthesis, "realize", recording)
+    rep = close_algebra(seeds, max_new=40, degree_cap=4, registry=reg)
+    assert rep.membership(parse_expr("sy@0*X@1^2")) <= 1e-8
+    assert len(shapes) == len(rep.directions) + 1
+    assert set(shapes) == {(18, 18)}
+
+
 def test_serialization_documents():
     reg = standard_registry(new_register([qubit(), qumode(8)]))
     plan = synthesize("sy@0", 0.5, 4, reg)
