@@ -59,7 +59,8 @@ from .synthesis import (
     SynthesisError,
     SynthesisRegistry,
     close_algebra,
-    measure_plan_error,
+    plan_error,
+    plan_unitaries,
     spins_and_modes,
     standard_registry,
     synthesize,
@@ -334,32 +335,29 @@ def _run_synth(cfg: ExperimentConfig):
     blocks = _int_list(cfg, "n_blocks", minimum=1)
 
     rows = []
-    last_plan = None
     for n in blocks:
         plan = synthesize(target, angle, n, registry)
-        err = measure_plan_error(plan, registry)
-        rows.append((n, plan.block_step, err, plan.predicted_error))
-        last_plan = plan
-
-    probe = basis_state(layout, [0] * len(layout))
-    report = run_sequence(last_plan.sequence, probe, registry.matrices, guard=registry.guard)
-    exact = run_sequence(last_plan.target_sequence, probe, registry.matrices).final_state
-    fid = exact.fidelity(report.final_state)
+        unitaries = plan_unitaries(plan, registry)
+        rows.append((n, plan.block_step, plan_error(plan, unitaries, layout), plan.predicted_error))
+        # the probe |0...0> is flat index 0: its final and exact states are column 0 of the pair
+        final, exact = (StateVector(layout, u[:, 0]) for u in unitaries)
+        del unitaries  # free the pair before the next is formed
+    leak = state_leakage(final, registry.guard)
 
     results = {
-        "target": last_plan.target_id,
+        "target": plan.target_id,
         "angle": angle,
         "errors": [{"n_blocks": n, "block_step": s, "measured_error": e, "predicted_error": p}
                    for n, s, e, p in rows],
-        "probe_state_fidelity": fid,
-        "reset_spin_required": last_plan.reset_spin_required,
+        "probe_state_fidelity": exact.fidelity(final),
+        "reset_spin_required": plan.reset_spin_required,
     }
     if len(rows) >= 2:
         results["error_slope"] = _fit_slope([r[0] for r in rows], [max(r[2], 1e-300) for r in rows])
     csv = ["n_blocks,block_step,measured_error,predicted_error"]
     csv += [f"{n},{s!r},{e!r},{p!r}" for n, s, e, p in rows]
     curve = ["# n_blocks measured_error"] + [f"{n} {e!r}" for n, _, e, _ in rows]
-    return results, report.leakage, report.valid, csv, curve
+    return results, leak, leak <= LEAKAGE_INVALID, csv, curve
 
 
 def _expr_texts(cfg: ExperimentConfig, key: str, default=None):
@@ -454,18 +452,16 @@ def _run_trotter_scaling(cfg: ExperimentConfig):
     rows = []
     for n in steps:
         # one step of trotter(h, t, n) is trotter(h, t / n, 1) bit for bit (abs(t / n) == abs(t) / n)
-        step = sequence_unitary(trotter(h, t / n, 1), layout, generators)
-        err = float(np.linalg.norm(np.linalg.matrix_power(step, n) - exact, 2))
-        rows.append((n, err))
-    probe = basis_state(layout, [0] * len(layout))
-    report = run_sequence(trotter(h, t, steps[-1]), probe, generators,
-                          guard=_number(cfg, "guard", default=DEFAULT_GUARD))
+        power = np.linalg.matrix_power(sequence_unitary(trotter(h, t / n, 1), layout, generators), n)
+        rows.append((n, float(np.linalg.norm(power - exact, 2))))
+    # the probe |0...0> is flat index 0: its final state is column 0 of the last step power
+    leak = state_leakage(StateVector(layout, power[:, 0]), _number(cfg, "guard", default=DEFAULT_GUARD))
     results = {"t": t, "errors": [{"n_steps": n, "error": e} for n, e in rows]}
     if len(rows) >= 2:
         results["error_slope"] = _fit_slope([r[0] for r in rows], [max(r[1], 1e-300) for r in rows])
     csv = ["n_steps,error"] + [f"{n},{e!r}" for n, e in rows]
     curve = ["# n_steps error"] + [f"{n} {e!r}" for n, e in rows]
-    return results, report.leakage, report.valid, csv, curve
+    return results, leak, leak <= LEAKAGE_INVALID, csv, curve
 
 
 _RUNNERS = {

@@ -118,11 +118,17 @@ class PulseSequence:
 
 @dataclass(frozen=True)
 class EvolutionReport:
-    """Final state plus the diagnostics every run must carry."""
+    """Final state of a run; its diagnostics are read from it, leakage at the default guard."""
 
     final_state: StateVector
-    leakage: float
-    norm_drift: float
+
+    @property
+    def leakage(self) -> float:
+        return leakage(self.final_state)
+
+    @property
+    def norm_drift(self) -> float:
+        return abs(self.final_state.norm - 1.0)
 
     @property
     def valid(self) -> bool:
@@ -278,25 +284,14 @@ def _propagate(seq: PulseSequence, layout: RegisterLayout, generators: Generator
     return amps
 
 
-def run_sequence(
-    seq: PulseSequence,
-    state: StateVector,
-    generators: Generators | None = None,
-    guard: float = DEFAULT_GUARD,
-) -> EvolutionReport:
-    """Execute a pulse sequence and report leakage and norm drift.
+def run_sequence(seq: PulseSequence, state: StateVector, generators: Generators | None = None) -> EvolutionReport:
+    """Execute a pulse sequence on a state.
 
     ``generators`` is a caller-owned ``Generators`` table for the state's
     layout, which keeps its eigendecompositions across calls, or None for a
     table that lasts this call only; anything else raises EvolutionError.
     """
-    amps = _propagate(seq, state.layout, generators, state.amplitudes)
-    final = StateVector(state.layout, amps)
-    return EvolutionReport(
-        final_state=final,
-        leakage=leakage(final, guard),
-        norm_drift=abs(float(np.linalg.norm(amps)) - 1.0),
-    )
+    return EvolutionReport(StateVector(state.layout, _propagate(seq, state.layout, generators, state.amplitudes)))
 
 
 def sequence_unitary(seq: PulseSequence, layout: RegisterLayout, generators: Generators | None = None) -> np.ndarray:
@@ -339,7 +334,5 @@ def cv_qft(state: StateVector, mode_idx: int) -> StateVector:
 
 
 def leakage(state: StateVector, guard: float = DEFAULT_GUARD) -> float:
-    """Probability of any qumode occupying its guard-band Fock levels."""
-    inside = interior_mask(state.layout, guard)
-    kept = float(np.sum(np.abs(state.amplitudes[inside]) ** 2))
-    return max(0.0, 1.0 - kept)
+    """Probability of any qumode occupying its guard-band Fock levels: the weight summed there."""
+    return float(np.sum(np.abs(state.amplitudes[~interior_mask(state.layout, guard)]) ** 2))

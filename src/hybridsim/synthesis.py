@@ -23,7 +23,8 @@ contrast, is measured with the plain spectral norm on the whole truncated
 space: it quantifies what the compiled sequence does in this simulator.
 A plan is one block and a repeat count, so its unitary is the block's
 unitary raised to the n-th power by repeated squaring, at a cost that
-grows like log n.
+grows like log n; a run reads its error and its probe states from that
+one unitary and its target's (`plan_unitaries`).
 
 The spin-reset rule: with a spin held in |0>, a one-term generator sz(x)M
 with M on modes only acts on the modes as M alone.  ``_reset_effective``
@@ -331,22 +332,27 @@ def synthesize(
     )
 
 
-def _spin_zero_block(u: np.ndarray, layout: RegisterLayout, spin: int) -> np.ndarray:
-    occ = np.unravel_index(np.arange(layout.total_dim), layout.dims)[spin]
-    sel = np.flatnonzero(occ == 0)
-    return u[np.ix_(sel, sel)]
+def plan_unitaries(plan: SynthPlan, registry: SynthesisRegistry) -> tuple[np.ndarray, np.ndarray]:
+    """The plan's compiled unitary, its block's raised to the ``n_blocks``-th power by
+    repeated squaring, and its target's, both on the whole register."""
+    layout, table = registry.layout, registry.matrices
+    return (np.linalg.matrix_power(sequence_unitary(plan.block, layout, table), plan.n_blocks),
+            sequence_unitary(plan.target_sequence, layout, table))
+
+
+def plan_error(plan: SynthPlan, unitaries: tuple[np.ndarray, np.ndarray], layout: RegisterLayout) -> float:
+    """Spectral-norm distance of a plan's (compiled, target) unitaries; for a reset plan, on
+    the block where its held spin is |0>, sliced from each matrix by a tensor reshape."""
+    if plan.reset_spin_required is not None:
+        lead, half = math.prod(layout.dims[:plan.reset_spin_required]), layout.total_dim // 2
+        unitaries = [u.reshape((lead, 2, half // lead) * 2)[:, 0, :, :, 0, :].reshape(half, half) for u in unitaries]
+    u, u_target = unitaries
+    return float(np.linalg.norm(u - u_target, 2))
 
 
 def measure_plan_error(plan: SynthPlan, registry: SynthesisRegistry) -> float:
-    """Spectral-norm distance between the compiled sequence and its target; the
-    block's unitary is raised to the ``n_blocks``-th power by repeated squaring."""
-    layout = registry.layout
-    u = np.linalg.matrix_power(sequence_unitary(plan.block, layout, registry.matrices), plan.n_blocks)
-    u_target = sequence_unitary(plan.target_sequence, layout, registry.matrices)
-    if plan.reset_spin_required is not None:
-        u = _spin_zero_block(u, layout, plan.reset_spin_required)
-        u_target = _spin_zero_block(u_target, layout, plan.reset_spin_required)
-    return float(np.linalg.norm(u - u_target, 2))
+    """Spectral-norm distance between the compiled sequence and its target (`plan_error`)."""
+    return plan_error(plan, plan_unitaries(plan, registry), registry.layout)
 
 
 # Derivation templates (A, B, direction), i[A, B] = scale * direction, in the

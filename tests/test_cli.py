@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from hybridsim.cli import main, parse_hamiltonian
-from hybridsim.evolution import expm_unitary, sequence_unitary, trotter
-from hybridsim.hilbert import new_register, qubit, qumode
+from hybridsim.evolution import expm_unitary, leakage, run_sequence, sequence_unitary, trotter
+from hybridsim.hilbert import basis_state, new_register, qubit, qumode
 from hybridsim.operators import ExprSyntaxError, build
+from hybridsim.synthesis import standard_registry, synthesize
 
 
 def write_config(tmp_path, name, payload):
@@ -185,6 +186,33 @@ def test_closure_run(tmp_path):
     assert res["n_directions"] >= 8
 
 
+BUS_CLOSURE = {
+    "experiment": "closure",
+    "layout": ["qubit", "qubit", {"kind": "qumode", "cutoff": 8}],
+    "seeds": ["sx@0*X@2", "sz@0*X@2", "sz@0*P@2", "sx@1*X@2", "sz@1*X@2", "sz@1*P@2"],
+    "max_new": 40,
+    "degree_cap": 4,
+    "probes": ["sz@0*sz@1"],
+}
+
+
+def test_closure_run_with_explicit_seeds(tmp_path):
+    cfg = write_config(tmp_path, "closure.json", BUS_CLOSURE)
+    out = tmp_path / "closure"
+    assert main(["closure", "--config", cfg, "--out", str(out)]) == 0
+    res = json.loads((out / "summary.json").read_text())["results"]
+    assert res["seed_ids"][:6] == ["1.0*sx@0*X@2", "1.0*sz@0*X@2", "1.0*sz@0*P@2",
+                                   "1.0*sx@1*X@2", "1.0*sz@1*X@2", "1.0*sz@1*P@2"]
+    assert res["probes"]["sz@0*sz@1"] <= 1e-8
+
+
+@pytest.mark.parametrize("field, text", [("seeds", "sx@0**X@2"), ("probes", "sy@")])
+def test_closure_names_an_unparsable_seed_or_probe(tmp_path, capsys, field, text):
+    cfg = write_config(tmp_path, "closure.json", dict(BUS_CLOSURE, **{field: [text]}))
+    assert main(["closure", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith(f"hybridsim: validation error: {field}: ")
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("include_reset_effectives", "false"), ("include_reset_effectives", 0), ("probes", [5]), ("probes", "sx@0")],
@@ -322,6 +350,66 @@ def test_trotter_scaling_errors_match_the_flat_product(tmp_path, t):
     for e in errors:
         flat = np.linalg.norm(sequence_unitary(trotter(h, t, e["n_steps"]), layout) - exact, 2)
         assert abs(e["error"] - flat) <= 1e-12 * flat
+
+
+def _refuse_replay(monkeypatch):
+    """Make cli.run_sequence raise; return the (dimension, exponent) of each np.linalg.matrix_power call."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run replayed its pulses on the probe")
+
+    monkeypatch.setattr("hybridsim.cli.run_sequence", refuse)
+    powers = []
+    matrix_power = np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power", lambda m, n: powers.append((len(m), n)) or matrix_power(m, n))
+    return powers
+
+
+def _assert_leakage_matches(summary, replayed):
+    if replayed >= 1e-20:
+        assert abs(summary["leakage"] - replayed) <= 1e-9 * replayed
+
+
+@pytest.mark.parametrize("dims, target, angle, blocks", [
+    ([2, 6, 6], "X@1*X@2", 0.35, [4, 16]),
+    ([2, 2, 8], "sy@0*X@2^2", 0.2, [4, 16]),
+    ([2, 2, 8], "sz@0*sz@1", 0.3, [4, 16, 64]),
+])
+def test_synth_reads_its_probe_from_the_plan_unitary(tmp_path, monkeypatch, dims, target, angle, blocks):
+    powers = _refuse_replay(monkeypatch)
+    cfg = write_config(tmp_path, "synth.json", {
+        "experiment": "synth", "layout": ["qubit" if d == 2 else {"kind": "qumode", "cutoff": d} for d in dims],
+        "target": target, "angle": angle, "n_blocks": blocks})
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    # each n_blocks forms its block power on the register once (the rest are local operator powers)
+    assert [n for d, n in powers if d == np.prod(dims)] == blocks
+    monkeypatch.undo()
+
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    layout = new_register([qubit() if d == 2 else qumode(d) for d in dims])
+    reg = standard_registry(layout)
+    plan = synthesize(target, angle, blocks[-1], reg)
+    probe = basis_state(layout, [0] * len(dims))
+    final = run_sequence(plan.sequence, probe, reg.matrices).final_state
+    exact = run_sequence(plan.target_sequence, probe, reg.matrices).final_state
+    assert abs(summary["results"]["probe_state_fidelity"] - exact.fidelity(final)) <= 1e-12
+    _assert_leakage_matches(summary, leakage(final))
+
+
+def test_trotter_scaling_reads_its_probe_from_the_last_step_power(tmp_path, monkeypatch):
+    powers = _refuse_replay(monkeypatch)
+    text, t, steps = "sz@0*X@1+sx@0*X@1+0.3*sz@0*P@1", -0.7, [1, 3, 8, 32]
+    cfg = write_config(tmp_path, "trotter.json", {
+        "experiment": "trotter-scaling", "layout": ["qubit", {"kind": "qumode", "cutoff": 8}],
+        "hamiltonian": text, "t": t, "steps": steps})
+    assert main(["trotter-scaling", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert [n for d, n in powers if d == 16] == steps
+    monkeypatch.undo()
+
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    layout = new_register([qubit(), qumode(8)])
+    final = run_sequence(trotter(parse_hamiltonian(text), t, steps[-1]), basis_state(layout, [0, 0])).final_state
+    assert leakage(final) >= 1e-6
+    _assert_leakage_matches(summary, leakage(final))
 
 
 def test_shot_lines_format_each_shot_as_before():

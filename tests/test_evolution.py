@@ -332,3 +332,13 @@ def test_leakage_examples():
     tail = 1.0 - np.sum(np.abs(amps[:24]) ** 2) / np.sum(np.abs(amps) ** 2)
     assert leakage(state, 0.25) < 1e-6
     assert abs(leakage(state, 0.25) - tail) <= 1e-12
+
+
+def test_leakage_is_the_guard_band_weight_alone():
+    layout = new_register([qumode(32)])
+    short = np.zeros(32, dtype=complex)
+    short[0] = 1.0 - 1e-9  # a norm error, nothing in the guard band
+    assert leakage(StateVector(layout, short)) == 0.0
+    tiny = np.zeros(32, dtype=complex)
+    tiny[0], tiny[30] = 1.0, 1e-10
+    assert abs(leakage(StateVector(layout, tiny)) - 1e-20) <= 1e-32

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hybridsim
+from hybridsim.evolution import LEAKAGE_INVALID
 from hybridsim.hilbert import StateVector, basis_state, new_register, qubit, qumode
 from hybridsim.operators import build, fock_momentum, fock_position, parse_expr
 from hybridsim.spectral import (
@@ -251,6 +252,17 @@ def test_estimate_flags_out_of_range_shift():
     assert not est.valid
     assert est.notes
     assert reliable_shift(16) < 8.0
+
+
+def test_a_small_branch_beyond_the_reliable_range_invalidates_a_run_with_little_leakage():
+    layout = new_register([qubit()])
+    psi = StateVector(layout, np.array([np.sqrt(4e-4), np.sqrt(1.0 - 4e-4)]))
+    spec = PointerSpec(beta=4.0, cutoff=32, t_couple=7.5)  # the eigenvalue-1 branch shifts x by 7.5
+    est = estimate_spectrum(parse_expr("0.5*id@0 + 0.5*sz@0"), psi, spec, 20000, seed=3)
+    assert abs(est.leakage - 3.8e-4) <= 1e-5 and est.leakage < LEAKAGE_INVALID
+    assert est.notes == ("peak beyond the reliable quadrature range |x| <= 7.00; "
+                         "reduce t_couple or enlarge the pointer cutoff",)
+    assert not est.valid
 
 
 def test_robustness_single_branch_preserves_position():

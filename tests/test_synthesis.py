@@ -105,6 +105,12 @@ def test_derive_rule_examples(spin_mode_registry):
         derive_rule(SZX, SZP, term(1.0, (0, "sx")), reg, register=False)
 
 
+def test_derive_rule_rejects_a_candidate_with_a_residual(spin_mode_registry):
+    # i[szP, szX] is the identity: it has a component along id + sx, and a residual as large
+    with pytest.raises(DerivationError, match=r"rejected: residual 1\.000e\+00"):
+        derive_rule(SZP, SZX, parse_expr("id@0 + sx@0"), spin_mode_registry, register=False)
+
+
 def test_derive_rule_two_spin(two_spin_registry):
     rule = two_spin_registry.rule_for("1.0*sz@0*sz@1")
     assert rule is not None

@@ -6,10 +6,12 @@ Imports ``hybridsim`` from ``CHECKOUT/src`` and the experiment lists from
 ``CHECKOUT/bench/workloads.py`` (read, never changed).  It runs every
 experiment of the four benchmark workloads at seeds 5 and 7, and two
 ``qft-demo`` configs, in this process and in a temporary directory.  For each
-experiment it prints one line: the label, the CLI exit code, and the sha256
-of ``samples.csv``, of ``curve.dat`` and of ``summary.json`` with
-``wall_time_s`` removed.  Two checkouts write the same outputs when
-``diff`` of their listings is empty.  BLAS runs on one thread unless the
+experiment it prints one line: the label, the CLI exit code, the sha256
+of the ``#`` header lines and of the data rows of ``samples.csv`` and of
+``curve.dat`` (``h:`` and ``d:`` digests, in that order), and the sha256 of
+``summary.json`` with ``wall_time_s`` removed.  A header line carries the
+run's leakage, so a move there shows apart from the data.  Two checkouts
+write the same outputs when ``diff`` of their listings is empty.  BLAS runs on one thread unless the
 environment already sets ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS``.
 """
 
@@ -32,8 +34,14 @@ def _sha256(data: bytes) -> str:
 
 
 def _digests(out: Path) -> str:
-    files = [_sha256((out / name).read_bytes()) if (out / name).exists() else "-"
-             for name in ("samples.csv", "curve.dat")]
+    files = []
+    for name in ("samples.csv", "curve.dat"):
+        if not (out / name).exists():
+            files += ["h:-", "d:-"]
+            continue
+        lines = (out / name).read_bytes().splitlines(keepends=True)
+        for tag, header in (("h", True), ("d", False)):
+            files.append(f"{tag}:" + _sha256(b"".join(ln for ln in lines if ln.startswith(b"#") == header)))
     summary = out / "summary.json"
     if summary.exists():
         doc = json.loads(summary.read_text())
