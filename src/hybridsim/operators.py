@@ -20,6 +20,9 @@ which `symbol_commutator` forms i[A, B] with no truncation corner.  One
 realizer, `realize`, turns a symbol into its dense matrix on the truncated
 space or into only its block on leading levels (the closure's interior); `build`
 is `realize` of an expression's symbol, and `commutator` is the one dense one.
+`product_coordinates` reads symbols on leading levels in a factored form: real
+coordinates over products of per-subsystem orthonormal bases, whose dot
+products are those of the realized blocks.
 """
 
 from __future__ import annotations
@@ -291,21 +294,25 @@ def _monomial_matrix(a: int, b: int, cutoff: int) -> np.ndarray:
     return sum(math.comb(a, k) * power(x, a - k) @ p @ power(x, k) for k in range(a + 1)) / 2**a
 
 
+def local_factor(f: str | tuple[int, int] | None, dim: int) -> np.ndarray:
+    """The matrix of one subsystem's factor of a symbol key on ``dim`` levels: the identity for
+    None, the Pauli of a letter, or the mode monomial x^a p^b of (a, b) (`_monomial_matrix`)."""
+    return np.eye(dim) if f is None else pauli(f) if isinstance(f, str) else _monomial_matrix(*f, dim)
+
+
 def realize(symbol: Symbol, layout: RegisterLayout, levels: tuple[int, ...] | None = None) -> np.ndarray:
     """The dense matrix of a symbol on the layout's truncated space: each term is the Kronecker
-    product over subsystems of its Pauli, its mode monomial (`_monomial_matrix`) or the identity.
-    A monomial of total degree n is exact on Fock levels below cutoff - n.  ``levels`` (one count
-    per subsystem) forms only the block on each subsystem's leading levels: each factor is sliced
-    before the Kronecker product, so the block is bit-identical to that slice of the full matrix."""
+    product over subsystems of its `local_factor`s.  A monomial of total degree n is exact on
+    Fock levels below cutoff - n.  ``levels`` (one count per subsystem) forms only the block on
+    each subsystem's leading levels: each factor is sliced before the Kronecker product, so the
+    block is bit-identical to that slice of the full matrix."""
     levels = layout.dims if levels is None else levels
     out = np.zeros((math.prod(levels),) * 2, dtype=complex)
     for key, c in symbol.items():
         factors = dict(key)
         mat = np.ones((1, 1), dtype=complex)
         for idx, (dim, n) in enumerate(zip(layout.dims, levels)):
-            f = factors.get(idx)
-            local = np.eye(dim) if f is None else pauli(f) if isinstance(f, str) else _monomial_matrix(*f, dim)
-            mat = np.kron(mat, local[:n, :n])
+            mat = np.kron(mat, local_factor(factors.get(idx), dim)[:n, :n])
         mat *= c
         out += mat
     return out
@@ -314,6 +321,109 @@ def realize(symbol: Symbol, layout: RegisterLayout, levels: tuple[int, ...] | No
 def build(expr: HamiltonianExpr, layout: RegisterLayout) -> np.ndarray:
     """Realize an expression as a dense Hermitian matrix on the layout."""
     return realize(weyl_symbol(expr, layout), layout)
+
+
+# ---------------------------------------------------------------------------
+# product coordinates of blocks on leading levels
+#
+# A symbol key's block on leading levels is a Kronecker product of its sliced local
+# factors, so symbols that use few distinct factors per subsystem live in the span of
+# products of short per-subsystem orthonormal bases of Hermitian matrices.  Their
+# coordinates there are real, and their dot products are the Hilbert-Schmidt inner
+# products of the blocks.
+
+
+def packed(block: np.ndarray, upper: np.ndarray | None = None) -> np.ndarray:
+    """Packed real coordinates of a Hermitian m×m block: the m diagonal entries, then √2·Re
+    and √2·Im of the strict upper triangle (``upper``, its boolean mask, from a caller that
+    packs many blocks), m² reals whose dot product is the Hilbert-Schmidt inner product of
+    two such blocks.  Only the upper triangle is read, so the block must be Hermitian."""
+    off = block[np.triu(np.ones(block.shape, dtype=bool), 1) if upper is None else upper]
+    return np.concatenate([block.diagonal().real, np.sqrt(2.0) * off.real, np.sqrt(2.0) * off.imag])
+
+
+def _hermitian(vec: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The Hermitian block of packed coordinates, `packed`'s inverse."""
+    n, k = len(upper), int(upper.sum())
+    block = np.zeros(upper.shape, dtype=complex)
+    block[upper] = (vec[n:n + k] + 1j * vec[n + k:]) / np.sqrt(2.0)
+    block += block.conj().T
+    block[np.diag_indices(n)] = vec[:n]
+    return block
+
+
+def product_block(coords: np.ndarray, local_bases: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The m×m block Σ_α coords[α] ⊗ᵢ local_bases[i][αᵢ] of product coordinates."""
+    t = coords.reshape([len(e) for e in local_bases])
+    for e in local_bases:  # each contraction appends one subsystem's (row, column) axes
+        t = np.tensordot(t, e, axes=([0], [0]))
+    n = len(local_bases)
+    m = math.prod(e.shape[1] for e in local_bases)
+    return t.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(m, m)
+
+
+def block_coordinates(block: np.ndarray, local_bases: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Product coordinates of a Hermitian m×m block's projection on the span of the products:
+    its Hilbert-Schmidt inner product with each, ⟨⊗ᵢ eᵢ, block⟩ = Σ block[j, k] Πᵢ conj(eᵢ[jᵢ, kᵢ])."""
+    n = len(local_bases)
+    t = block.reshape([e.shape[1] for e in local_bases] * 2)
+    for i, e in enumerate(local_bases):  # contracts subsystem i's (row, column) axes, appends its α axis
+        t = np.tensordot(t, e.conj(), axes=([0, n - i], [1, 2]))
+    return t.real.ravel()
+
+
+def _orthonormal_factors(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal rows spanning the rows of ``vecs``, and each row's coordinates in them.
+
+    Each row is scaled to unit norm before the QR, so that it keeps its own relative precision,
+    and the coordinates are R's columns times the norms.  Rows whose supports connect form one
+    block, orthonormalized by its own QR on its own support: the zeros a factor has by parity
+    and reality stay exact, so a product block in the span of others leaves a residual of
+    rounding squared against them, not a rounding leak from a reflector across blocks."""
+    support = vecs != 0
+    reach = support @ support.T
+    while not np.array_equal(grown := reach @ reach, reach):
+        reach = grown
+    norms = np.linalg.norm(vecs, axis=1)
+    rows, coords = [np.zeros((0, vecs.shape[1]))], [np.zeros((0, len(vecs)))]
+    # one QR per component, from its first row; a factor that vanishes there reaches no row
+    for first in [i for i in range(len(vecs)) if reach[i, i] and not reach[i, :i].any()]:
+        members, cols = reach[first], support[reach[first]].any(axis=0)
+        q, r = np.linalg.qr((vecs[members][:, cols] / norms[members, None]).T)
+        rows.append(np.zeros((q.shape[1], vecs.shape[1])))
+        rows[-1][:, cols] = q.T
+        coords.append(np.zeros((len(r), len(vecs))))
+        coords[-1][:, members] = r * norms[members]
+    return np.concatenate(rows), np.concatenate(coords)
+
+
+def product_coordinates(symbols: list[Symbol], layout: RegisterLayout,
+                        levels: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Local bases on each subsystem's ``levels`` leading levels, and the product coordinates
+    of each symbol's block there.
+
+    ``local_bases[i]`` (complex, r_i×n_i×n_i) orthonormally spans the distinct factors the
+    symbols use on subsystem i (`local_factor`, sliced), found once from their packed
+    coordinates (`_orthonormal_factors`).  A symbol's coordinates are Σ_key c ⊗ᵢ (local
+    coordinates of the key's factor on i), Π r_i reals, formed for all symbols at once by
+    contracting a (symbol, factor on 0, factor on 1, ...) coefficient table with each
+    subsystem's factor coordinates."""
+    used = [list(dict.fromkeys(dict(key).get(idx) for symbol in symbols for key in symbol))
+            for idx in range(len(levels))]
+    table = np.zeros([len(symbols)] + [len(u) for u in used])
+    index = [{f: j for j, f in enumerate(u)} for u in used]
+    for k, symbol in enumerate(symbols):
+        for key, c in symbol.items():
+            factors = dict(key)
+            table[(k, *(ix[factors.get(idx)] for idx, ix in enumerate(index)))] = c
+    bases = []
+    for factors, dim, n in zip(used, layout.dims, levels):
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        vecs = np.array([packed(local_factor(f, dim)[:n, :n], upper) for f in factors]).reshape(-1, n * n)
+        rows, coords = _orthonormal_factors(vecs)
+        bases.append(np.array([_hermitian(row, upper) for row in rows]).reshape(-1, n, n))
+        table = np.tensordot(table, coords, axes=([1], [1]))  # factor axis -> coordinate axis, at the end
+    return tuple(bases), table.reshape(len(symbols), math.prod(len(e) for e in bases))
 
 
 # ---------------------------------------------------------------------------

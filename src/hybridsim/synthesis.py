@@ -15,10 +15,12 @@ check them against the dense interior block.
 
 The closure runs in the same exact algebra: its directions are Weyl
 symbols, found and orthogonalized with no matrix, so their count and order
-do not depend on the cutoff.  Only its report is dense: each direction's
+do not depend on the cutoff.  Its report reads each direction on the
 guard-banded interior block (truncation corrupts the top Fock corner by
-construction) is realized alone, once, and membership is measured as real
-dot products of the block's packed coordinates.  Synthesis *error*, in
+construction), in product coordinates: each key's block is a Kronecker
+product of local factors, so a direction is a short real vector over
+products of per-subsystem orthonormal bases, and membership is measured as
+dot products there.  Synthesis *error*, in
 contrast, is measured with the plain spectral norm on the whole truncated
 space: it quantifies what the compiled sequence does in this simulator.
 A plan is one block and a repeat count, so its unitary is the block's
@@ -38,7 +40,8 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -48,11 +51,15 @@ from .operators import (
     HamiltonianExpr,
     HamiltonianTerm,
     Symbol,
+    block_coordinates,
     build,
     commutator,
     generator_id,
+    packed,
     parse_expr,
     primitive_set,
+    product_block,
+    product_coordinates,
     realize,
     symbol_commutator,
     term,
@@ -63,9 +70,13 @@ RULE_RESIDUAL_TOL = 1e-8
 
 # A closure candidate whose novel component is below this fraction of its norm is
 # already in the closure: in the search, of its symbol's coefficient vector; in the
-# report, of its realized interior block.  Measured, dependent candidates leave at
-# most 9e-17 (search) and 3e-14 (report); genuine ones at least 1e-4 and 2e-7, the
-# latter when degree-6 entries dominate a cutoff-64 interior's norm.
+# report, of its interior block's product coordinates.  Measured, dependent candidates
+# leave at most 9e-17 in the search and genuine ones at least 1e-4.  In the report,
+# dependent blocks leave rounding (at most 2.4e-16 at cutoffs 8 and 10) and genuine ones
+# at least 2e-7 (degree-6 entries dominating a cutoff-64 interior's norm) while the
+# monomials fit inside the cutoff.  Directions whose monomials exceed it can leave
+# residuals in between (3e-13 to 6e-10 at degree cap 6 on a cutoff-16 mode), where the
+# threshold, not the algebra, decides.
 NEW_DIRECTION_TOL = 1e-10
 
 
@@ -489,58 +500,76 @@ def oscillator_drive(
 class ClosureDirection:
     """One direction of the generated algebra, found as an exact Weyl symbol.
 
-    ``vector`` is its row of the report's basis (the packed coordinates of its
-    m×m interior block, realized alone and orthonormalized against the earlier
-    rows), or None when that block depends on them within NEW_DIRECTION_TOL.
+    ``row`` is its row of the report's ``coordinates`` (its m×m interior block in product
+    coordinates, orthonormalized against the earlier rows), or None when that block depends on
+    them within NEW_DIRECTION_TOL.  ``vector`` is the same row of the report's packed ``basis``.
     """
 
-    vector: np.ndarray | None
     degree: int
     source: str
+    row: int | None = None
+    report: ClosureReport | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def vector(self) -> np.ndarray | None:
+        return None if self.row is None else self.report.basis[self.row]
 
 
 @dataclass(frozen=True)
 class ClosureReport:
-    """The directions found in the exact algebra; ``basis`` (float64, m² columns for an
-    m×m interior block) holds the orthonormal row of each direction with a ``vector``."""
+    """The directions found in the exact algebra, and their interior blocks in product
+    coordinates (`operators.product_coordinates`): ``local_bases``, one per subsystem, and
+    ``coordinates``, the orthonormal row of each direction with a ``row``.  ``basis`` (float64,
+    m² columns) is the same rows as packed coordinates of m×m blocks, formed on first read only."""
 
     layout: RegisterLayout
     guard: float
     seed_ids: tuple[str, ...]
     directions: tuple[ClosureDirection, ...]
-    basis: np.ndarray
+    local_bases: tuple[np.ndarray, ...]
+    coordinates: np.ndarray
     depth_reached: int
     notes: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "directions", tuple(replace(d, report=self) for d in self.directions))
 
     @property
     def directions_per_degree(self) -> dict[int, int]:
         """How many directions the search found at each degree, with or without a basis row."""
         return dict(Counter(d.degree for d in self.directions))
 
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The rows of ``coordinates`` as packed real coordinates of m×m interior blocks."""
+        m = math.prod(e.shape[1] for e in self.local_bases)
+        upper = np.triu(np.ones((m, m), dtype=bool), 1)
+        out = np.empty((len(self.coordinates), m * m))
+        for k, coords in enumerate(self.coordinates):
+            out[k] = packed(product_block(coords, self.local_bases), upper)
+        return out
+
     def membership(self, query: HamiltonianExpr | np.ndarray) -> float:
-        """Relative interior-block residual of a Hermitian direction against the basis; an
-        expression's interior block is realized directly, a matrix's compressed to it."""
+        """Relative interior-block residual of a Hermitian direction against the rows.
+
+        An expression's interior block is realized directly, a matrix's compressed to it.  With
+        q that block at unit norm and c its product coordinates, the residual is
+        hypot(‖q − block(c)‖, residual of c against ``coordinates``): the part outside the
+        products of the local bases and the part inside them, each formed as a difference."""
         layout = self.layout
         if not isinstance(query, np.ndarray):
-            vec = _packed(realize(weyl_symbol(query, layout), layout, interior_levels(layout, self.guard)))
+            block = realize(weyl_symbol(query, layout), layout, interior_levels(layout, self.guard))
         elif np.max(np.abs(query - query.conj().T)) > HERMITICITY_TOL:
             raise SynthesisError(f"query is not Hermitian within {HERMITICITY_TOL:g}")
         else:
-            vec = _packed(compress_to_interior(query, layout, self.guard))
-        norm = np.linalg.norm(vec)
+            block = compress_to_interior(query, layout, self.guard)
+        norm = np.linalg.norm(block)
         if norm == 0.0:
             raise SynthesisError("query direction vanishes on the interior block")
-        _, residual = _orthonormal_residual(vec / norm, self.basis)
-        return residual
-
-
-def _packed(block: np.ndarray, upper: np.ndarray | None = None) -> np.ndarray:
-    """Packed real coordinates of a Hermitian m×m block: the m diagonal entries, then √2·Re
-    and √2·Im of the strict upper triangle (``upper``, its boolean mask, from a caller that
-    packs many blocks), m² reals whose dot product is the Hilbert-Schmidt inner product of
-    two such blocks.  Only the upper triangle is read, so the block must be Hermitian."""
-    off = block[np.triu(np.ones(block.shape, dtype=bool), 1) if upper is None else upper]
-    return np.concatenate([block.diagonal().real, np.sqrt(2.0) * off.real, np.sqrt(2.0) * off.imag])
+        block = block / norm
+        coords = block_coordinates(block, self.local_bases)
+        _, inside = _orthonormal_residual(coords, self.coordinates)
+        return math.hypot(float(np.linalg.norm(block - product_block(coords, self.local_bases))), inside)
 
 
 def _orthonormal_residual(vec: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
@@ -574,10 +603,13 @@ def close_algebra(
     The search never touches a matrix: each direction is a Weyl symbol, each
     candidate the `symbol_commutator` of two unit-norm directions, and the
     Gram-Schmidt runs on symbol coefficient vectors, so the directions, their
-    count and their order do not depend on the cutoff.  Only the report is
-    dense: each accepted direction's m×m interior block alone is realized once
-    (`operators.realize` on `hilbert.interior_levels`) and orthonormalized into
-    ``basis``.  A block dependent on the earlier ones gets ``vector=None`` and a note.
+    count and their order do not depend on the cutoff.  The report reads each
+    direction's m×m interior block in product coordinates (`operators.product_coordinates`) and
+    orthonormalizes those into ``coordinates``; a block dependent on the earlier
+    ones gets no row and a note.  Each block is also realized once, alone
+    (`operators.realize` on `hilbert.interior_levels`), and its norm must equal
+    its coordinates' within 1e-12 relative, which ties the product coordinates to
+    the one dense realizer; SynthesisError otherwise.
     """
     layout, guard = registry.layout, registry.guard
     notes: list[str] = []
@@ -595,7 +627,9 @@ def close_algebra(
 
     columns: dict[tuple, int] = {}  # symbol key -> coefficient-vector coordinate
     found: list[tuple[Symbol, int, str]] = []  # unit-norm symbol, degree, source
-    span = np.empty((0, 0))  # orthonormal rows spanning the found symbols
+    # orthonormal rows spanning the found symbols: the leading len(found) rows and
+    # len(columns) columns, the rest zero; its capacity doubles when either runs out
+    span = np.zeros((16, 64))
 
     def try_add(symbol: Symbol, degree: int, source: str) -> None:
         nonlocal span
@@ -606,11 +640,14 @@ def close_algebra(
         norm = np.linalg.norm(coords)
         if norm < 1e-12:
             return
-        span = np.pad(span, ((0, 0), (0, len(columns) - span.shape[1])))
-        vec, resid = _orthonormal_residual(coords / norm, span)
+        if len(columns) > span.shape[1]:
+            span = np.pad(span, ((0, 0), (0, max(len(columns), 2 * span.shape[1]) - span.shape[1])))
+        vec, resid = _orthonormal_residual(coords / norm, span[:len(found), :len(columns)])
         if resid <= NEW_DIRECTION_TOL:
             return
-        span = np.concatenate([span, vec[None] / resid])
+        if len(found) == len(span):
+            span = np.pad(span, ((0, len(span)), (0, 0)))
+        span[len(found), :len(columns)] = vec / resid
         found.append(({key: c / norm for key, c in symbol.items()}, degree, source))
 
     for gid, expr in seeds:
@@ -628,29 +665,33 @@ def close_algebra(
             try_add(symbol_commutator(found[i][0], found[j][0]), degree, f"i[{i},{j}]")
 
     levels = interior_levels(layout, guard)
-    upper = np.triu(np.ones((math.prod(levels),) * 2, dtype=bool), 1)
-    basis = np.empty((len(found), upper.size))
+    local_bases, all_coords = product_coordinates([symbol for symbol, _, _ in found], layout, levels)
+    rows = np.empty_like(all_coords)
     directions = []
-    rows = 0
-    for k, (symbol, degree, source) in enumerate(found):
-        coords = _packed(realize(symbol, layout, levels), upper)
+    n_rows = 0
+    for k, ((symbol, degree, source), coords) in enumerate(zip(found, all_coords)):
         norm = np.linalg.norm(coords)
-        vec, resid = _orthonormal_residual(coords / norm, basis[:rows]) if norm >= 1e-12 else (None, 0.0)
+        realized = np.linalg.norm(realize(symbol, layout, levels))
+        if abs(realized - norm) > 1e-12 * realized:
+            raise SynthesisError(f"direction {k} ({source}): realized interior norm {realized:.17g} "
+                                 f"differs from its product coordinates' {norm:.17g}")
+        vec, resid = _orthonormal_residual(coords / norm, rows[:n_rows]) if norm >= 1e-12 else (None, 0.0)
         if resid <= NEW_DIRECTION_TOL:
             notes.append(f"direction {k} ({source}) depends on the earlier ones on the interior block "
                          f"(residual {resid:.1e}): no basis row")
-            directions.append(ClosureDirection(None, degree, source))
+            directions.append(ClosureDirection(degree, source))
             continue
-        basis[rows] = vec / resid
-        directions.append(ClosureDirection(basis[rows], degree, source))
-        rows += 1
+        rows[n_rows] = vec / resid
+        directions.append(ClosureDirection(degree, source, n_rows))
+        n_rows += 1
 
     return ClosureReport(
         layout=layout,
         guard=guard,
         seed_ids=tuple(s[0] for s in seeds),
         directions=tuple(directions),
-        basis=basis[:rows],
+        local_bases=local_bases,
+        coordinates=rows[:n_rows],
         depth_reached=max((d.degree for d in directions), default=1),
         notes=tuple(notes),
     )

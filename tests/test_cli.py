@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from hybridsim import synthesis
 from hybridsim.cli import main, parse_hamiltonian
 from hybridsim.evolution import expm_unitary, leakage, run_sequence, sequence_unitary, trotter
 from hybridsim.hilbert import basis_state, new_register, qubit, qumode
@@ -204,6 +205,17 @@ def test_closure_run_with_explicit_seeds(tmp_path):
     assert res["seed_ids"][:6] == ["1.0*sx@0*X@2", "1.0*sz@0*X@2", "1.0*sz@0*P@2",
                                    "1.0*sx@1*X@2", "1.0*sz@1*X@2", "1.0*sz@1*P@2"]
     assert res["probes"]["sz@0*sz@1"] <= 1e-8
+
+
+def test_closure_run_never_forms_the_packed_basis(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a closure run formed the packed m² basis")
+
+    monkeypatch.setattr(synthesis.ClosureReport, "basis", property(refuse))
+    cfg = write_config(tmp_path, "closure.json", BUS_CLOSURE)
+    out = tmp_path / "closure"
+    assert main(["closure", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["results"]["probes"]["sz@0*sz@1"] <= 1e-8
 
 
 @pytest.mark.parametrize("field, text", [("seeds", "sx@0**X@2"), ("probes", "sy@")])

@@ -1,16 +1,21 @@
 import dataclasses
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridsim.evolution import Generators, PulseSequence, expm_unitary, run_sequence, sequence_unitary
 from hybridsim.hilbert import (
+    DEFAULT_GUARD,
     StateVector,
     basis_state,
     compress_to_interior,
     embed,
+    interior_levels,
     interior_mask,
     new_register,
     qubit,
@@ -282,6 +287,15 @@ def test_closure_single_seed(spin_mode_registry):
     assert rep.depth_reached == 1
 
 
+def test_closure_of_a_vanishing_seed_is_empty():
+    reg = SynthesisRegistry(new_register([qubit(), qumode(8)]))
+    rep = close_algebra([reg.register(parse_expr("X@1 - X@1"), drivable=True, origin="primitive")],
+                        max_new=5, degree_cap=3, registry=reg)
+    assert rep.directions == ()
+    assert rep.basis.shape == (0, 144)
+    assert abs(rep.membership(parse_expr("sx@0")) - 1.0) <= 1e-15
+
+
 def test_closure_reaches_the_derivation_chain(spin_mode_registry):
     reg = spin_mode_registry
     seeds = [g.generator_id for g in primitive_set(reg.layout, 0, 1).members]
@@ -497,6 +511,81 @@ def test_closure_report_and_membership_realize_only_the_interior(monkeypatch):
     assert rep.membership(parse_expr("sy@0*X@1^2")) <= 1e-8
     assert len(shapes) == len(rep.directions) + 1
     assert set(shapes) == {(18, 18)}
+
+
+@st.composite
+def _product_coordinate_cases(draw):
+    """Two to four real symbols of one to three terms, each term a Pauli or a mixed x^a p^b (or
+    nothing) per subsystem, on a layout of one to three subsystems."""
+    dims = draw(st.sampled_from(((9,), (2, 11), (2, 2, 8), (2, 7, 6), (5, 2, 4))))
+    symbols = []
+    for _ in range(draw(st.integers(2, 4))):
+        symbol = {}
+        for _ in range(draw(st.integers(1, 3))):
+            key = []
+            for idx, dim in enumerate(dims):
+                if dim == 2:
+                    f = draw(st.sampled_from((None, "x", "y", "z")))
+                else:
+                    f = draw(st.sampled_from((None, (draw(st.integers(0, 3)), draw(st.integers(0, 3))))))
+                if f is not None and f != (0, 0):
+                    key.append((idx, f))
+            symbol[tuple(key)] = draw(st.sampled_from((0.5, -1.0, 1.5, -2.25)))
+        symbols.append(symbol)
+    return dims, symbols
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(case=_product_coordinate_cases())
+def test_product_coordinates_are_an_isometry_of_the_interior_blocks(case):
+    dims, symbols = case
+    layout = new_register([qubit() if d == 2 else qumode(d) for d in dims])
+    levels = interior_levels(layout)
+    local_bases, coords = operators.product_coordinates(symbols, layout, levels)
+    packed = np.array([operators.packed(operators.realize(s, layout, levels)) for s in symbols])
+    norms = np.linalg.norm(packed, axis=1)
+    assert np.all(np.abs(coords @ coords.T - packed @ packed.T) <= 1e-12 * np.outer(norms, norms))
+
+    # a report whose rows span the symbols: any combination of them is a member
+    rows = np.linalg.qr(coords.T)[0].T
+    rep = synthesis.ClosureReport(layout, DEFAULT_GUARD, (), (), local_bases, rows, 1)
+    combined = {}
+    for w, symbol in zip((1.0, -0.75, 0.5, 1.25), symbols):
+        for key, c in symbol.items():
+            combined[key] = combined.get(key, 0.0) + w * c
+    assert rep.membership(operators.realize(combined, layout)) <= 1e-14
+
+
+def test_closure_report_stays_inside_a_byte_budget_that_packed_rows_exceed():
+    # interior 2 x 18 x 18 levels: m = 648, so one packed m² row is 3.4 MB and the 50
+    # directions' rows alone would take 168 MB; the closure and three queries stay under 32 MB
+    budget = 32e6
+    layout = new_register([qubit(), qumode(24), qumode(24)])
+    reg = SynthesisRegistry(layout)
+    seeds = [reg.register(g.expr, drivable=True, origin="primitive")
+             for mode in (1, 2) for g in primitive_set(layout, 0, mode).members]
+    tracemalloc.start()
+    try:
+        rep = close_algebra(seeds, max_new=40, degree_cap=4, registry=reg)
+        residuals = [rep.membership(parse_expr(p)) for p in ("sy@0*X@1^2", "X@1*X@2", "sx@0")]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.directions) == 50
+    assert len(rep.directions) * (2 * 18 * 18) ** 2 * 8 > 5 * budget
+    assert peak < budget
+    assert "basis" not in rep.__dict__
+    assert max(residuals) <= 1e-14
+
+
+def test_closure_report_checks_its_product_coordinates_against_the_realized_block(monkeypatch):
+    layout = new_register([qubit(), qumode(8)])
+    reg = SynthesisRegistry(layout)
+    seeds = [reg.register(g.expr, drivable=True, origin="primitive") for g in primitive_set(layout, 0, 1).members]
+    realize = operators.realize
+    monkeypatch.setattr(synthesis, "realize", lambda *args: realize(*args) * (1.0 + 1e-11))
+    with pytest.raises(SynthesisError, match="differs from its product coordinates"):
+        close_algebra(seeds, max_new=5, degree_cap=2, registry=reg)
 
 
 def test_serialization_documents():
