@@ -47,7 +47,18 @@ from .evolution import (
     trotter,
 )
 from .hilbert import DEFAULT_GUARD, HilbertError, RegisterLayout, StateVector, basis_state, new_register, qubit, qumode
-from .operators import ExprSyntaxError, HamiltonianExpr, OperatorError, build, parse_expr, primitive_set, term
+from .operators import (
+    ExprSyntaxError,
+    HamiltonianExpr,
+    OperatorError,
+    build,
+    parity_sectors,
+    parse_expr,
+    primitive_set,
+    sector_norm,
+    term,
+    weyl_symbol,
+)
 from .spectral import (
     PointerSpec,
     SpectralError,
@@ -449,11 +460,12 @@ def _run_trotter_scaling(cfg: ExperimentConfig):
     steps = _int_list(cfg, "steps", minimum=1)
     exact = expm_unitary(build(h, layout), t)
     generators = Generators(layout)
+    sectors = parity_sectors(weyl_symbol(h, layout), layout)
     rows = []
     for n in steps:
         # one step of trotter(h, t, n) is trotter(h, t / n, 1) bit for bit (abs(t / n) == abs(t) / n)
         power = np.linalg.matrix_power(sequence_unitary(trotter(h, t / n, 1), layout, generators), n)
-        rows.append((n, float(np.linalg.norm(power - exact, 2))))
+        rows.append((n, sector_norm(power - exact, sectors)))
     # the probe |0...0> is flat index 0: its final state is column 0 of the last step power
     leak = state_leakage(StateVector(layout, power[:, 0]), _number(cfg, "guard", default=DEFAULT_GUARD))
     results = {"t": t, "errors": [{"n_steps": n, "error": e} for n, e in rows]}

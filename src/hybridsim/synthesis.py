@@ -21,8 +21,10 @@ construction), in product coordinates: each key's block is a Kronecker
 product of local factors, so a direction is a short real vector over
 products of per-subsystem orthonormal bases, and membership is measured as
 dot products there.  Synthesis *error*, in
-contrast, is measured with the plain spectral norm on the whole truncated
-space: it quantifies what the compiled sequence does in this simulator.
+contrast, is the spectral norm on the whole truncated space: it quantifies
+what the compiled sequence does in this simulator.  It is taken per parity
+sector of the plan's generators (`operators.parity_sectors`), as the largest
+of the diagonal blocks' norms, which is the same value up to rounding.
 A plan is one block and a repeat count, so its unitary is the block's
 unitary raised to the n-th power by repeated squaring, at a cost that
 grows like log n; a run reads its error and its probe states from that
@@ -56,11 +58,14 @@ from .operators import (
     commutator,
     generator_id,
     packed,
+    parity_sectors,
     parse_expr,
     primitive_set,
     product_block,
     product_coordinates,
     realize,
+    sector_blocks,
+    sector_norm,
     symbol_commutator,
     term,
     weyl_symbol,
@@ -149,7 +154,8 @@ class SynthesisRegistry:
     so ids are stable, serializable, and parse back to the same expression;
     the registry stores expressions, never dense matrices.  ``matrix(gid)``
     builds one on demand for its one dense user, the third-order error
-    prediction (rules and the closure read expressions); pulses
+    prediction, which reads it block by block over the parity sectors of
+    its generator pair (rules and the closure read expressions); pulses
     run through ``matrices``, the registry's ``Generators`` table, which
     factors each id's expression.  One table maps a target id to its rule:
     a derived direction's own rule, or for a reset alias the sz(x)target
@@ -182,12 +188,19 @@ class SynthesisRegistry:
         return build(self.record(gid).expr, self.layout)
 
     def third_order_scale(self, a_id: str, b_id: str) -> float:
-        """0.5 (||[A, i[A,B]]|| + ||[B, i[A,B]]||), computed once per ordered pair (A, B)."""
+        """0.5 (||[A, i[A,B]]|| + ||[B, i[A,B]]||), computed once per ordered pair (A, B).
+
+        A and B are sliced to the parity sectors of their keys (`operators.sector_blocks`)
+        before the commutators, and each norm is the largest over the sectors: that of the
+        exactly Hermitian i[A_s, C_s] is its largest |eigenvalue|."""
         if (a_id, b_id) not in self._third_order:
-            a, b = self.matrix(a_id), self.matrix(b_id)
-            c = 1j * commutator(a, b)  # Hermitian, as commutator requires; same norms as [A, B]
-            self._third_order[(a_id, b_id)] = float(
-                0.5 * (np.linalg.norm(commutator(a, c), 2) + np.linalg.norm(commutator(b, c), 2)))
+            keys = [key for gid in (a_id, b_id) for key in weyl_symbol(self.record(gid).expr, self.layout)]
+            sectors = parity_sectors(keys, self.layout)
+            norms = []
+            for a, b in zip(*(sector_blocks(self.matrix(gid), sectors) for gid in (a_id, b_id))):
+                c = 1j * commutator(a, b)  # Hermitian, as commutator requires; same norms as [A, B]
+                norms.append([np.abs(np.linalg.eigvalsh(1j * commutator(x, c))).max() for x in (a, b)])
+            self._third_order[(a_id, b_id)] = float(0.5 * np.max(norms, axis=0).sum())
         return self._third_order[(a_id, b_id)]
 
     @property
@@ -352,13 +365,16 @@ def plan_unitaries(plan: SynthPlan, registry: SynthesisRegistry) -> tuple[np.nda
 
 
 def plan_error(plan: SynthPlan, unitaries: tuple[np.ndarray, np.ndarray], layout: RegisterLayout) -> float:
-    """Spectral-norm distance of a plan's (compiled, target) unitaries; for a reset plan, on
-    the block where its held spin is |0>, sliced from each matrix by a tensor reshape."""
+    """Spectral-norm distance of a plan's (compiled, target) unitaries, taken per parity sector
+    of its pulse generators and target (`operators.sector_norm`); for a reset plan, on the
+    indices where its held spin is |0>, and the sectors within them."""
+    pulses = plan.block.pulses + plan.target_sequence.pulses
+    sectors = parity_sectors([key for p in pulses for key in weyl_symbol(parse_expr(p.generator_id), layout)], layout)
     if plan.reset_spin_required is not None:
-        lead, half = math.prod(layout.dims[:plan.reset_spin_required]), layout.total_dim // 2
-        unitaries = [u.reshape((lead, 2, half // lead) * 2)[:, 0, :, :, 0, :].reshape(half, half) for u in unitaries]
+        stride = math.prod(layout.dims[plan.reset_spin_required + 1:])
+        sectors = [held for s in sectors if len(held := s[s // stride % 2 == 0])]
     u, u_target = unitaries
-    return float(np.linalg.norm(u - u_target, 2))
+    return sector_norm(u - u_target, sectors)
 
 
 def measure_plan_error(plan: SynthPlan, registry: SynthesisRegistry) -> float:
@@ -572,9 +588,9 @@ class ClosureReport:
         return math.hypot(float(np.linalg.norm(block - product_block(coords, self.local_bases))), inside)
 
 
-def _orthonormal_residual(vec: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
-    """vec minus its projection on the orthonormal rows of basis (two passes)."""
-    for _ in range(2):
+def _orthonormal_residual(vec: np.ndarray, basis: np.ndarray, passes: int = 2) -> tuple[np.ndarray, float]:
+    """vec minus its projection on the orthonormal rows of basis (``passes`` projections)."""
+    for _ in range(passes):
         vec = vec - (basis @ vec) @ basis
     return vec, float(np.linalg.norm(vec))
 
@@ -642,7 +658,10 @@ def close_algebra(
             return
         if len(columns) > span.shape[1]:
             span = np.pad(span, ((0, 0), (0, max(len(columns), 2 * span.shape[1]) - span.shape[1])))
-        vec, resid = _orthonormal_residual(coords / norm, span[:len(found), :len(columns)])
+        basis = span[:len(found), :len(columns)]
+        vec, resid = _orthonormal_residual(coords / norm, basis, passes=1)
+        if resid > NEW_DIRECTION_TOL:  # else rejected at once: a second pass only shrinks it
+            vec, resid = _orthonormal_residual(vec, basis, passes=1)
         if resid <= NEW_DIRECTION_TOL:
             return
         if len(found) == len(span):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from hybridsim import synthesis
+from hybridsim import cli, operators, synthesis
 from hybridsim.cli import main, parse_hamiltonian
 from hybridsim.evolution import expm_unitary, leakage, run_sequence, sequence_unitary, trotter
 from hybridsim.hilbert import basis_state, new_register, qubit, qumode
@@ -362,6 +362,54 @@ def test_trotter_scaling_errors_match_the_flat_product(tmp_path, t):
     for e in errors:
         flat = np.linalg.norm(sequence_unitary(trotter(h, t, e["n_steps"]), layout) - exact, 2)
         assert abs(e["error"] - flat) <= 1e-12 * flat
+
+
+def test_trotter_scaling_errors_match_the_dense_norm(tmp_path):
+    dims, text, t, steps = [2, 2, 32], "0.9*sz@0*X@2 + 1.1*sx@0*X@2 + 0.5*sz@1*P@2", 0.5, [4, 8, 16, 32, 64]
+    layout = new_register([qubit() if d == 2 else qumode(d) for d in dims])
+    cfg = write_config(tmp_path, "trotter.json", {"experiment": "trotter-scaling", "layout": _layout_json(dims),
+                                                   "hamiltonian": text, "t": t, "steps": steps})
+    assert main(["trotter-scaling", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    errors = json.loads((tmp_path / "out" / "summary.json").read_text())["results"]["errors"]
+    h = parse_hamiltonian(text)
+    exact = expm_unitary(build(h, layout), t)
+    for n, e in zip(steps, errors):
+        dense = np.linalg.norm(np.linalg.matrix_power(sequence_unitary(trotter(h, t / n, 1), layout), n) - exact, 2)
+        assert abs(e["error"] - dense) <= 1e-12 * dense
+
+
+def _layout_json(dims):
+    return ["qubit" if d == 2 else {"kind": "qumode", "cutoff": d} for d in dims]
+
+
+# The four gate-synthesis benchmark configs: the sectors of their generators' keys, and the
+# index sets each error norm reads (a reset plan's are those where its held spin is |0>).
+@pytest.mark.parametrize("experiment, dims, config, found, normed", [
+    ("synth", [2, 12, 12], {"target": "X@1*X@2", "angle": 0.35, "n_blocks": [4, 16]}, [144] * 2, [72] * 2),
+    ("synth", [2, 2, 32], {"target": "sz@0*sz@1", "angle": 0.3, "n_blocks": [4, 16]}, [32] * 4, [32] * 4),
+    ("synth", [2, 2, 32], {"target": "sy@0*X@2^2", "angle": 0.2, "n_blocks": [4, 16]}, [64] * 2, [64] * 2),
+    ("trotter-scaling", [2, 2, 32], {"hamiltonian": "0.9*sz@0*X@2 + 1.1*sx@0*X@2 + 0.5*sz@1*P@2",
+                                     "t": 0.5, "steps": [4, 8]}, [64] * 2, [64] * 2),
+])
+def test_gate_synthesis_norms_are_taken_per_parity_sector(tmp_path, monkeypatch, experiment, dims, config, found,
+                                                           normed):
+    sizes = {"found": set(), "normed": set()}
+
+    def parity_sectors(keys, layout):
+        sectors = operators.parity_sectors(keys, layout)
+        sizes["found"].add(tuple(len(s) for s in sectors))
+        return sectors
+
+    def sector_norm(m, sectors):
+        sizes["normed"].add(tuple(len(s) for s in sectors))
+        return operators.sector_norm(m, sectors)
+
+    for module in (cli, synthesis):
+        monkeypatch.setattr(module, "parity_sectors", parity_sectors)
+        monkeypatch.setattr(module, "sector_norm", sector_norm)
+    cfg = write_config(tmp_path, "cfg.json", {"experiment": experiment, "layout": _layout_json(dims), **config})
+    assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert sizes == {"found": {tuple(found)}, "normed": {tuple(normed)}}
 
 
 def _refuse_replay(monkeypatch):

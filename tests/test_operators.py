@@ -11,6 +11,7 @@ from hybridsim.operators import (
     HamiltonianExpr,
     HamiltonianTerm,
     LocalOp,
+    SECTOR_TOL,
     OperatorError,
     build,
     commutator,
@@ -20,9 +21,12 @@ from hybridsim.operators import (
     format_expr,
     generator_id,
     parse_expr,
+    parity_sectors,
     pauli,
     primitive_set,
     realize,
+    sector_blocks,
+    sector_norm,
     symbol_commutator,
     symbol_product,
     term,
@@ -387,3 +391,51 @@ def test_realize_on_leading_levels_is_the_slice_of_the_full_matrix(case):
     block = realize(symbol, layout, levels)
     assert block.shape == (len(keep),) * 2
     assert np.array_equal(block, full[np.ix_(keep, keep)])
+
+
+@st.composite
+def _graded_symbol_pairs(draw):
+    """Two symbols of one to three terms on a layout of one to three subsystems, each term a
+    Pauli or a mixed x^a p^b (or nothing) per subsystem."""
+    dims = draw(st.sampled_from(((7,), (2,), (2, 5), (2, 2, 4), (2, 4, 3), (3, 2, 2))))
+    symbols = []
+    for _ in range(2):
+        symbol = {}
+        for _ in range(draw(st.integers(1, 3))):
+            key = []
+            for idx, dim in enumerate(dims):
+                if dim == 2:
+                    f = draw(st.sampled_from((None, "x", "y", "z")))
+                else:
+                    f = draw(st.sampled_from((None, (draw(st.integers(0, 3)), draw(st.integers(0, 3))))))
+                if f is not None and f != (0, 0):
+                    key.append((idx, f))
+            symbol[tuple(key)] = draw(st.floats(-2.0, 2.0).filter(lambda c: abs(c) >= 0.1))
+        symbols.append(symbol)
+    return dims, symbols
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(case=_graded_symbol_pairs())
+def test_sector_norm_is_the_dense_spectral_norm(case):
+    dims, (s1, s2) = case
+    layout = new_register([qubit() if d == 2 else qumode(d) for d in dims])
+    sectors = parity_sectors([*s1, *s2], layout)
+    assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(layout.total_dim))
+    assert all(np.all(np.diff(s) > 0) for s in sectors)
+    a, b = realize(s1, layout), realize(s2, layout)
+    for m in (a, a @ b, a @ b - 0.7j * b):  # Hermitian and not
+        dense = np.linalg.norm(m, 2)
+        assert abs(sector_norm(m, sectors) - dense) <= 1e-12 * dense
+
+
+def test_sector_blocks_refuse_a_matrix_that_joins_two_sectors():
+    layout = new_register([qubit(), qumode(4)])
+    sectors = parity_sectors(weyl_symbol(parse_expr("sx@0*X@1 + sz@0*P@1^2"), layout), layout)
+    assert [s.tolist() for s in sectors] == [[0, 2, 5, 7], [1, 3, 4, 6]]
+    m = np.eye(layout.total_dim, dtype=complex)
+    m[0, 1] = 0.5 * SECTOR_TOL
+    assert [b.shape for b in sector_blocks(m, sectors)] == [(4, 4), (4, 4)]
+    m[0, 1] = 2 * SECTOR_TOL
+    with pytest.raises(OperatorError, match="joins two parity sectors"):
+        sector_norm(m, sectors)

@@ -683,6 +683,20 @@ def test_third_order_scale_is_computed_once_per_rule_pair(monkeypatch):
     assert synthesize("sy@0", 0.5, 4, reg).predicted_error == first.predicted_error
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 8), (2, 6, 6)])
+def test_third_order_scale_matches_the_dense_formula(dims, monkeypatch):
+    rules = []
+    derive = synthesis.derive_rule
+    monkeypatch.setattr(synthesis, "derive_rule", lambda *a, **k: rules.append(derive(*a, **k)) or rules[-1])
+    reg = standard_registry(new_register([qubit() if d == 2 else qumode(d) for d in dims]))
+    assert len(rules) >= 9
+    for a_id, b_id in {pair for rule in rules for pair in ((rule.a_id, rule.b_id), (rule.b_id, rule.a_id))}:
+        a, b = reg.matrix(a_id), reg.matrix(b_id)
+        c = 1j * (a @ b - b @ a)
+        dense = 0.5 * (np.linalg.norm(a @ c - c @ a, 2) + np.linalg.norm(b @ c - c @ b, 2))
+        assert abs(reg.third_order_scale(a_id, b_id) - dense) <= 1e-12 * dense
+
+
 def _dense_rule_oracle(reg, rule):
     """Scale and residual of i(AB - BA) against the rule's direction, projected
     with a complex vdot on the compressed interior blocks."""
