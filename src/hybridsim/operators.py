@@ -25,7 +25,9 @@ space or into only its block on leading levels (the closure's interior); `build`
 is `realize` of an expression's symbol, and `commutator` is the one dense one.
 `product_coordinates` reads symbols on leading levels in a factored form: real
 coordinates over products of per-subsystem orthonormal bases, whose dot
-products are those of the realized blocks.
+products are those of the realized blocks.  Both read sliced local factors
+from a table the closure report owns (`sliced_factor`), and `symbol_product`
+reads Moyal weights from one its search owns: a run forms each entry once.
 """
 
 from __future__ import annotations
@@ -299,10 +301,12 @@ def _moyal(f: tuple[int, int], g: tuple[int, int]) -> list[tuple[tuple[int, int]
     return out
 
 
-def symbol_product(a: Symbol, b: Symbol) -> Symbol:
+def symbol_product(a: Symbol, b: Symbol, moyal: dict | None = None) -> Symbol:
     """The symbol of the operator product AB: per subsystem, a Pauli product on a qubit
     and the Moyal product on a mode (Groenewold, Physica 12, 405 (1946); Moyal,
-    Proc. Camb. Phil. Soc. 45, 99 (1949))."""
+    Proc. Camb. Phil. Soc. 45, 99 (1949)).  ``moyal`` maps a monomial pair to its `_moyal`
+    terms, filled on first use; without it, a table lasts this call."""
+    moyal = {} if moyal is None else moyal
     out: Symbol = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
@@ -314,23 +318,26 @@ def symbol_product(a: Symbol, b: Symbol) -> Symbol:
                     local = [(f or g, 1.0)]
                 elif isinstance(f, str):  # sigma_f sigma_g = i eps_fgh sigma_h
                     local = [(None, 1.0)] if f == g else [("xyz".strip(f + g), 1j if f + g in "xyzx" else -1j)]
+                elif (f, g) in moyal:
+                    local = moyal[f, g]
                 else:
-                    local = _moyal(f, g)
+                    local = moyal[f, g] = tuple(_moyal(f, g))
                 terms = [(key + ((idx, h),) if h else key, c * ch) for key, c in terms for h, ch in local]
             for key, c in terms:
                 out[key] = out.get(key, 0.0) + c
     return {key: c for key, c in out.items() if c}
 
 
-def symbol_commutator(a: Symbol, b: Symbol) -> dict[tuple, float]:
+def symbol_commutator(a: Symbol, b: Symbol, moyal: dict | None = None) -> dict[tuple, float]:
     """i[A, B] from the symbols of two Hermitian operators, as real coefficients.
 
-    Each pair of terms s, t adds i(st - ts).  For real s and t the products are
-    exact conjugates, so a coefficient that is not real raises OperatorError."""
+    Each pair of terms s, t adds i(st - ts), from `symbol_product`s sharing ``moyal``.  For real
+    s and t the products are exact conjugates, so a coefficient that is not real raises OperatorError."""
+    moyal = {} if moyal is None else moyal
     out: Symbol = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
-            st, ts = symbol_product({ka: ca}, {kb: cb}), symbol_product({kb: cb}, {ka: ca})
+            st, ts = symbol_product({ka: ca}, {kb: cb}, moyal), symbol_product({kb: cb}, {ka: ca}, moyal)
             for key in {**st, **ts}:
                 out[key] = out.get(key, 0.0) + 1j * (st.get(key, 0.0) - ts.get(key, 0.0))
     if any(c.imag for c in out.values()):
@@ -357,19 +364,31 @@ def local_factor(f: str | tuple[int, int] | None, dim: int) -> np.ndarray:
     return np.eye(dim) if f is None else pauli(f) if isinstance(f, str) else _monomial_matrix(*f, dim)
 
 
-def realize(symbol: Symbol, layout: RegisterLayout, levels: tuple[int, ...] | None = None) -> np.ndarray:
+def sliced_factor(table: dict, f: str | tuple[int, int] | None, dim: int, n: int) -> np.ndarray:
+    """``local_factor(f, dim)[:n, :n]`` from ``table``, formed and stored read-only on first request."""
+    if (f, dim, n) not in table:
+        table[f, dim, n] = local_factor(f, dim)[:n, :n]
+        table[f, dim, n].flags.writeable = False
+    return table[f, dim, n]
+
+
+def realize(symbol: Symbol, layout: RegisterLayout, levels: tuple[int, ...] | None = None,
+            factors: dict | None = None) -> np.ndarray:
     """The dense matrix of a symbol on the layout's truncated space: each term is the Kronecker
     product over subsystems of its `local_factor`s.  A monomial of total degree n is exact on
     Fock levels below cutoff - n.  ``levels`` (one count per subsystem) forms only the block on
     each subsystem's leading levels: each factor is sliced before the Kronecker product, so the
-    block is bit-identical to that slice of the full matrix."""
+    block is bit-identical to that slice of the full matrix.  Factors come from ``factors`` (a
+    `sliced_factor` table, one per call by default); each Kronecker product is ``np.kron``'s multiply."""
     levels = layout.dims if levels is None else levels
+    factors = {} if factors is None else factors
     out = np.zeros((math.prod(levels),) * 2, dtype=complex)
     for key, c in symbol.items():
-        factors = dict(key)
+        local = dict(key)
         mat = np.ones((1, 1), dtype=complex)
         for idx, (dim, n) in enumerate(zip(layout.dims, levels)):
-            mat = np.kron(mat, local_factor(factors.get(idx), dim)[:n, :n])
+            f = sliced_factor(factors, local.get(idx), dim, n)
+            mat = (mat[:, None, :, None] * f[None, :, None, :]).reshape(len(mat) * n, -1)
         mat *= c
         out += mat
     return out
@@ -454,14 +473,14 @@ def _orthonormal_factors(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(rows), np.concatenate(coords)
 
 
-def product_coordinates(symbols: list[Symbol], layout: RegisterLayout,
-                        levels: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def product_coordinates(symbols: list[Symbol], layout: RegisterLayout, levels: tuple[int, ...],
+                        factors: dict | None = None) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Local bases on each subsystem's ``levels`` leading levels, and the product coordinates
     of each symbol's block there.
 
     ``local_bases[i]`` (complex, r_i×n_i×n_i) orthonormally spans the distinct factors the
-    symbols use on subsystem i (`local_factor`, sliced), found once from their packed
-    coordinates (`_orthonormal_factors`).  A symbol's coordinates are Σ_key c ⊗ᵢ (local
+    symbols use on subsystem i (`sliced_factor` of ``factors``, as in `realize`), found once from
+    their packed coordinates (`_orthonormal_factors`).  A symbol's coordinates are Σ_key c ⊗ᵢ (local
     coordinates of the key's factor on i), Π r_i reals, formed for all symbols at once by
     contracting a (symbol, factor on 0, factor on 1, ...) coefficient table with each
     subsystem's factor coordinates."""
@@ -471,12 +490,13 @@ def product_coordinates(symbols: list[Symbol], layout: RegisterLayout,
     index = [{f: j for j, f in enumerate(u)} for u in used]
     for k, symbol in enumerate(symbols):
         for key, c in symbol.items():
-            factors = dict(key)
-            table[(k, *(ix[factors.get(idx)] for idx, ix in enumerate(index)))] = c
+            local = dict(key)
+            table[(k, *(ix[local.get(idx)] for idx, ix in enumerate(index)))] = c
+    factors = {} if factors is None else factors
     bases = []
-    for factors, dim, n in zip(used, layout.dims, levels):
+    for fs, dim, n in zip(used, layout.dims, levels):
         upper = np.triu(np.ones((n, n), dtype=bool), 1)
-        vecs = np.array([packed(local_factor(f, dim)[:n, :n], upper) for f in factors]).reshape(-1, n * n)
+        vecs = np.array([packed(sliced_factor(factors, f, dim, n), upper) for f in fs]).reshape(-1, n * n)
         rows, coords = _orthonormal_factors(vecs)
         bases.append(np.array([_hermitian(row, upper) for row in rows]).reshape(-1, n, n))
         table = np.tensordot(table, coords, axes=([1], [1]))  # factor axis -> coordinate axis, at the end

@@ -536,7 +536,8 @@ class ClosureReport:
     """The directions found in the exact algebra, and their interior blocks in product
     coordinates (`operators.product_coordinates`): ``local_bases``, one per subsystem, and
     ``coordinates``, the orthonormal row of each direction with a ``row``.  ``basis`` (float64,
-    m² columns) is the same rows as packed coordinates of m×m blocks, formed on first read only."""
+    m² columns) is the same rows as packed coordinates of m×m blocks, formed on first read only.
+    ``factors`` is the table of sliced local factors its blocks and queries read (`operators.sliced_factor`)."""
 
     layout: RegisterLayout
     guard: float
@@ -546,6 +547,7 @@ class ClosureReport:
     coordinates: np.ndarray
     depth_reached: int
     notes: tuple[str, ...] = ()
+    factors: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "directions", tuple(replace(d, report=self) for d in self.directions))
@@ -574,7 +576,7 @@ class ClosureReport:
         products of the local bases and the part inside them, each formed as a difference."""
         layout = self.layout
         if not isinstance(query, np.ndarray):
-            block = realize(weyl_symbol(query, layout), layout, interior_levels(layout, self.guard))
+            block = realize(weyl_symbol(query, layout), layout, interior_levels(layout, self.guard), self.factors)
         elif np.max(np.abs(query - query.conj().T)) > HERMITICITY_TOL:
             raise SynthesisError(f"query is not Hermitian within {HERMITICITY_TOL:g}")
         else:
@@ -625,7 +627,8 @@ def close_algebra(
     ones gets no row and a note.  Each block is also realized once, alone
     (`operators.realize` on `hilbert.interior_levels`), and its norm must equal
     its coordinates' within 1e-12 relative, which ties the product coordinates to
-    the one dense realizer; SynthesisError otherwise.
+    the one dense realizer; SynthesisError otherwise.  The search shares one Moyal table, the
+    report one table of sliced factors (`operators.sliced_factor`): each is formed once per run.
     """
     layout, guard = registry.layout, registry.guard
     notes: list[str] = []
@@ -641,6 +644,7 @@ def close_algebra(
                 seeds.append((eff_id, reset[1]))
                 notes.append(f"reset-effective seed {eff_id} from {gid}")
 
+    moyal: dict = {}  # monomial pair -> `operators._moyal` terms, for every candidate
     columns: dict[tuple, int] = {}  # symbol key -> coefficient-vector coordinate
     found: list[tuple[Symbol, int, str]] = []  # unit-norm symbol, degree, source
     # orthonormal rows spanning the found symbols: the leading len(found) rows and
@@ -681,16 +685,16 @@ def close_algebra(
         for i, j in pairs:
             if len(found) - n_seeds >= max_new:
                 break
-            try_add(symbol_commutator(found[i][0], found[j][0]), degree, f"i[{i},{j}]")
+            try_add(symbol_commutator(found[i][0], found[j][0], moyal), degree, f"i[{i},{j}]")
 
-    levels = interior_levels(layout, guard)
-    local_bases, all_coords = product_coordinates([symbol for symbol, _, _ in found], layout, levels)
+    levels, factors = interior_levels(layout, guard), {}
+    local_bases, all_coords = product_coordinates([symbol for symbol, _, _ in found], layout, levels, factors)
     rows = np.empty_like(all_coords)
     directions = []
     n_rows = 0
     for k, ((symbol, degree, source), coords) in enumerate(zip(found, all_coords)):
         norm = np.linalg.norm(coords)
-        realized = np.linalg.norm(realize(symbol, layout, levels))
+        realized = np.linalg.norm(realize(symbol, layout, levels, factors))
         if abs(realized - norm) > 1e-12 * realized:
             raise SynthesisError(f"direction {k} ({source}): realized interior norm {realized:.17g} "
                                  f"differs from its product coordinates' {norm:.17g}")
@@ -713,6 +717,7 @@ def close_algebra(
         coordinates=rows[:n_rows],
         depth_reached=max((d.degree for d in directions), default=1),
         notes=tuple(notes),
+        factors=factors,
     )
 
 

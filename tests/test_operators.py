@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridsim import operators
 from hybridsim.hilbert import compress_to_interior, new_register, qubit, qumode
 from hybridsim.operators import (
     ExprSyntaxError,
@@ -20,6 +21,7 @@ from hybridsim.operators import (
     fock_position,
     format_expr,
     generator_id,
+    local_factor,
     parse_expr,
     parity_sectors,
     pauli,
@@ -439,3 +441,58 @@ def test_sector_blocks_refuse_a_matrix_that_joins_two_sectors():
     m[0, 1] = 2 * SECTOR_TOL
     with pytest.raises(OperatorError, match="joins two parity sectors"):
         sector_norm(m, sectors)
+
+
+def _kron_realize(symbol, layout, levels):
+    """`realize` with ``np.kron`` of freshly formed sliced factors: the reference for its
+    broadcast products and shared factor table."""
+    out = np.zeros((math.prod(levels),) * 2, dtype=complex)
+    for key, c in symbol.items():
+        factors = dict(key)
+        mat = np.ones((1, 1), dtype=complex)
+        for idx, (dim, n) in enumerate(zip(layout.dims, levels)):
+            mat = np.kron(mat, local_factor(factors.get(idx), dim)[:n, :n])
+        mat *= c
+        out += mat
+    return out
+
+
+@st.composite
+def _shared_table_cases(draw):
+    """Two symbols as in `_graded_symbol_pairs`, with a leading level count per subsystem."""
+    dims, symbols = draw(_graded_symbol_pairs())
+    return dims, symbols, tuple(draw(st.integers(1, dim)) for dim in dims)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(case=_shared_table_cases())
+def test_realize_is_bit_identical_to_kronecker_products_of_its_shared_factors(case):
+    dims, symbols, levels = case
+    layout = new_register([qubit() if d == 2 else qumode(d) for d in dims])
+    for lv in (layout.dims, levels):
+        table = {}
+        for symbol in symbols:  # the second symbol reads the factors the first one formed
+            expected = _kron_realize(symbol, layout, lv)
+            assert np.array_equal(realize(symbol, layout, lv, table), expected)
+            assert np.array_equal(realize(symbol, layout, lv), expected)
+        used = {(dict(key).get(idx), dim, n) for symbol in symbols for key in symbol
+                for idx, (dim, n) in enumerate(zip(dims, lv))}
+        assert set(table) == used
+        for (f, dim, n), factor in table.items():
+            assert not factor.flags.writeable
+            assert np.array_equal(factor, local_factor(f, dim)[:n, :n])
+
+
+def test_the_moyal_table_forms_each_monomial_pair_once(monkeypatch):
+    monomials = [(a, b) for a in range(5) for b in range(5) if a or b]
+    symbols = [{((0, m),): 1.0} for m in monomials]
+    calls = []
+    moyal = operators._moyal
+    monkeypatch.setattr(operators, "_moyal", lambda f, g: calls.append((f, g)) or moyal(f, g))
+    table = {}
+    shared = [symbol_commutator(a, b, table) for a in symbols for b in symbols]
+    assert len(calls) == len(table) == len(monomials) ** 2
+    assert set(table) == {(f, g) for f in monomials for g in monomials}
+    assert shared == [symbol_commutator(a, b) for a in symbols for b in symbols]
+    for (f, g), terms in table.items():
+        assert isinstance(terms, tuple) and terms == tuple(moyal(f, g))

@@ -578,6 +578,33 @@ def test_closure_report_stays_inside_a_byte_budget_that_packed_rows_exceed():
     assert max(residuals) <= 1e-14
 
 
+def test_a_closure_and_its_probes_form_each_sliced_factor_once(monkeypatch):
+    calls = []
+    local_factor = operators.local_factor
+    monkeypatch.setattr(operators, "local_factor", lambda f, dim: calls.append((f, dim)) or local_factor(f, dim))
+    rep = _bare_closure([qubit(), qumode(32)], [0], 60, 4)  # the lie-closure benchmark's first layout and size
+    assert len(rep.directions) == 62
+    for probe in ("sx@0", "sz@0", "sy@0", "id@0", "sy@0*X@1^2", "sz@0*X@1^3"):
+        assert rep.membership(parse_expr(probe)) <= 1e-8
+    assert len(calls) == len(rep.factors)
+    assert sorted(calls, key=repr) == sorted(((f, dim) for f, dim, _ in rep.factors), key=repr)
+
+
+def test_closures_own_their_factor_and_moyal_tables(monkeypatch):
+    moyal_tables = []
+    symbol_commutator = synthesis.symbol_commutator
+    monkeypatch.setattr(synthesis, "symbol_commutator",
+                        lambda a, b, *table: moyal_tables.append(table) or symbol_commutator(a, b, *table))
+    first = _bare_closure([qubit(), qumode(8)], [0], 20, 4)
+    calls = len(moyal_tables)
+    second = _bare_closure([qubit(), qumode(8)], [0], 20, 4)
+    assert first.factors.keys() == second.factors.keys() and first.factors is not second.factors
+    assert not any(first.factors[k] is second.factors[k] for k in first.factors)
+    assert all(len(t) == 1 and t[0] is moyal_tables[0][0] for t in moyal_tables[:calls])
+    assert all(len(t) == 1 and t[0] is moyal_tables[calls][0] for t in moyal_tables[calls:])
+    assert moyal_tables[0][0] is not moyal_tables[calls][0]
+
+
 def test_closure_report_checks_its_product_coordinates_against_the_realized_block(monkeypatch):
     layout = new_register([qubit(), qumode(8)])
     reg = SynthesisRegistry(layout)
