@@ -40,7 +40,6 @@ from .evolution import (
     Pulse,
     PulseSequence,
     cv_qft,
-    expm_unitary,
     leakage as state_leakage,
     run_sequence,
     sequence_unitary,
@@ -458,8 +457,8 @@ def _run_trotter_scaling(cfg: ExperimentConfig):
     h = _hamiltonian(cfg)
     t = _number(cfg, "t")
     steps = _int_list(cfg, "steps", minimum=1)
-    exact = expm_unitary(build(h, layout), t)
     generators = Generators(layout)
+    exact = sequence_unitary(PulseSequence((Pulse(h, abs(t), -1 if t < 0 else 1),)), layout, generators)
     sectors = parity_sectors(weyl_symbol(h, layout), layout)
     rows = []
     for n in steps:

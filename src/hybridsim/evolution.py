@@ -6,17 +6,19 @@ exact to machine precision at the dimensions this package targets.  That
 keeps exponentiation error out of the pulse-compiler error-scaling
 experiments, which must isolate the commutator-approximation error itself.
 
-A pulse's generator is diagonalized factor by factor.  A subsystem on which
-every term carries the identical local operator is a common tensor factor,
-diagonalized alone; the remaining touched subsystems form one group whose
-``sum_k c_k (x) O_k`` is built on that sub-register and diagonalized once.
-The eigenvalues are the outer product of the factors' eigenvalues, and each
-group's eigenvectors act on its own axes of the amplitude tensor, so the
-pointer coupling ``H (x) P`` costs ``d_sys^3 + cutoff^3`` rather than
+A pulse's generator is diagonalized factor by factor from the keys of its
+Weyl symbol (`operators.weyl_symbol`), which list each term's non-identity
+factors.  A subsystem on which every key has the same factor is a common
+tensor factor, diagonalized alone (`operators.local_factor`); the remaining
+touched subsystems form one group, whose sub-symbol is realized on that
+sub-register (`operators.realize`) and diagonalized once.  The eigenvalues
+are the outer product of the factors' eigenvalues, and each group's
+eigenvectors act on its own axes of the amplitude tensor, so the pointer
+coupling ``H (x) P`` costs ``d_sys^3 + cutoff^3`` rather than
 ``(d_sys * cutoff)^3`` and a product-term pulse never forms a ``D x D``
 matrix.  Every pulse takes this one path: its generator is an inline
 expression or an id that parses as one.  Decompositions are kept per
-generator id, and local factors per (operator, dimension), in a
+generator id, and local factors per (key factor, dimension), in a
 ``Generators`` table owned by the caller (a synthesis registry, a
 spectroscopy run); a run given no table diagonalizes each of its generators
 once for that run only.
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import DEFAULT_GUARD, RegisterLayout, StateVector, interior_mask
-from .operators import (HamiltonianExpr, HamiltonianTerm, LocalOp, OperatorError, build, check_factor,
-                        generator_id, local_matrix, parse_expr, term)
+from .operators import (HamiltonianExpr, OperatorError, build, generator_id, local_factor, parse_expr, realize,
+                        term, weyl_symbol)
 
 HERMITICITY_TOL = 1e-10
 
@@ -187,10 +189,10 @@ class _Factored:
     """H = (prod_g v_g) diag(energies) (prod_g v_g)^dagger over disjoint subsystem groups.
 
     ``groups`` pairs each group's sorted subsystem axes with its eigenvector
-    matrix; no group covers a subsystem the generator does not touch.
-    ``energies`` is the outer product of the groups' eigenvalues, flattened
-    over the whole register once, so a pulse forms its phases as the dense
-    formula does.
+    matrix; no group covers a subsystem the generator does not touch, and a
+    generator that touches none has no group.  ``energies`` is the outer
+    product of the groups' eigenvalues, flattened over the whole register
+    once, so a pulse forms its phases as the dense formula does.
     """
 
     groups: tuple[tuple[tuple[int, ...], np.ndarray], ...]
@@ -201,8 +203,8 @@ class _Factored:
         phases = np.exp(-1j * self.energies * t).reshape((-1,) + (1,) * (amps.ndim - 1))
         for axes, v in self.groups:
             amps = _on_axes(v.conj().T, axes, dims, amps)
-        # amps is now a fresh product (every decomposition has a group): phase it in place, one allocation fewer
-        np.multiply(phases, amps, out=amps)
+        # after a group amps is a fresh product, phased in place; with none it is the caller's array
+        amps = np.multiply(phases, amps, out=amps if self.groups else None)
         for axes, v in self.groups:
             amps = _on_axes(v, axes, dims, amps)
         return amps
@@ -212,16 +214,16 @@ class Generators:
     """Generator id -> factored eigendecomposition on one layout, each id diagonalized once.
 
     A pulse's generator resolves to its inline expression, else to its id
-    parsed as Hamiltonian text, and is factored as the module docstring
-    describes.  The table belongs to the caller that creates it: pass the
-    same table to several runs on one layout and they share every
-    eigendecomposition.
+    parsed as Hamiltonian text, and its Weyl symbol is factored by its keys
+    as the module docstring describes.  The table belongs to the caller that
+    creates it: pass the same table to several runs on one layout and they
+    share every eigendecomposition.
     """
 
     def __init__(self, layout: RegisterLayout):
         self.layout = layout
         self._decompositions: dict[str, _Factored] = {}
-        self._local: dict[tuple[LocalOp, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._local: dict[tuple[str | tuple[int, int], int], tuple[np.ndarray, np.ndarray]] = {}
 
     def decomposition(self, pulse: Pulse) -> _Factored:
         gid = pulse.generator_id
@@ -237,34 +239,26 @@ class Generators:
 
     def _factor(self, expr: HamiltonianExpr) -> _Factored:
         layout, dims = self.layout, self.layout.dims
-        ops = [dict(trm.factors) for trm in expr.terms]
-        for trm in expr.terms:
-            for idx, op in trm.factors:
-                check_factor(idx, op, layout)
-        touched = sorted(set().union(*ops))
-        common = [i for i in touched if all(o.get(i) == ops[0].get(i) for o in ops)]
+        symbol = weyl_symbol(expr, layout)
+        keys = [dict(key) for key in symbol]
+        touched = sorted(set().union(*keys))
+        common = [i for i in touched if all(k.get(i) == keys[0].get(i) for k in keys)]
         rest = tuple(i for i in touched if i not in common)
-        parts = [((i,), self._local_eig(ops[0][i], dims[i])) for i in common]
+        parts = [((i,), self._local_eig(keys[0][i], dims[i])) for i in common]
         if rest:
             position = {i: k for k, i in enumerate(rest)}
-            sub = HamiltonianExpr(tuple(
-                HamiltonianTerm(
-                    trm.coefficient,
-                    tuple((position[i], op) for i, op in trm.factors if i in position) or ((0, LocalOp("id")),),
-                )
-                for trm in expr.terms
-            ))
-            parts.append((rest, _eig(build(sub, RegisterLayout(tuple(layout.subsystems[i] for i in rest))))))
-        # with no remaining group every term is the same product: its coefficients add
-        energies = np.full((1,) * len(dims), 1.0 if rest else sum(trm.coefficient for trm in expr.terms))
+            sub = {tuple((position[i], f) for i, f in key if i in position): c for key, c in symbol.items()}
+            parts.append((rest, _eig(realize(sub, RegisterLayout(tuple(layout.subsystems[i] for i in rest))))))
+        # with no remaining group every key is the same product, or there is none: its coefficient scales
+        energies = np.full((1,) * len(dims), 1.0 if rest else sum(symbol.values(), 0.0))
         for axes, (w, _) in parts:
             energies = energies * w.reshape([d if i in axes else 1 for i, d in enumerate(dims)])
         return _Factored(tuple((axes, v) for axes, (_, v) in parts), np.broadcast_to(energies, dims).reshape(-1))
 
-    def _local_eig(self, op: LocalOp, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        if (op, dim) not in self._local:
-            self._local[(op, dim)] = _eig(local_matrix(op, dim))
-        return self._local[(op, dim)]
+    def _local_eig(self, f: str | tuple[int, int], dim: int) -> tuple[np.ndarray, np.ndarray]:
+        if (f, dim) not in self._local:
+            self._local[(f, dim)] = _eig(local_factor(f, dim))
+        return self._local[(f, dim)]
 
 
 def _propagate(seq: PulseSequence, layout: RegisterLayout, generators: Generators | None,

@@ -75,7 +75,7 @@ class RegisterLayout:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def __len__(self) -> int:
         return len(self.subsystems)
@@ -180,13 +180,13 @@ def embed(local: np.ndarray, targets: list[int] | tuple[int, ...], layout: Regis
         raise HilbertError(f"repeated target subsystem in {targets}")
     dims = layout.dims
     tdims = tuple(dims[t] for t in targets)
-    tdim = int(np.prod(tdims))
+    tdim = math.prod(tdims)
     if local.shape != (tdim, tdim):
         raise HilbertError(f"local operator has shape {local.shape}, expected ({tdim}, {tdim})")
 
     rest = [i for i in range(len(dims)) if i not in targets]
     rdims = tuple(dims[r] for r in rest)
-    rdim = int(np.prod(rdims)) if rest else 1
+    rdim = math.prod(rdims)
 
     k, m = len(targets), len(rest)
     tens = np.tensordot(local.reshape(tdims + tdims), np.eye(rdim, dtype=complex).reshape(rdims + rdims), axes=0)
@@ -237,7 +237,7 @@ def reduced_density(state: StateVector, keep: list[int] | tuple[int, ...]) -> De
         raise HilbertError(f"repeated subsystem in keep={keep}")
     dims = state.layout.dims
     rest = [i for i in range(len(dims)) if i not in keep]
-    kdim = int(np.prod([dims[i] for i in keep]))
+    kdim = math.prod(dims[i] for i in keep)
     psi = state.tensor().transpose(keep + rest).reshape(kdim, -1)
     return DensityMatrix(psi @ psi.conj().T)
 

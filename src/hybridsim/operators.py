@@ -114,24 +114,6 @@ class LocalOp:
             raise OperatorError(f"powers are only defined for X and P, not {self.tag!r}")
 
 
-def local_matrix(op: LocalOp, dim: int) -> np.ndarray:
-    """Concrete matrix for a local operator on a subsystem of dimension ``dim``.
-
-    Powers are matrix powers of the truncated operator, so products stay
-    inside the truncated space (the corner caveat above applies).
-    """
-    if op.tag in QUBIT_TAGS:
-        if dim != 2:
-            raise OperatorError(f"{op.tag} acts on qubits (dim 2), got dim {dim}")
-        return pauli(op.tag[1])
-    if op.tag == "id":
-        return np.eye(dim, dtype=complex)
-    if dim < 2:
-        raise OperatorError(f"oscillator operator {op.tag} needs dim >= 2")
-    base = fock_position(dim) if op.tag == "X" else fock_momentum(dim)
-    return np.linalg.matrix_power(base, op.power)
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonian expressions
 
@@ -331,18 +313,18 @@ def symbol_product(a: Symbol, b: Symbol, moyal: dict | None = None) -> Symbol:
 def symbol_commutator(a: Symbol, b: Symbol, moyal: dict | None = None) -> dict[tuple, float]:
     """i[A, B] from the symbols of two Hermitian operators, as real coefficients.
 
-    Each pair of terms s, t adds i(st - ts), from `symbol_product`s sharing ``moyal``.  For real
-    s and t the products are exact conjugates, so a coefficient that is not real raises OperatorError."""
+    Each pair of terms s, t adds i(st - ts) = -2 Im(st), from one `symbol_product` per pair, all
+    sharing ``moyal``: for real s and t, ts is the exact conjugate of st.  An input coefficient
+    that is not real raises OperatorError."""
+    if any(c.imag for c in (*a.values(), *b.values())):
+        raise OperatorError("an input symbol has an imaginary coefficient: it is not Hermitian")
     moyal = {} if moyal is None else moyal
-    out: Symbol = {}
+    out: dict[tuple, float] = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
-            st, ts = symbol_product({ka: ca}, {kb: cb}, moyal), symbol_product({kb: cb}, {ka: ca}, moyal)
-            for key in {**st, **ts}:
-                out[key] = out.get(key, 0.0) + 1j * (st.get(key, 0.0) - ts.get(key, 0.0))
-    if any(c.imag for c in out.values()):
-        raise OperatorError("i[A, B] has an imaginary coefficient: an input is not Hermitian")
-    return {key: c.real for key, c in out.items() if c}
+            for key, c in symbol_product({ka: ca}, {kb: cb}, moyal).items():
+                out[key] = out.get(key, 0.0) - 2.0 * c.imag
+    return {key: c for key, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +332,12 @@ def symbol_commutator(a: Symbol, b: Symbol, moyal: dict | None = None) -> dict[t
 
 
 def _monomial_matrix(a: int, b: int, cutoff: int) -> np.ndarray:
-    """Weyl-ordered x^a p^b on a truncated mode: `local_matrix`'s power when pure, else McCoy's
-    2^-a Σ_k C(a,k) X^(a-k) P^b X^k (McCoy, PNAS 18, 674 (1932))."""
+    """Weyl-ordered x^a p^b on a truncated mode: the matrix power X^a or P^b of the truncated
+    quadrature when pure, so products stay inside the truncated space (the corner caveat above
+    applies), else McCoy's 2^-a Σ_k C(a,k) X^(a-k) P^b X^k (McCoy, PNAS 18, 674 (1932))."""
     if not a or not b:
-        return local_matrix(LocalOp("X", a) if a else LocalOp("P", b), cutoff)
-    x, p, power = fock_position(cutoff), local_matrix(LocalOp("P", b), cutoff), np.linalg.matrix_power
+        return np.linalg.matrix_power(fock_position(cutoff) if a else fock_momentum(cutoff), a or b)
+    x, p, power = fock_position(cutoff), np.linalg.matrix_power(fock_momentum(cutoff), b), np.linalg.matrix_power
     return sum(math.comb(a, k) * power(x, a - k) @ p @ power(x, k) for k in range(a + 1)) / 2**a
 
 

@@ -130,6 +130,33 @@ def test_generator_table_diagonalizes_each_id_once(monkeypatch):
     assert np.max(np.abs(u @ basis_state(layout, [0, 1]).amplitudes - rep.final_state.amplitudes)) <= 1e-12
 
 
+def test_an_explicit_identity_factor_is_not_diagonalized(monkeypatch):
+    layout = new_register([qubit(), qumode(6)])
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+    u = sequence_unitary(PulseSequence((Pulse(parse_expr("sz@0*id@1"), 0.4),)), layout)
+    assert calls == [(2, 2)]
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert np.max(np.abs(u - expm_unitary(build(parse_expr("sz@0"), layout), 0.4))) <= 1e-14
+
+
+@pytest.mark.parametrize(("text", "energy"), [("0.7*id@0", 0.7), ("X@1 - X@1", 0.0)])
+def test_a_generator_that_touches_no_subsystem_only_phases(text, energy):
+    layout = new_register([qubit(), qumode(6)])
+    t = 1.3
+    u = sequence_unitary(PulseSequence((Pulse(parse_expr(text), t),)), layout)
+    assert np.max(np.abs(u - np.exp(-1j * energy * t) * np.eye(layout.total_dim))) <= 1e-15
+    rng = np.random.default_rng(3)
+    amps = rng.normal(size=12) + 1j * rng.normal(size=12)
+    state = StateVector(layout, amps / np.linalg.norm(amps))
+    before = state.amplitudes.copy()
+    assert not state.amplitudes.flags.writeable
+    out = run_sequence(PulseSequence((Pulse(text, t, -1),)), state).final_state
+    assert np.array_equal(state.amplitudes, before)
+    assert np.max(np.abs(out.amplitudes - np.exp(1j * energy * t) * before)) <= 1e-15
+
+
 @st.composite
 def _pulse_cases(draw):
     """(layout, expr): one product term, terms sharing a factor, or a free sum of terms."""

@@ -4,6 +4,7 @@ import pytest
 from hybridsim.hilbert import (
     DensityMatrix,
     HilbertError,
+    RegisterLayout,
     StateVector,
     basis_state,
     compress_to_interior,
@@ -23,6 +24,11 @@ def test_register_dims():
     assert new_register([qubit(), qubit()]).total_dim == 4
     assert new_register([qubit(), qumode(32)]).total_dim == 64
     assert new_register([qumode(16), qumode(16)]).total_dim == 256
+
+
+def test_total_dim_does_not_wrap():
+    # 2**64 wraps to 0 in int64; the layout allocates nothing
+    assert RegisterLayout((qubit(),) * 64).total_dim == 2**64
 
 
 def test_register_errors():

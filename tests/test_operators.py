@@ -443,6 +443,33 @@ def test_sector_blocks_refuse_a_matrix_that_joins_two_sectors():
         sector_norm(m, sectors)
 
 
+def _two_product_commutator(a, b):
+    """i[A, B] from both products st and ts of every term pair: the reference for
+    `symbol_commutator`'s one product per pair."""
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            st, ts = symbol_product({ka: ca}, {kb: cb}), symbol_product({kb: cb}, {ka: ca})
+            for key in {**st, **ts}:
+                out[key] = out.get(key, 0.0) + 1j * (st.get(key, 0.0) - ts.get(key, 0.0))
+    assert not any(c.imag for c in out.values())
+    return {key: c.real for key, c in out.items() if c}
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(case=_graded_symbol_pairs())
+def test_symbol_commutator_is_bit_identical_to_both_products_from_one_per_term_pair(case):
+    _, (s1, s2) = case
+    for a, b in ((s1, s2), (s2, s1), (s1, symbol_commutator(s1, s2))):
+        expected = _two_product_commutator(a, b)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "symbol_product", lambda *args: calls.append(args) or symbol_product(*args))
+            got = symbol_commutator(a, b)
+        assert list(got.items()) == list(expected.items())
+        assert len(calls) == len(a) * len(b)
+
+
 def _kron_realize(symbol, layout, levels):
     """`realize` with ``np.kron`` of freshly formed sliced factors: the reference for its
     broadcast products and shared factor table."""
