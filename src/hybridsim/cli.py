@@ -27,7 +27,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,7 @@ from .evolution import (
     sequence_unitary,
     trotter,
 )
-from .hilbert import DEFAULT_GUARD, HilbertError, RegisterLayout, StateVector, basis_state, new_register, qubit, qumode
+from .hilbert import HilbertError, RegisterLayout, StateVector, basis_state, new_register, qubit, qumode
 from .operators import (
     ExprSyntaxError,
     HamiltonianExpr,
@@ -87,15 +87,14 @@ class ConfigError(ValueError):
 
 _COMMON_KEYS = {"experiment", "seed", "out"}
 _SPECTRUM_KEYS = {"layout", "hamiltonian", "initial_state", "beta", "t_couple", "pointer_cutoff",
-                  "n_shots", "method", "trotter_steps", "guard"}  # read by _spectrum_inputs
+                  "n_shots", "method", "trotter_steps"}  # read by _spectrum_inputs
 _ALLOWED_KEYS = {
     "spectrum": _SPECTRUM_KEYS,
     "robustness": _SPECTRUM_KEYS,
-    "synth": {"layout", "target", "angle", "n_blocks", "guard"},
-    "closure": {"layout", "seeds", "max_new", "degree_cap", "probes",
-                "include_reset_effectives", "guard"},
-    "qft-demo": {"cutoff", "displace_x", "displace_p", "guard"},
-    "trotter-scaling": {"layout", "hamiltonian", "t", "steps", "guard"},
+    "synth": {"layout", "target", "angle", "n_blocks"},
+    "closure": {"layout", "seeds", "max_new", "degree_cap", "probes", "include_reset_effectives"},
+    "qft-demo": {"cutoff", "displace_x", "displace_p"},
+    "trotter-scaling": {"layout", "hamiltonian", "t", "steps"},
 }
 
 
@@ -114,7 +113,7 @@ def load_config(path: str, experiment: str, seed_override: int | None, out_overr
         raise ConfigError(f"config: cannot read {path}: {exc}") from None
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past Python's digit limit
         exc.args = (f"config: invalid JSON in {path}: {exc}",)
         raise
     if not isinstance(raw, dict):
@@ -148,7 +147,9 @@ def _number(cfg: ExperimentConfig, key: str, default=None, minimum=None):
         raise ConfigError(f"{key}: required for experiment {cfg.experiment!r}")
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{key}: must be a number, got {val!r}")
-    if isinstance(val, float) and not math.isfinite(val):
+    if isinstance(val, int) and abs(val) > sys.float_info.max:
+        raise ConfigError(f"{key}: must be a finite number, got an integer beyond float range")
+    if not math.isfinite(val):
         raise ConfigError(f"{key}: must be a finite number, got {val!r}")
     if minimum is not None and val < minimum:
         raise ConfigError(f"{key}: must be >= {minimum}, got {val}")
@@ -170,6 +171,8 @@ def _int_list(cfg: ExperimentConfig, key: str, minimum: int) -> list[int]:
         isinstance(v, int) and not isinstance(v, bool) and v >= minimum for v in val
     ):
         raise ConfigError(f"{key}: must be an integer (or list of integers) >= {minimum}")
+    if len(set(val)) < len(val):  # a repeated point leaves the error slope's fit rank-deficient
+        raise ConfigError(f"{key}: must not repeat a value, got {val}")
     return val
 
 
@@ -296,7 +299,7 @@ def _spectrum_inputs(cfg: ExperimentConfig) -> tuple:
         raise ConfigError(f"method: must be 'exact' or 'trotter', got {method!r}")
     n_shots = _int(cfg, "n_shots", minimum=1)
     trotter_steps = _int(cfg, "trotter_steps", default=64, minimum=1)
-    return h, psi, spec, n_shots, cfg.seed, method, trotter_steps, _number(cfg, "guard", default=DEFAULT_GUARD)
+    return h, psi, spec, n_shots, cfg.seed, method, trotter_steps
 
 
 def _shot_lines(samples: tuple[float, ...], t_couple: float) -> list[str]:
@@ -318,16 +321,7 @@ def _run_robustness(cfg: ExperimentConfig):
         "midmeasure_peaks": [
             {"eigenvalue": p.eigenvalue, "weight": p.weight, "sigma_x": p.sigma_x} for p in rep.peaks
         ],
-        "branches": [
-            {
-                "eigenvalue": b.eigenvalue,
-                "baseline_eigenvalue": b.baseline_eigenvalue,
-                "shift": b.shift,
-                "fidelity_before": b.fidelity_before,
-                "fidelity_after": b.fidelity_after,
-            }
-            for b in rep.branches
-        ],
+        "branches": [asdict(b) for b in rep.branches],
         "resolution": rep.resolution,
     }
     csv = _shot_lines(rep.samples, rep.baseline.t_couple)
@@ -337,7 +331,7 @@ def _run_robustness(cfg: ExperimentConfig):
 
 def _run_synth(cfg: ExperimentConfig):
     layout = _layout(cfg)
-    registry = standard_registry(layout, guard=_number(cfg, "guard", default=DEFAULT_GUARD))
+    registry = standard_registry(layout)
     target = _need(cfg, "target")
     if not isinstance(target, str):
         raise ConfigError("target: must be a Hamiltonian expression string")
@@ -352,7 +346,7 @@ def _run_synth(cfg: ExperimentConfig):
         # the probe |0...0> is flat index 0: its final and exact states are column 0 of the pair
         final, exact = (StateVector(layout, u[:, 0]) for u in unitaries)
         del unitaries  # free the pair before the next is formed
-    leak = state_leakage(final, registry.guard)
+    leak = state_leakage(final)
 
     results = {
         "target": plan.target_id,
@@ -384,7 +378,7 @@ def _run_closure(cfg: ExperimentConfig):
     include_reset_effectives = cfg.raw.get("include_reset_effectives", True)
     if not isinstance(include_reset_effectives, bool):
         raise ConfigError(f"include_reset_effectives: must be true or false, got {include_reset_effectives!r}")
-    registry = SynthesisRegistry(layout, guard=_number(cfg, "guard", default=DEFAULT_GUARD))
+    registry = SynthesisRegistry(layout)
     spins, modes = spins_and_modes(layout)
     if seeds is None:
         seed_exprs = [g.expr for g in primitive_set(layout, spins[0], modes[0]).members]
@@ -441,7 +435,7 @@ def _run_qft_demo(cfg: ExperimentConfig):
         state = cv_qft(state, 0)
         track.append((k, state.expectation(x_op), state.expectation(p_op)))
     fid = state.fidelity(initial)
-    leak = state_leakage(state, _number(cfg, "guard", default=DEFAULT_GUARD))
+    leak = state_leakage(state)
     results = {
         "cutoff": cutoff,
         "trajectory": [{"applications": k, "mean_x": x, "mean_p": p} for k, x, p in track],
@@ -466,7 +460,7 @@ def _run_trotter_scaling(cfg: ExperimentConfig):
         power = np.linalg.matrix_power(sequence_unitary(trotter(h, t / n, 1), layout, generators), n)
         rows.append((n, sector_norm(power - exact, sectors)))
     # the probe |0...0> is flat index 0: its final state is column 0 of the last step power
-    leak = state_leakage(StateVector(layout, power[:, 0]), _number(cfg, "guard", default=DEFAULT_GUARD))
+    leak = state_leakage(StateVector(layout, power[:, 0]))
     results = {"t": t, "errors": [{"n_steps": n, "error": e} for n, e in rows]}
     if len(rows) >= 2:
         results["error_slope"] = _fit_slope([r[0] for r in rows], [max(r[1], 1e-300) for r in rows])
@@ -515,12 +509,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.experiment, args.seed, args.out)
-    except json.JSONDecodeError as exc:
-        print(f"hybridsim: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except ConfigError as exc:
         print(f"hybridsim: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except ValueError as exc:  # load_config's JSON errors
+        print(f"hybridsim: parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     return run(cfg)
 
 

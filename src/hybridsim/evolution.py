@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DEFAULT_GUARD, RegisterLayout, StateVector, interior_mask
+from .hilbert import RegisterLayout, StateVector, interior_mask
 from .operators import (HamiltonianExpr, OperatorError, build, generator_id, local_factor, parse_expr, realize,
                         term, weyl_symbol)
 
@@ -120,7 +120,7 @@ class PulseSequence:
 
 @dataclass(frozen=True)
 class EvolutionReport:
-    """Final state of a run; its diagnostics are read from it, leakage at the default guard."""
+    """Final state of a run; its diagnostics are read from it."""
 
     final_state: StateVector
 
@@ -327,6 +327,6 @@ def cv_qft(state: StateVector, mode_idx: int) -> StateVector:
     return StateVector(state.layout, (phases * state.tensor()).reshape(-1))
 
 
-def leakage(state: StateVector, guard: float = DEFAULT_GUARD) -> float:
+def leakage(state: StateVector) -> float:
     """Probability of any qumode occupying its guard-band Fock levels: the weight summed there."""
-    return float(np.sum(np.abs(state.amplitudes[~interior_mask(state.layout, guard)]) ** 2))
+    return float(np.sum(np.abs(state.amplitudes[~interior_mask(state.layout)]) ** 2))

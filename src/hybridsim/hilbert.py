@@ -8,8 +8,9 @@ Conventions fixed here and relied on by every other module:
 * States are unit vectors.  Operations never renormalise silently; the
   only renormalisation points are documented measurement collapses.
 * Oscillators live in a truncated Fock basis.  Truncation corrupts the
-  top Fock levels, so a guard band (by default the top quarter of levels)
-  is excluded from operator comparisons and monitored as "leakage".
+  top Fock levels, so a guard band (the top `DEFAULT_GUARD` fraction of
+  levels, set here only) is excluded from operator comparisons and
+  monitored as "leakage".
 """
 
 from __future__ import annotations
@@ -242,29 +243,26 @@ def reduced_density(state: StateVector, keep: list[int] | tuple[int, ...]) -> De
     return DensityMatrix(psi @ psi.conj().T)
 
 
-def guard_start(cutoff: int, guard: float = DEFAULT_GUARD) -> int:
-    """First Fock level inside the guard band for a mode of this cutoff."""
-    if not 0.0 < guard < 1.0:
-        raise HilbertError(f"guard fraction must be in (0, 1), got {guard}")
-    start = math.ceil((1.0 - guard) * cutoff)
-    return max(1, min(cutoff - 1, start))
+def guard_start(cutoff: int) -> int:
+    """First Fock level inside the guard band, the top `DEFAULT_GUARD` of a mode's levels."""
+    return max(1, min(cutoff - 1, math.ceil((1.0 - DEFAULT_GUARD) * cutoff)))
 
 
-def interior_levels(layout: RegisterLayout, guard: float = DEFAULT_GUARD) -> tuple[int, ...]:
+def interior_levels(layout: RegisterLayout) -> tuple[int, ...]:
     """The one definition of the interior: the leading levels of each subsystem below its
     guard band (both for a qubit, those below `guard_start` for a qumode), whose product is
     the interior block read by `interior_mask` and by `operators.realize`'s ``levels``."""
-    return tuple(2 if spec.kind == "qubit" else guard_start(spec.dim, guard) for spec in layout.subsystems)
+    return tuple(2 if spec.kind == "qubit" else guard_start(spec.dim) for spec in layout.subsystems)
 
 
-def interior_mask(layout: RegisterLayout, guard: float = DEFAULT_GUARD) -> np.ndarray:
+def interior_mask(layout: RegisterLayout) -> np.ndarray:
     """Boolean mask over flat indices of the `interior_levels` block."""
-    return reduce(np.kron, [np.arange(dim) < n for dim, n in zip(layout.dims, interior_levels(layout, guard))])
+    return reduce(np.kron, [np.arange(dim) < n for dim, n in zip(layout.dims, interior_levels(layout))])
 
 
-def compress_to_interior(op: np.ndarray, layout: RegisterLayout, guard: float = DEFAULT_GUARD) -> np.ndarray:
+def compress_to_interior(op: np.ndarray, layout: RegisterLayout) -> np.ndarray:
     """Restrict an operator (or vector) to the guard-banded interior block."""
-    mask = interior_mask(layout, guard)
+    mask = interior_mask(layout)
     op = np.asarray(op)
     if op.ndim == 1:
         return op[mask]

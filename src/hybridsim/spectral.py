@@ -16,7 +16,7 @@ and an n-shot spectrum is the prefix of a longer one at the same seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,7 +31,6 @@ from .evolution import (
     trotter,
 )
 from .hilbert import (
-    DEFAULT_GUARD,
     RegisterLayout,
     StateVector,
     guard_start,
@@ -294,9 +293,9 @@ def _stream(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
-def reliable_shift(cutoff: int, guard: float = DEFAULT_GUARD) -> float:
+def reliable_shift(cutoff: int) -> float:
     """Largest pointer displacement the guard-banded mode can register."""
-    return float(np.sqrt(2.0 * guard_start(cutoff, guard) + 1.0))
+    return float(np.sqrt(2.0 * guard_start(cutoff) + 1.0))
 
 
 def estimate_spectrum(
@@ -307,7 +306,6 @@ def estimate_spectrum(
     seed: int,
     method: str = "exact",
     trotter_steps: int = 64,
-    guard: float = DEFAULT_GUARD,
     generators: Generators | None = None,
 ) -> SpectrumEstimate:
     """Sample the spectral decomposition of |psi> under H.
@@ -331,9 +329,9 @@ def estimate_spectrum(
     samples = basis.nodes[_stream(seed, 0).choice(len(probs), size=n_shots, p=probs)]
     peaks = _make_peaks(samples, spec.beta, spec.t_couple, n_shots)
 
-    leak = state_leakage(joint, guard)
+    leak = state_leakage(joint)
     notes = []
-    limit = reliable_shift(spec.cutoff, guard)
+    limit = reliable_shift(spec.cutoff)
     if any(abs(p.center_x) > limit for p in peaks):
         notes.append(
             f"peak beyond the reliable quadrature range |x| <= {limit:.2f}; "
@@ -403,7 +401,6 @@ def robustness_midmeasure(
     seed: int,
     method: str = "exact",
     trotter_steps: int = 64,
-    guard: float = DEFAULT_GUARD,
 ) -> RobustnessReport:
     """Interrupt the coupling halfway with a projective pointer measurement.
 
@@ -420,7 +417,7 @@ def robustness_midmeasure(
     """
     pointer = prepare_gaussian_pointer(spec.beta, spec.cutoff)
     generators = Generators(RegisterLayout(psi.layout.subsystems + pointer.layout.subsystems))
-    baseline = estimate_spectrum(h, psi, spec, n_shots, seed, method, trotter_steps, guard, generators)
+    baseline = estimate_spectrum(h, psi, spec, n_shots, seed, method, trotter_steps, generators)
 
     half = spec.t_couple / 2.0
     joint1 = couple_pointer(psi, h, pointer, half, method, trotter_steps, generators)
@@ -476,7 +473,7 @@ def robustness_midmeasure(
             )
         )
 
-    leak = state_leakage(joint1, guard)
+    leak = state_leakage(joint1)
     return RobustnessReport(
         baseline=baseline,
         samples=tuple(samples.tolist()),
@@ -504,14 +501,5 @@ def estimate_to_dict(est: SpectrumEstimate) -> dict:
         "seed": est.seed,
         "method": est.method,
         "notes": list(est.notes),
-        "peaks": [
-            {
-                "eigenvalue": p.eigenvalue,
-                "weight": p.weight,
-                "count": p.count,
-                "center_x": p.center_x,
-                "sigma_x": p.sigma_x,
-            }
-            for p in est.peaks
-        ],
+        "peaks": [asdict(p) for p in est.peaks],
     }

@@ -48,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .evolution import HERMITICITY_TOL, Generators, Pulse, PulseSequence, run_sequence, sequence_unitary
-from .hilbert import DEFAULT_GUARD, RegisterLayout, StateVector, compress_to_interior, interior_levels
+from .hilbert import RegisterLayout, StateVector, compress_to_interior, interior_levels
 from .operators import (
     HamiltonianExpr,
     HamiltonianTerm,
@@ -162,9 +162,8 @@ class SynthesisRegistry:
     rule whose direction differs from the target.
     """
 
-    def __init__(self, layout: RegisterLayout, guard: float = DEFAULT_GUARD):
+    def __init__(self, layout: RegisterLayout):
         self.layout = layout
-        self.guard = guard
         self._records: dict[str, GeneratorRecord] = {}
         self._generators = Generators(layout)
         self._rules: dict[str, DerivationRule] = {}
@@ -315,7 +314,8 @@ def synthesize(
     hold in |0>.  Each of the ``n_blocks`` blocks pulses the rule's two input
     generators with step s = sqrt(|angle| / (n_blocks |scale|)); a negative
     effective angle is realized by swapping the pulse order of A and B.  The
-    measured error of the plan decreases like n_blocks^(-1/2).
+    measured error of the plan decreases like n_blocks^(-1/2); an angle whose
+    predicted error is not finite raises SynthesisError.
     """
     if n_blocks < 1:
         raise SynthesisError(f"n_blocks must be >= 1, got {n_blocks}")
@@ -342,7 +342,12 @@ def synthesize(
         f"synthesize target={tid} angle={angle!r} n_blocks={n_blocks} s={s!r}"
         + (f" reset_spin={reset_spin_required}" if reset_spin_required is not None else ""),
     )
-    predicted = 1.5 * n_blocks * s**3 * registry.third_order_scale(a_id, b_id) if s > 0.0 else 0.0
+    try:  # s**3 raises past float range; a NaN step (a NaN angle) is nonzero and reaches the check
+        predicted = 1.5 * n_blocks * s**3 * registry.third_order_scale(a_id, b_id) if s else 0.0
+    except OverflowError:
+        predicted = math.inf
+    if not math.isfinite(predicted):
+        raise SynthesisError(f"angle {angle!r} over {n_blocks} blocks predicts a non-finite error {predicted}")
     return SynthPlan(
         target=target_expr,
         target_id=tid,
@@ -413,7 +418,7 @@ def spins_and_modes(layout: RegisterLayout) -> tuple[list[int], list[int]]:
     return spins, modes
 
 
-def standard_registry(layout: RegisterLayout, guard: float = DEFAULT_GUARD) -> SynthesisRegistry:
+def standard_registry(layout: RegisterLayout) -> SynthesisRegistry:
     """Registry pre-loaded with the primitive sets and the derivation chain.
 
     Registers, for every (spin, mode) pair: the primitives sxX, szX, szP;
@@ -423,7 +428,7 @@ def standard_registry(layout: RegisterLayout, guard: float = DEFAULT_GUARD) -> S
     sy X_1 and sz X_1 X_2 (aliased to the mode-only X_1 X_2).  Each direction
     is derived once, by the first template row that names it.
     """
-    reg = SynthesisRegistry(layout, guard)
+    reg = SynthesisRegistry(layout)
     spins, modes = spins_and_modes(layout)
     primitives = [gen.expr for s in spins for m in modes for gen in primitive_set(layout, s, m).members]
     for expr in primitives:
@@ -540,7 +545,6 @@ class ClosureReport:
     ``factors`` is the table of sliced local factors its blocks and queries read (`operators.sliced_factor`)."""
 
     layout: RegisterLayout
-    guard: float
     seed_ids: tuple[str, ...]
     directions: tuple[ClosureDirection, ...]
     local_bases: tuple[np.ndarray, ...]
@@ -576,11 +580,11 @@ class ClosureReport:
         products of the local bases and the part inside them, each formed as a difference."""
         layout = self.layout
         if not isinstance(query, np.ndarray):
-            block = realize(weyl_symbol(query, layout), layout, interior_levels(layout, self.guard), self.factors)
+            block = realize(weyl_symbol(query, layout), layout, interior_levels(layout), self.factors)
         elif np.max(np.abs(query - query.conj().T)) > HERMITICITY_TOL:
             raise SynthesisError(f"query is not Hermitian within {HERMITICITY_TOL:g}")
         else:
-            block = compress_to_interior(query, layout, self.guard)
+            block = compress_to_interior(query, layout)
         norm = np.linalg.norm(block)
         if norm == 0.0:
             raise SynthesisError("query direction vanishes on the interior block")
@@ -609,8 +613,9 @@ def close_algebra(
 
     Seeds sit at degree 1; a direction found as i[a, b] has degree
     max(deg a, deg b) + 1.  Exploration stops after ``max_new`` accepted
-    directions beyond the seeds or once ``degree_cap`` is exhausted, and is
-    strictly ordered, so the output is deterministic.
+    directions beyond the seeds, after a degree that adds none, or once
+    ``degree_cap`` is exhausted, and is strictly ordered, so the output is
+    deterministic.
 
     With ``include_reset_effectives`` (default), every seed of the form
     sz(x)M with M acting on modes also contributes M itself as a degree-1
@@ -626,11 +631,12 @@ def close_algebra(
     orthonormalizes those into ``coordinates``; a block dependent on the earlier
     ones gets no row and a note.  Each block is also realized once, alone
     (`operators.realize` on `hilbert.interior_levels`), and its norm must equal
-    its coordinates' within 1e-12 relative, which ties the product coordinates to
-    the one dense realizer; SynthesisError otherwise.  The search shares one Moyal table, the
-    report one table of sliced factors (`operators.sliced_factor`): each is formed once per run.
+    its coordinates' within 1e-12 relative (absolute below norm 1), which ties
+    the product coordinates to the one dense realizer; SynthesisError otherwise.
+    The search shares one Moyal table, the report one table of sliced factors
+    (`operators.sliced_factor`): each is formed once per run.
     """
-    layout, guard = registry.layout, registry.guard
+    layout = registry.layout
     notes: list[str] = []
 
     seeds = [(gid, registry.record(gid).expr) for gid in seed_ids]
@@ -680,6 +686,8 @@ def close_algebra(
     for degree in range(2, degree_cap + 1):
         degrees = [d for _, d, _ in found]
         prev = [j for j, d in enumerate(degrees) if d == degree - 1]
+        if not prev or len(found) - n_seeds >= max_new:
+            break  # every candidate of a degree pairs a direction of the one before: none is left
         # every older direction with each of prev, and each pair within prev once
         pairs = [(i, j) for j in prev for i in range(len(degrees)) if degrees[i] < degree - 1 or i < j]
         for i, j in pairs:
@@ -687,7 +695,7 @@ def close_algebra(
                 break
             try_add(symbol_commutator(found[i][0], found[j][0], moyal), degree, f"i[{i},{j}]")
 
-    levels, factors = interior_levels(layout, guard), {}
+    levels, factors = interior_levels(layout), {}
     local_bases, all_coords = product_coordinates([symbol for symbol, _, _ in found], layout, levels, factors)
     rows = np.empty_like(all_coords)
     directions = []
@@ -695,7 +703,10 @@ def close_algebra(
     for k, ((symbol, degree, source), coords) in enumerate(zip(found, all_coords)):
         norm = np.linalg.norm(coords)
         realized = np.linalg.norm(realize(symbol, layout, levels, factors))
-        if abs(realized - norm) > 1e-12 * realized:
+        # relative to the block, or to its symbol's unit coefficient norm if larger: a block can vanish
+        # on a small interior up to rounding (McCoy's x³p leaves a ±1e-17i diagonal on one level,
+        # which `packed` does not read), and a gap that small is rounding, not a wrong coordinate
+        if abs(realized - norm) > 1e-12 * max(realized, 1.0):
             raise SynthesisError(f"direction {k} ({source}): realized interior norm {realized:.17g} "
                                  f"differs from its product coordinates' {norm:.17g}")
         vec, resid = _orthonormal_residual(coords / norm, rows[:n_rows]) if norm >= 1e-12 else (None, 0.0)
@@ -710,7 +721,6 @@ def close_algebra(
 
     return ClosureReport(
         layout=layout,
-        guard=guard,
         seed_ids=tuple(s[0] for s in seeds),
         directions=tuple(directions),
         local_bases=local_bases,
@@ -756,7 +766,6 @@ def plan_to_json(plan: SynthPlan) -> str:
 def closure_to_json(report: ClosureReport, probes: dict[str, float] | None = None) -> str:
     doc = {
         "seed_ids": list(report.seed_ids),
-        "guard": report.guard,
         "depth_reached": report.depth_reached,
         "n_directions": len(report.directions),
         "directions_per_degree": report.directions_per_degree,

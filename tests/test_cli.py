@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -344,6 +345,59 @@ def test_non_finite_numbers_name_their_field(tmp_path, capsys):
         cfg = write_config(tmp_path, f"{name}.json", payload)
         assert main([name, "--config", cfg, "--out", str(tmp_path / name)]) == 3
         assert capsys.readouterr().err.startswith(f"hybridsim: validation error: {field}: must be a finite number")
+
+
+SMALL = ["qubit", {"kind": "qumode", "cutoff": 8}]
+
+
+@pytest.mark.parametrize("name, payload, field", [
+    ("synth", {"layout": SMALL, "target": "sy@0", "angle": 10**400, "n_blocks": [4]}, "angle"),
+    ("synth", {"layout": SMALL, "target": "sy@0", "angle": 1e300, "n_blocks": [4]}, "angle"),
+    ("trotter-scaling", {"layout": SMALL, "hamiltonian": "sz@0*X@1", "t": 10**400, "steps": [4]}, "t"),
+    ("qft-demo", {"cutoff": 16, "displace_x": 10**400}, "displace_x"),
+    ("spectrum", dict(SPECTRUM_CONFIG, beta=10**400), "beta"),
+])
+def test_numbers_beyond_float_range_name_their_field(tmp_path, capsys, name, payload, field):
+    cfg = write_config(tmp_path, f"{name}.json", payload)
+    assert main([name, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert re.match(rf"hybridsim: validation error: {field}\b", capsys.readouterr().err)
+
+
+def test_an_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "synth.json"
+    path.write_text('{"layout": ["qubit", {"kind": "qumode", "cutoff": 8}], "target": "sy@0", "n_blocks": [4], '
+                    f'"angle": 1{"0" * 5000}}}')
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("hybridsim: parse error: config: invalid JSON")
+
+
+@pytest.mark.parametrize("name, payload, field", [
+    ("synth", {"layout": SMALL, "target": "sy@0", "angle": 0.5, "n_blocks": [4, 4]}, "n_blocks"),
+    ("trotter-scaling", {"layout": SMALL, "hamiltonian": "sz@0*X@1", "t": 0.5, "steps": [2, 4, 2]}, "steps"),
+])
+def test_repeated_points_of_an_error_slope_name_their_field(tmp_path, capsys, name, payload, field):
+    cfg = write_config(tmp_path, f"{name}.json", payload)
+    assert main([name, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith(f"hybridsim: validation error: {field}: must not repeat")
+
+
+@pytest.mark.parametrize("name", cli.EXPERIMENTS)
+def test_the_guard_band_is_not_a_config_key(tmp_path, capsys, name):
+    cfg = write_config(tmp_path, f"{name}.json", {"experiment": name, "guard": 0.25})
+    assert main([name, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"hybridsim: validation error: guard: unknown key for experiment {name!r}\n"
+
+
+@pytest.mark.parametrize("cutoff", [2, 3])
+def test_closure_runs_on_the_smallest_modes(tmp_path, cutoff):
+    cfg = write_config(tmp_path, "closure.json",
+                       {"experiment": "closure", "layout": ["qubit", {"kind": "qumode", "cutoff": cutoff}]})
+    out = tmp_path / "closure"
+    assert main(["closure", "--config", cfg, "--out", str(out)]) == 0
+    notes = json.loads((out / "summary.json").read_text())["results"]["notes"]
+    # McCoy's x³p vanishes on these interiors up to rounding: the direction gets a note, no row
+    assert "direction 27 (i[2,11]) depends on the earlier ones on the interior block (residual 0.0e+00): " \
+           "no basis row" in notes
 
 
 @pytest.mark.parametrize("t", [0.5, -0.7])

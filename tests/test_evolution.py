@@ -357,8 +357,8 @@ def test_leakage_examples():
     )
     state = StateVector(layout, amps / np.linalg.norm(amps))
     tail = 1.0 - np.sum(np.abs(amps[:24]) ** 2) / np.sum(np.abs(amps) ** 2)
-    assert leakage(state, 0.25) < 1e-6
-    assert abs(leakage(state, 0.25) - tail) <= 1e-12
+    assert leakage(state) < 1e-6
+    assert abs(leakage(state) - tail) <= 1e-12
 
 
 def test_leakage_is_the_guard_band_weight_alone():

@@ -158,11 +158,11 @@ def test_join_states():
 
 
 def test_guard_band_levels():
-    assert guard_start(32, 0.25) == 24
-    assert guard_start(16, 0.25) == 12
-    mask = interior_mask(new_register([qubit(), qumode(32)]), 0.25)
+    assert guard_start(32) == 24
+    assert guard_start(16) == 12
+    mask = interior_mask(new_register([qubit(), qumode(32)]))
     assert mask.sum() == 2 * 24
 
     op = np.arange(64 * 64, dtype=float).reshape(64, 64)
-    sub = compress_to_interior(op, new_register([qubit(), qumode(32)]), 0.25)
+    sub = compress_to_interior(op, new_register([qubit(), qumode(32)]))
     assert sub.shape == (48, 48)

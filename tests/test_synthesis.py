@@ -399,7 +399,7 @@ def test_closure_of_a_mixed_parity_seed_matches_the_complex_reference(max_new):
     seeds = [reg.register(parse_expr(t), drivable=True, origin="primitive")
              for t in ("0.8*sx@0*X@1 + 0.6*sy@0*X@1", "sz@0*P@1", "sz@0*X@1")]
     rep = close_algebra(seeds, max_new=max_new, degree_cap=4, registry=reg)
-    mask = interior_mask(layout, reg.guard)
+    mask = interior_mask(layout)
     order, membership = _dense_reference_closure([reg.matrix(g) for g in rep.seed_ids], max_new, 4, mask)
     assert [(d.degree, d.source) for d in rep.directions] == [
         (degree, f"seed {rep.seed_ids[src]}" if degree == 1 else src) for degree, src in order]
@@ -548,7 +548,7 @@ def test_product_coordinates_are_an_isometry_of_the_interior_blocks(case):
 
     # a report whose rows span the symbols: any combination of them is a member
     rows = np.linalg.qr(coords.T)[0].T
-    rep = synthesis.ClosureReport(layout, DEFAULT_GUARD, (), (), local_bases, rows, 1)
+    rep = synthesis.ClosureReport(layout, (), (), local_bases, rows, 1)
     combined = {}
     for w, symbol in zip((1.0, -0.75, 0.5, 1.25), symbols):
         for key, c in symbol.items():
@@ -613,6 +613,49 @@ def test_closure_report_checks_its_product_coordinates_against_the_realized_bloc
     monkeypatch.setattr(synthesis, "realize", lambda *args: realize(*args) * (1.0 + 1e-11))
     with pytest.raises(SynthesisError, match="differs from its product coordinates"):
         close_algebra(seeds, max_new=5, degree_cap=2, registry=reg)
+
+
+def _transpose_mixed_monomials(factors):
+    return {k: v.T if isinstance(k[0], tuple) and all(k[0]) else v for k, v in factors.items()}
+
+
+def _drop_position_factors(factors):
+    return {k: np.eye(len(v)) if k[0] == (1, 0) else v for k, v in factors.items()}
+
+
+@pytest.mark.parametrize("corrupt", [_transpose_mixed_monomials, _drop_position_factors])
+def test_closure_report_catches_a_transposed_or_dropped_factor(monkeypatch, corrupt):
+    layout = new_register([qubit(), qumode(8)])
+    reg = SynthesisRegistry(layout)
+    seeds = [reg.register(g.expr, drivable=True, origin="primitive") for g in primitive_set(layout, 0, 1).members]
+    realize = operators.realize
+    monkeypatch.setattr(synthesis, "realize",
+                        lambda symbol, layout, levels, factors: realize(symbol, layout, levels, corrupt(factors)))
+    with pytest.raises(SynthesisError, match="differs from its product coordinates"):
+        close_algebra(seeds, max_new=64, degree_cap=4, registry=reg)
+
+
+def test_closure_stops_once_its_search_has_stopped():
+    layout = new_register([qubit(), qumode(8)])
+    reports = []
+    for cap in (4, 10**9):
+        reg = SynthesisRegistry(layout)
+        seeds = [reg.register(g.expr, drivable=True, origin="primitive") for g in primitive_set(layout, 0, 1).members]
+        reports.append(close_algebra(seeds, max_new=20, degree_cap=cap, registry=reg))
+    short, long = reports
+    assert [(d.degree, d.source, d.row) for d in long.directions] == [(d.degree, d.source, d.row)
+                                                                      for d in short.directions]
+    assert np.array_equal(long.coordinates, short.coordinates)
+
+    reg = SynthesisRegistry(layout)  # {sz·X, sz·P} saturates: a degree adds nothing
+    seeds = [reg.register(parse_expr(text), drivable=True, origin="primitive") for text in ("sz@0*X@1", "sz@0*P@1")]
+    assert close_algebra(seeds, max_new=10**6, degree_cap=10**9, registry=reg).directions_per_degree == {1: 4, 2: 2}
+
+
+@pytest.mark.parametrize("angle", [1e300, -1e300, float("inf"), float("nan")])
+def test_synthesize_rejects_a_non_finite_prediction(spin_mode_registry, angle):
+    with pytest.raises(SynthesisError, match="non-finite error"):
+        synthesize("sy@0", angle, 4, spin_mode_registry)
 
 
 def test_serialization_documents():
@@ -728,8 +771,8 @@ def _dense_rule_oracle(reg, rule):
     """Scale and residual of i(AB - BA) against the rule's direction, projected
     with a complex vdot on the compressed interior blocks."""
     a, b = reg.matrix(rule.a_id), reg.matrix(rule.b_id)
-    k = compress_to_interior(1j * (a @ b - b @ a), reg.layout, reg.guard)
-    g = compress_to_interior(build(rule.direction, reg.layout), reg.layout, reg.guard)
+    k = compress_to_interior(1j * (a @ b - b @ a), reg.layout)
+    g = compress_to_interior(build(rule.direction, reg.layout), reg.layout)
     scale = complex(np.vdot(g, k)) / np.vdot(g, g).real
     return scale, float(np.linalg.norm(k - scale * g) / (abs(scale) * np.linalg.norm(g)))
 
