@@ -42,7 +42,7 @@ from .evolution import (
     cv_qft,
     leakage as state_leakage,
     run_sequence,
-    sequence_unitary,
+    sequence_unitary,  # not called here, but kept importable from cli, which the benchmark's tracer pins
     trotter,
 )
 from .hilbert import HilbertError, RegisterLayout, StateVector, basis_state, new_register, qubit, qumode
@@ -54,7 +54,6 @@ from .operators import (
     parity_sectors,
     parse_expr,
     primitive_set,
-    sector_norm,
     term,
     weyl_symbol,
 )
@@ -71,6 +70,9 @@ from .synthesis import (
     close_algebra,
     plan_error,
     plan_unitaries,
+    probe_state,
+    sector_distance,
+    sector_unitary,
     spins_and_modes,
     standard_registry,
     synthesize,
@@ -332,20 +334,18 @@ def _run_robustness(cfg: ExperimentConfig):
 def _run_synth(cfg: ExperimentConfig):
     layout = _layout(cfg)
     registry = standard_registry(layout)
-    target = _need(cfg, "target")
-    if not isinstance(target, str):
-        raise ConfigError("target: must be a Hamiltonian expression string")
+    target = _hamiltonian(cfg, "target")
     angle = _number(cfg, "angle")
     blocks = _int_list(cfg, "n_blocks", minimum=1)
 
-    rows = []
+    rows, pair = [], None
     for n in blocks:
         plan = synthesize(target, angle, n, registry)
-        unitaries = plan_unitaries(plan, registry)
-        rows.append((n, plan.block_step, plan_error(plan, unitaries, layout), plan.predicted_error))
-        # the probe |0...0> is flat index 0: its final and exact states are column 0 of the pair
-        final, exact = (StateVector(layout, u[:, 0]) for u in unitaries)
-        del unitaries  # free the pair before the next is formed
+        pair = plan_unitaries(plan, registry, pair)  # a run's plans share their pulse generators and target
+        rows.append((n, plan.block_step, plan_error(plan, pair, layout), plan.predicted_error))
+        final = probe_state(pair[1], pair[0], layout)
+        pair = pair[0], None, pair[2]  # free the compiled blocks before the next are formed
+    exact = probe_state(pair[2], pair[0], layout)
     leak = state_leakage(final)
 
     results = {
@@ -452,15 +452,14 @@ def _run_trotter_scaling(cfg: ExperimentConfig):
     t = _number(cfg, "t")
     steps = _int_list(cfg, "steps", minimum=1)
     generators = Generators(layout)
-    exact = sequence_unitary(PulseSequence((Pulse(h, abs(t), -1 if t < 0 else 1),)), layout, generators)
     sectors = parity_sectors(weyl_symbol(h, layout), layout)
+    exact = sector_unitary(PulseSequence((Pulse(h, abs(t), -1 if t < 0 else 1),)), sectors, layout, generators)
     rows = []
     for n in steps:
         # one step of trotter(h, t, n) is trotter(h, t / n, 1) bit for bit (abs(t / n) == abs(t) / n)
-        power = np.linalg.matrix_power(sequence_unitary(trotter(h, t / n, 1), layout, generators), n)
-        rows.append((n, sector_norm(power - exact, sectors)))
-    # the probe |0...0> is flat index 0: its final state is column 0 of the last step power
-    leak = state_leakage(StateVector(layout, power[:, 0]))
+        power = sector_unitary(trotter(h, t / n, 1), sectors, layout, generators, n)
+        rows.append((n, sector_distance(power, exact)))
+    leak = state_leakage(probe_state(power, sectors, layout))
     results = {"t": t, "errors": [{"n_steps": n, "error": e} for n, e in rows]}
     if len(rows) >= 2:
         results["error_slope"] = _fit_slope([r[0] for r in rows], [max(r[1], 1e-300) for r in rows])

@@ -43,6 +43,9 @@ HERMITICITY_TOL = 1e-10
 
 LEAKAGE_INVALID = 1e-3
 
+# The largest phase max|energy|·duration a pulse may apply: past 2**52 rad, doubles are 1 rad apart.
+PHASE_BUDGET = 2.0**52
+
 
 class EvolutionError(ValueError):
     pass
@@ -192,11 +195,13 @@ class _Factored:
     matrix; no group covers a subsystem the generator does not touch, and a
     generator that touches none has no group.  ``energies`` is the outer
     product of the groups' eigenvalues, flattened over the whole register
-    once, so a pulse forms its phases as the dense formula does.
+    once, so a pulse forms its phases as the dense formula does, and
+    ``max_energy`` their largest modulus, which bounds a pulse's phase.
     """
 
     groups: tuple[tuple[tuple[int, ...], np.ndarray], ...]
     energies: np.ndarray
+    max_energy: float
 
     def apply(self, t: float, dims: tuple[int, ...], amps: np.ndarray) -> np.ndarray:
         """exp(-i H t) applied to a vector (D,) or a block (D, k)."""
@@ -253,7 +258,8 @@ class Generators:
         energies = np.full((1,) * len(dims), 1.0 if rest else sum(symbol.values(), 0.0))
         for axes, (w, _) in parts:
             energies = energies * w.reshape([d if i in axes else 1 for i, d in enumerate(dims)])
-        return _Factored(tuple((axes, v) for axes, (_, v) in parts), np.broadcast_to(energies, dims).reshape(-1))
+        energies = np.broadcast_to(energies, dims).reshape(-1)
+        return _Factored(tuple((axes, v) for axes, (_, v) in parts), energies, float(np.abs(energies).max()))
 
     def _local_eig(self, f: str | tuple[int, int], dim: int) -> tuple[np.ndarray, np.ndarray]:
         if (f, dim) not in self._local:
@@ -263,7 +269,7 @@ class Generators:
 
 def _propagate(seq: PulseSequence, layout: RegisterLayout, generators: Generators | None,
                amps: np.ndarray) -> np.ndarray:
-    """The pulse loop shared by run_sequence (a vector) and sequence_unitary (a block)."""
+    """The pulse loop shared by run_sequence (a vector) and sequence_unitary (a block), within PHASE_BUDGET."""
     if generators is None:
         generators = Generators(layout)
     elif not isinstance(generators, Generators):
@@ -274,7 +280,10 @@ def _propagate(seq: PulseSequence, layout: RegisterLayout, generators: Generator
     for pulse in seq.pulses:
         if pulse.duration == 0.0:
             continue
-        amps = generators.decomposition(pulse).apply(pulse.sign * pulse.duration, dims, amps)
+        factored = generators.decomposition(pulse)
+        if (phase := factored.max_energy * pulse.duration) > PHASE_BUDGET:
+            raise EvolutionError(f"pulse {pulse.generator_id}: phase {phase:.3g} exceeds the phase budget 2**52 rad")
+        amps = factored.apply(pulse.sign * pulse.duration, dims, amps)
     return amps
 
 

@@ -22,13 +22,14 @@ product of local factors, so a direction is a short real vector over
 products of per-subsystem orthonormal bases, and membership is measured as
 dot products there.  Synthesis *error*, in
 contrast, is the spectral norm on the whole truncated space: it quantifies
-what the compiled sequence does in this simulator.  It is taken per parity
-sector of the plan's generators (`operators.parity_sectors`), as the largest
-of the diagonal blocks' norms, which is the same value up to rounding.
-A plan is one block and a repeat count, so its unitary is the block's
-unitary raised to the n-th power by repeated squaring, at a cost that
-grows like log n; a run reads its error and its probe states from that
-one unitary and its target's (`plan_unitaries`).
+what the compiled sequence does in this simulator.  The pulses conserve the
+parity sectors of the plan's generators (`operators.parity_sectors`), so a
+unitary is formed as its diagonal blocks there (`sector_unitary`).  A plan is
+one block and a repeat count: each block of the block's unitary is raised to
+the n-th power by repeated squaring, at a cost of log n times the sum of the
+sectors' cubed sizes.  The error is the largest of the block pairs' distances;
+a run forms its target's blocks once and reads its probe states from the
+first sector (`plan_unitaries`, `probe_state`).
 
 The spin-reset rule: with a spin held in |0>, a one-term generator sz(x)M
 with M on modes only acts on the modes as M alone.  ``_reset_effective``
@@ -65,7 +66,6 @@ from .operators import (
     product_coordinates,
     realize,
     sector_blocks,
-    sector_norm,
     symbol_commutator,
     term,
     weyl_symbol,
@@ -361,25 +361,47 @@ def synthesize(
     )
 
 
-def plan_unitaries(plan: SynthPlan, registry: SynthesisRegistry) -> tuple[np.ndarray, np.ndarray]:
-    """The plan's compiled unitary, its block's raised to the ``n_blocks``-th power by
-    repeated squaring, and its target's, both on the whole register."""
+def sector_unitary(seq: PulseSequence, sectors: list[np.ndarray], layout: RegisterLayout, table: Generators,
+                   n: int | None = None) -> list[np.ndarray]:
+    """A sequence's unitary, from one propagation of the identity, as its blocks on the sectors of its
+    generators (`operators.sector_blocks`), each raised to the n-th power by repeated squaring if given."""
+    blocks = sector_blocks(sequence_unitary(seq, layout, table), sectors)
+    return blocks if n is None else [np.linalg.matrix_power(b, n) for b in blocks]
+
+
+def sector_distance(compiled: list[np.ndarray], target: list[np.ndarray]) -> float:
+    """Spectral-norm distance of two unitaries given as blocks on the same sectors: the largest block pair's."""
+    return max(float(np.linalg.norm(u - v, 2)) for u, v in zip(compiled, target))
+
+
+def probe_state(blocks: list[np.ndarray], sectors: list[np.ndarray], layout: RegisterLayout) -> StateVector:
+    """The image of |0...0> under a unitary given as sector blocks: flat index 0 leads the first sector."""
+    amps = np.zeros(layout.total_dim, dtype=complex)
+    amps[sectors[0]] = blocks[0][:, 0]
+    return StateVector(layout, amps)
+
+
+def plan_unitaries(plan: SynthPlan, registry: SynthesisRegistry, earlier: tuple | None = None) -> tuple:
+    """``(sectors, compiled, target)``: the sectors of a plan's pulses and target, and its two unitaries as
+    blocks there, the compiled ones raised to ``n_blocks``.  ``earlier`` is this triple for a plan with the
+    same target, angle and pulse generators (as every plan of a run has): its sectors and target are reused."""
     layout, table = registry.layout, registry.matrices
-    return (np.linalg.matrix_power(sequence_unitary(plan.block, layout, table), plan.n_blocks),
-            sequence_unitary(plan.target_sequence, layout, table))
+    if earlier is None:
+        sectors = parity_sectors([key for p in plan.block.pulses + plan.target_sequence.pulses
+                                  for key in weyl_symbol(parse_expr(p.generator_id), layout)], layout)
+        earlier = sectors, None, sector_unitary(plan.target_sequence, sectors, layout, table)
+    return earlier[0], sector_unitary(plan.block, earlier[0], layout, table, plan.n_blocks), earlier[2]
 
 
-def plan_error(plan: SynthPlan, unitaries: tuple[np.ndarray, np.ndarray], layout: RegisterLayout) -> float:
-    """Spectral-norm distance of a plan's (compiled, target) unitaries, taken per parity sector
-    of its pulse generators and target (`operators.sector_norm`); for a reset plan, on the
-    indices where its held spin is |0>, and the sectors within them."""
-    pulses = plan.block.pulses + plan.target_sequence.pulses
-    sectors = parity_sectors([key for p in pulses for key in weyl_symbol(parse_expr(p.generator_id), layout)], layout)
+def plan_error(plan: SynthPlan, unitaries: tuple, layout: RegisterLayout) -> float:
+    """`sector_distance` of a plan's unitaries (`plan_unitaries`); for a reset plan, of each block pair
+    restricted after the power to the indices where its held spin is |0>."""
+    sectors, compiled, target = unitaries
     if plan.reset_spin_required is not None:
         stride = math.prod(layout.dims[plan.reset_spin_required + 1:])
-        sectors = [held for s in sectors if len(held := s[s // stride % 2 == 0])]
-    u, u_target = unitaries
-    return sector_norm(u - u_target, sectors)
+        held = [np.flatnonzero(s // stride % 2 == 0) for s in sectors]
+        compiled, target = ([b[np.ix_(h, h)] for b, h in zip(bs, held) if len(h)] for bs in (compiled, target))
+    return sector_distance(compiled, target)
 
 
 def measure_plan_error(plan: SynthPlan, registry: SynthesisRegistry) -> float:
@@ -628,8 +650,8 @@ def close_algebra(
     Gram-Schmidt runs on symbol coefficient vectors, so the directions, their
     count and their order do not depend on the cutoff.  The report reads each
     direction's m×m interior block in product coordinates (`operators.product_coordinates`) and
-    orthonormalizes those into ``coordinates``; a block dependent on the earlier
-    ones gets no row and a note.  Each block is also realized once, alone
+    orthonormalizes those into ``coordinates``; a block that vanishes (norm below 1e-12)
+    or depends on the earlier ones gets no row and a note that says which.  Each block is also realized once, alone
     (`operators.realize` on `hilbert.interior_levels`), and its norm must equal
     its coordinates' within 1e-12 relative (absolute below norm 1), which ties
     the product coordinates to the one dense realizer; SynthesisError otherwise.
@@ -711,8 +733,9 @@ def close_algebra(
                                  f"differs from its product coordinates' {norm:.17g}")
         vec, resid = _orthonormal_residual(coords / norm, rows[:n_rows]) if norm >= 1e-12 else (None, 0.0)
         if resid <= NEW_DIRECTION_TOL:
-            notes.append(f"direction {k} ({source}) depends on the earlier ones on the interior block "
-                         f"(residual {resid:.1e}): no basis row")
+            why = (f"depends on the earlier ones on the interior block (residual {resid:.1e})" if norm >= 1e-12
+                   else f"vanishes on the interior block (norm {norm:.1e})")
+            notes.append(f"direction {k} ({source}) {why}: no basis row")
             directions.append(ClosureDirection(degree, source))
             continue
         rows[n_rows] = vec / resid

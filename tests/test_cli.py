@@ -1,13 +1,16 @@
 import csv
+import importlib.util
 import json
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hybridsim import cli, operators, synthesis
 from hybridsim.cli import main, parse_hamiltonian
-from hybridsim.evolution import expm_unitary, leakage, run_sequence, sequence_unitary, trotter
+from hybridsim.evolution import Generators, expm_unitary, leakage, run_sequence, sequence_unitary, trotter
 from hybridsim.hilbert import basis_state, new_register, qubit, qumode
 from hybridsim.operators import ExprSyntaxError, build
 from hybridsim.synthesis import standard_registry, synthesize
@@ -396,7 +399,7 @@ def test_closure_runs_on_the_smallest_modes(tmp_path, cutoff):
     assert main(["closure", "--config", cfg, "--out", str(out)]) == 0
     notes = json.loads((out / "summary.json").read_text())["results"]["notes"]
     # McCoy's x³p vanishes on these interiors up to rounding: the direction gets a note, no row
-    assert "direction 27 (i[2,11]) depends on the earlier ones on the interior block (residual 0.0e+00): " \
+    assert "direction 27 (i[2,11]) vanishes on the interior block (norm 0.0e+00): " \
            "no basis row" in notes
 
 
@@ -454,13 +457,15 @@ def test_gate_synthesis_norms_are_taken_per_parity_sector(tmp_path, monkeypatch,
         sizes["found"].add(tuple(len(s) for s in sectors))
         return sectors
 
-    def sector_norm(m, sectors):
-        sizes["normed"].add(tuple(len(s) for s in sectors))
-        return operators.sector_norm(m, sectors)
+    distance = synthesis.sector_distance
+
+    def sector_distance(compiled, target):
+        sizes["normed"].add(tuple(len(b) for b in compiled))
+        return distance(compiled, target)
 
     for module in (cli, synthesis):
         monkeypatch.setattr(module, "parity_sectors", parity_sectors)
-        monkeypatch.setattr(module, "sector_norm", sector_norm)
+        monkeypatch.setattr(module, "sector_distance", sector_distance)
     cfg = write_config(tmp_path, "cfg.json", {"experiment": experiment, "layout": _layout_json(dims), **config})
     assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert sizes == {"found": {tuple(found)}, "normed": {tuple(normed)}}
@@ -494,8 +499,11 @@ def test_synth_reads_its_probe_from_the_plan_unitary(tmp_path, monkeypatch, dims
         "experiment": "synth", "layout": ["qubit" if d == 2 else {"kind": "qumode", "cutoff": d} for d in dims],
         "target": target, "angle": angle, "n_blocks": blocks})
     assert main(["synth", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    # each n_blocks forms its block power on the register once (the rest are local operator powers)
-    assert [n for d, n in powers if d == np.prod(dims)] == blocks
+    # each n_blocks raises every sector block of its step once: two or more blocks whose sizes sum to D
+    # (the powers of other exponents are local operator powers)
+    for n in blocks:
+        sizes = [d for d, k in powers if k == n]
+        assert len(sizes) >= 2 and sum(sizes) == np.prod(dims)
     monkeypatch.undo()
 
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
@@ -532,3 +540,50 @@ def test_shot_lines_format_each_shot_as_before():
     samples = (0.5, -1.25, 0.5, 1e-17, -1.25, 3.0000000000000004, 0.5)
     expected = ["shot,x,eigenvalue_estimate"] + [f"{i},{x!r},{x / 3.7!r}" for i, x in enumerate(samples)]
     assert _shot_lines(samples, 3.7) == expected
+
+
+def test_a_synth_run_propagates_its_target_pulse_once(tmp_path, monkeypatch):
+    layout = new_register([qubit(), qumode(8)])
+    target_id = synthesize("sy@0", 0.4, 4, standard_registry(layout)).target_id
+    pulses = []
+    decomposition = Generators.decomposition
+    monkeypatch.setattr(Generators, "decomposition",
+                        lambda self, p: pulses.append(p.generator_id) or decomposition(self, p))
+    cfg = write_config(tmp_path, "synth.json", {"experiment": "synth", "layout": _layout_json([2, 8]),
+                                                "target": "sy@0", "angle": 0.4, "n_blocks": [4, 16, 64]})
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert pulses.count(target_id) == 1
+    assert len(pulses) == 3 * 4 + 1  # one block per n_blocks, and the target
+
+
+@pytest.mark.parametrize("experiment, config", [
+    ("synth", {"layout": _layout_json([2, 8]), "target": "sy@0", "angle": 1e200, "n_blocks": [4, 16, 64]}),
+    ("trotter-scaling", {"layout": _layout_json([2, 2, 8]), "hamiltonian": "0.9*sz@0*X@2 + 1.1*sx@0*X@2 + 0.5*sz@1*P@2",
+                         "t": 1e300, "steps": [4, 16]}),
+])
+def test_a_pulse_past_the_phase_budget_exits_3(tmp_path, capsys, experiment, config):
+    cfg = write_config(tmp_path, "cfg.json", {"experiment": experiment, **config})
+    assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("hybridsim: validation error: pulse ")
+    assert "exceeds the phase budget 2**52 rad" in err
+
+
+def _bench_workloads(monkeypatch):
+    """The benchmark's experiment lists, from bench/workloads.py, imported for this test only."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", module)  # its dataclasses resolve through sys.modules
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["pointer-spectroscopy", "gate-synthesis", "lie-closure", "shot-sampling"])
+def test_every_benchmark_config_runs_inside_the_phase_budget(tmp_path, monkeypatch, workload):
+    workloads = _bench_workloads(monkeypatch)
+    for seed in (5, 7):
+        for i, exp in enumerate(workloads.experiments(workload, seed)):
+            path = tmp_path / f"{seed}-{i}.json"
+            workloads.write_config(exp, path)
+            assert main(exp.argv(path, tmp_path / f"out-{seed}-{i}")) == 0, exp.label

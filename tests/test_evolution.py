@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hybridsim import evolution
 from hybridsim.evolution import (
+    PHASE_BUDGET,
     EvolutionError,
     Generators,
     Pulse,
@@ -369,3 +370,16 @@ def test_leakage_is_the_guard_band_weight_alone():
     tiny = np.zeros(32, dtype=complex)
     tiny[0], tiny[30] = 1.0, 1e-10
     assert abs(leakage(StateVector(layout, tiny)) - 1e-20) <= 1e-32
+
+
+def test_a_pulse_past_the_phase_budget_is_refused():
+    layout = new_register([qubit(), qumode(4)])
+    table = Generators(layout)
+    factored = table.decomposition(Pulse("2.5*sz@0*X@1", 1.0))
+    assert factored.max_energy == np.abs(factored.energies).max() > 0.0
+    # a phase at the budget still runs, one past it is refused
+    assert PHASE_BUDGET == 2.0**52
+    run_sequence(PulseSequence((Pulse("sz@0", PHASE_BUDGET),)), basis_state(layout, [0, 0]), table)
+    for pulse in (Pulse("sz@0", 2.0 * PHASE_BUDGET), Pulse("2.5*sz@0*X@1", PHASE_BUDGET, -1)):
+        with pytest.raises(EvolutionError, match=r"exceeds the phase budget 2\*\*52 rad"):
+            sequence_unitary(PulseSequence((pulse,)), layout, table)
