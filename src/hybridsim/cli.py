@@ -51,11 +51,9 @@ from .operators import (
     HamiltonianExpr,
     OperatorError,
     build,
-    parity_sectors,
     parse_expr,
     primitive_set,
     term,
-    weyl_symbol,
 )
 from .spectral import (
     PointerSpec,
@@ -68,11 +66,7 @@ from .synthesis import (
     SynthesisError,
     SynthesisRegistry,
     close_algebra,
-    plan_error,
-    plan_unitaries,
-    probe_state,
-    sector_distance,
-    sector_unitary,
+    power_distances,
     spins_and_modes,
     standard_registry,
     synthesize,
@@ -81,6 +75,10 @@ from .synthesis import (
 EXPERIMENTS = ("synth", "closure", "qft-demo", "spectrum", "robustness", "trotter-scaling")
 
 EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_INVALID = 0, 2, 3, 4
+
+# The largest n_blocks or steps a run takes.  Every configuration tried already exits 3 at 2**52, its
+# probe's norm off from 1 by more than 1e-8; far past it a power overflows and its norm fails to converge.
+MAX_REPEATS = 2**52
 
 
 class ConfigError(ValueError):
@@ -175,6 +173,8 @@ def _int_list(cfg: ExperimentConfig, key: str, minimum: int) -> list[int]:
         raise ConfigError(f"{key}: must be an integer (or list of integers) >= {minimum}")
     if len(set(val)) < len(val):  # a repeated point leaves the error slope's fit rank-deficient
         raise ConfigError(f"{key}: must not repeat a value, got {val}")
+    if max(val) > MAX_REPEATS:
+        raise ConfigError(f"{key}: must be at most 2**52 (cli.MAX_REPEATS), got {max(val)}")
     return val
 
 
@@ -338,14 +338,11 @@ def _run_synth(cfg: ExperimentConfig):
     angle = _number(cfg, "angle")
     blocks = _int_list(cfg, "n_blocks", minimum=1)
 
-    rows, pair = [], None
-    for n in blocks:
-        plan = synthesize(target, angle, n, registry)
-        pair = plan_unitaries(plan, registry, pair)  # a run's plans share their pulse generators and target
-        rows.append((n, plan.block_step, plan_error(plan, pair, layout), plan.predicted_error))
-        final = probe_state(pair[1], pair[0], layout)
-        pair = pair[0], None, pair[2]  # free the compiled blocks before the next are formed
-    exact = probe_state(pair[2], pair[0], layout)
+    plans = [synthesize(target, angle, n, registry) for n in blocks]
+    plan = plans[-1]  # a run's plans share their target, angle and pulse generators
+    errors, final, exact = power_distances([(p.block, p.n_blocks) for p in plans], plan.target_sequence, layout,
+                                           registry.matrices, plan.reset_spin_required)
+    rows = [(p.n_blocks, p.block_step, e, p.predicted_error) for p, e in zip(plans, errors)]
     leak = state_leakage(final)
 
     results = {
@@ -451,15 +448,11 @@ def _run_trotter_scaling(cfg: ExperimentConfig):
     h = _hamiltonian(cfg)
     t = _number(cfg, "t")
     steps = _int_list(cfg, "steps", minimum=1)
-    generators = Generators(layout)
-    sectors = parity_sectors(weyl_symbol(h, layout), layout)
-    exact = sector_unitary(PulseSequence((Pulse(h, abs(t), -1 if t < 0 else 1),)), sectors, layout, generators)
-    rows = []
-    for n in steps:
-        # one step of trotter(h, t, n) is trotter(h, t / n, 1) bit for bit (abs(t / n) == abs(t) / n)
-        power = sector_unitary(trotter(h, t / n, 1), sectors, layout, generators, n)
-        rows.append((n, sector_distance(power, exact)))
-    leak = state_leakage(probe_state(power, sectors, layout))
+    exact = PulseSequence((Pulse(h, abs(t), -1 if t < 0 else 1),))
+    # one step of trotter(h, t, n) is trotter(h, t / n, 1) bit for bit (abs(t / n) == abs(t) / n)
+    errors, final, _ = power_distances([(trotter(h, t / n, 1), n) for n in steps], exact, layout, Generators(layout))
+    rows = list(zip(steps, errors))
+    leak = state_leakage(final)
     results = {"t": t, "errors": [{"n_steps": n, "error": e} for n, e in rows]}
     if len(rows) >= 2:
         results["error_slope"] = _fit_slope([r[0] for r in rows], [max(r[1], 1e-300) for r in rows])

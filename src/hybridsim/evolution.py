@@ -77,6 +77,16 @@ class Pulse:
             return self.generator
         return generator_id(self.generator)
 
+    @property
+    def expr(self) -> HamiltonianExpr:
+        """The generator's inline expression, else its id parsed as Hamiltonian text."""
+        if isinstance(self.generator, HamiltonianExpr):
+            return self.generator
+        try:
+            return parse_expr(self.generator)
+        except OperatorError:
+            raise UnknownGeneratorError(f"cannot resolve generator id {self.generator!r}") from None
+
 
 @dataclass(frozen=True)
 class PulseSequence:
@@ -218,11 +228,11 @@ class _Factored:
 class Generators:
     """Generator id -> factored eigendecomposition on one layout, each id diagonalized once.
 
-    A pulse's generator resolves to its inline expression, else to its id
-    parsed as Hamiltonian text, and its Weyl symbol is factored by its keys
-    as the module docstring describes.  The table belongs to the caller that
-    creates it: pass the same table to several runs on one layout and they
-    share every eigendecomposition.
+    A pulse's generator resolves to its expression (`Pulse.expr`: the inline
+    expression, else its id parsed as Hamiltonian text), and its Weyl symbol
+    is factored by its keys as the module docstring describes.  The table
+    belongs to the caller that creates it: pass the same table to several
+    runs on one layout and they share every eigendecomposition.
     """
 
     def __init__(self, layout: RegisterLayout):
@@ -233,13 +243,7 @@ class Generators:
     def decomposition(self, pulse: Pulse) -> _Factored:
         gid = pulse.generator_id
         if gid not in self._decompositions:
-            expr = pulse.generator
-            if not isinstance(expr, HamiltonianExpr):
-                try:
-                    expr = parse_expr(gid)
-                except OperatorError:
-                    raise UnknownGeneratorError(f"cannot resolve generator id {gid!r}") from None
-            self._decompositions[gid] = self._factor(expr)
+            self._decompositions[gid] = self._factor(pulse.expr)
         return self._decompositions[gid]
 
     def _factor(self, expr: HamiltonianExpr) -> _Factored:

@@ -104,7 +104,7 @@ def _as_unit_vector(amplitudes, dim: int) -> np.ndarray:
         raise HilbertError(f"amplitude vector has shape {amps.shape}, expected ({dim},)")
     norm = np.linalg.norm(amps)
     if abs(norm - 1.0) > NORM_TOL:
-        raise HilbertError(f"state norm {norm:.3e} deviates from 1 by more than {NORM_TOL:g}")
+        raise HilbertError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}, more than {NORM_TOL:g}")
     amps = amps.copy()
     amps.flags.writeable = False
     return amps

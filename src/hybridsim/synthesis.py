@@ -23,13 +23,13 @@ products of per-subsystem orthonormal bases, and membership is measured as
 dot products there.  Synthesis *error*, in
 contrast, is the spectral norm on the whole truncated space: it quantifies
 what the compiled sequence does in this simulator.  The pulses conserve the
-parity sectors of the plan's generators (`operators.parity_sectors`), so a
-unitary is formed as its diagonal blocks there (`sector_unitary`).  A plan is
-one block and a repeat count: each block of the block's unitary is raised to
-the n-th power by repeated squaring, at a cost of log n times the sum of the
-sectors' cubed sizes.  The error is the largest of the block pairs' distances;
-a run forms its target's blocks once and reads its probe states from the
-first sector (`plan_unitaries`, `probe_state`).
+parity sectors of their generators (`operators.parity_sectors`), so one
+function, `power_distances`, forms each unitary as its diagonal blocks there.
+A plan is one block and a repeat count: each block of the block's unitary is
+raised to the n-th power by repeated squaring, at a cost of log n times the
+sum of the sectors' cubed sizes.  The error is the largest of the block pairs'
+distances; a run passes every plan's block in one call, which forms the
+target's blocks once and reads the probe states from the first sector.
 
 The spin-reset rule: with a spin held in |0>, a one-term generator sz(x)M
 with M on modes only acts on the modes as M alone.  ``_reset_effective``
@@ -361,52 +361,40 @@ def synthesize(
     )
 
 
-def sector_unitary(seq: PulseSequence, sectors: list[np.ndarray], layout: RegisterLayout, table: Generators,
-                   n: int | None = None) -> list[np.ndarray]:
-    """A sequence's unitary, from one propagation of the identity, as its blocks on the sectors of its
-    generators (`operators.sector_blocks`), each raised to the n-th power by repeated squaring if given."""
-    blocks = sector_blocks(sequence_unitary(seq, layout, table), sectors)
-    return blocks if n is None else [np.linalg.matrix_power(b, n) for b in blocks]
+def power_distances(steps: list[tuple[PulseSequence, int]], target: PulseSequence, layout: RegisterLayout,
+                    table: Generators, held_spin: int | None = None) -> tuple[list[float], StateVector, StateVector]:
+    """Each ``(step, n)`` pair's spectral-norm distance of step**n from ``target``, and the images of |0...0>
+    under the last power and under the target.  The pulses conserve the parity sectors of their generators'
+    keys (`operators.parity_sectors`, read once per generator id), so each unitary is one propagation of the
+    identity cut into its sector blocks (`operators.sector_blocks`), and only the step's blocks are powered, by
+    repeated squaring.  A distance is the largest block pair's, read with ``held_spin`` on the indices where
+    that spin is |0>.  Flat index 0 leads the first sector, so a probe image is column 0 of the first block."""
+    pulses = {p.generator_id: p for seq in (target, *(step for step, _ in steps)) for p in seq.pulses}
+    sectors = parity_sectors([key for p in pulses.values() for key in weyl_symbol(p.expr, layout)], layout)
+    held = [np.arange(len(s)) for s in sectors]  # the indices a distance reads in each sector
+    if held_spin is not None:
+        held = [np.flatnonzero(s // math.prod(layout.dims[held_spin + 1:]) % 2 == 0) for s in sectors]
 
+    def probe(blocks: list[np.ndarray]) -> StateVector:
+        amps = np.zeros(layout.total_dim, dtype=complex)
+        amps[sectors[0]] = blocks[0][:, 0]
+        return StateVector(layout, amps)
 
-def sector_distance(compiled: list[np.ndarray], target: list[np.ndarray]) -> float:
-    """Spectral-norm distance of two unitaries given as blocks on the same sectors: the largest block pair's."""
-    return max(float(np.linalg.norm(u - v, 2)) for u, v in zip(compiled, target))
-
-
-def probe_state(blocks: list[np.ndarray], sectors: list[np.ndarray], layout: RegisterLayout) -> StateVector:
-    """The image of |0...0> under a unitary given as sector blocks: flat index 0 leads the first sector."""
-    amps = np.zeros(layout.total_dim, dtype=complex)
-    amps[sectors[0]] = blocks[0][:, 0]
-    return StateVector(layout, amps)
-
-
-def plan_unitaries(plan: SynthPlan, registry: SynthesisRegistry, earlier: tuple | None = None) -> tuple:
-    """``(sectors, compiled, target)``: the sectors of a plan's pulses and target, and its two unitaries as
-    blocks there, the compiled ones raised to ``n_blocks``.  ``earlier`` is this triple for a plan with the
-    same target, angle and pulse generators (as every plan of a run has): its sectors and target are reused."""
-    layout, table = registry.layout, registry.matrices
-    if earlier is None:
-        sectors = parity_sectors([key for p in plan.block.pulses + plan.target_sequence.pulses
-                                  for key in weyl_symbol(parse_expr(p.generator_id), layout)], layout)
-        earlier = sectors, None, sector_unitary(plan.target_sequence, sectors, layout, table)
-    return earlier[0], sector_unitary(plan.block, earlier[0], layout, table, plan.n_blocks), earlier[2]
-
-
-def plan_error(plan: SynthPlan, unitaries: tuple, layout: RegisterLayout) -> float:
-    """`sector_distance` of a plan's unitaries (`plan_unitaries`); for a reset plan, of each block pair
-    restricted after the power to the indices where its held spin is |0>."""
-    sectors, compiled, target = unitaries
-    if plan.reset_spin_required is not None:
-        stride = math.prod(layout.dims[plan.reset_spin_required + 1:])
-        held = [np.flatnonzero(s // stride % 2 == 0) for s in sectors]
-        compiled, target = ([b[np.ix_(h, h)] for b, h in zip(bs, held) if len(h)] for bs in (compiled, target))
-    return sector_distance(compiled, target)
+    exact = sector_blocks(sequence_unitary(target, layout, table), sectors)
+    distances = []
+    for step, n in steps:
+        power = [np.linalg.matrix_power(b, n) for b in sector_blocks(sequence_unitary(step, layout, table), sectors)]
+        distances.append(max(float(np.linalg.norm((u - v)[np.ix_(h, h)], 2))
+                             for u, v, h in zip(power, exact, held) if len(h)))
+        final = probe(power)
+        del power  # only its probe column outlives it, before the next power is formed
+    return distances, final, probe(exact)
 
 
 def measure_plan_error(plan: SynthPlan, registry: SynthesisRegistry) -> float:
-    """Spectral-norm distance between the compiled sequence and its target (`plan_error`)."""
-    return plan_error(plan, plan_unitaries(plan, registry), registry.layout)
+    """Spectral-norm distance between the compiled sequence and its target (`power_distances`)."""
+    return power_distances([(plan.block, plan.n_blocks)], plan.target_sequence, registry.layout,
+                           registry.matrices, plan.reset_spin_required)[0][0]
 
 
 # Derivation templates (A, B, direction), i[A, B] = scale * direction, in the

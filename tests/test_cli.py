@@ -450,25 +450,26 @@ def _layout_json(dims):
 ])
 def test_gate_synthesis_norms_are_taken_per_parity_sector(tmp_path, monkeypatch, experiment, dims, config, found,
                                                            normed):
-    sizes = {"found": set(), "normed": set()}
+    sizes = {"found": set(), "normed": []}
 
     def parity_sectors(keys, layout):
         sectors = operators.parity_sectors(keys, layout)
         sizes["found"].add(tuple(len(s) for s in sectors))
         return sectors
 
-    distance = synthesis.sector_distance
+    norm = np.linalg.norm
 
-    def sector_distance(compiled, target):
-        sizes["normed"].add(tuple(len(b) for b in compiled))
-        return distance(compiled, target)
+    def block_norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:  # a block pair's spectral-norm distance
+            sizes["normed"].append(len(x))
+        return norm(x, ord, *args, **kwargs)
 
-    for module in (cli, synthesis):
-        monkeypatch.setattr(module, "parity_sectors", parity_sectors)
-        monkeypatch.setattr(module, "sector_distance", sector_distance)
+    monkeypatch.setattr(synthesis, "parity_sectors", parity_sectors)
+    monkeypatch.setattr(np.linalg, "norm", block_norm)
     cfg = write_config(tmp_path, "cfg.json", {"experiment": experiment, "layout": _layout_json(dims), **config})
     assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert sizes == {"found": {tuple(found)}, "normed": {tuple(normed)}}
+    # each of the two n_blocks (or steps) takes one distance, over the same block pairs
+    assert sizes == {"found": {tuple(found)}, "normed": normed * 2}
 
 
 def _refuse_replay(monkeypatch):
@@ -567,6 +568,34 @@ def test_a_pulse_past_the_phase_budget_exits_3(tmp_path, capsys, experiment, con
     err = capsys.readouterr().err
     assert err.startswith("hybridsim: validation error: pulse ")
     assert "exceeds the phase budget 2**52 rad" in err
+
+
+def test_trotter_terms_that_cancel_in_the_sum_still_set_the_sectors(tmp_path):
+    # the two sx terms cancel in the Hamiltonian's symbol, but each is pulsed, at its own position in a step
+    text, t, steps = "sx@0*X@1 + sz@0*X@1 - sx@0*X@1", 0.5, [4, 8]
+    cfg = write_config(tmp_path, "trotter.json", {"experiment": "trotter-scaling", "layout": _layout_json([2, 8]),
+                                                   "hamiltonian": text, "t": t, "steps": steps})
+    assert main(["trotter-scaling", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    errors = json.loads((tmp_path / "out" / "summary.json").read_text())["results"]["errors"]
+    layout, h = new_register([qubit(), qumode(8)]), parse_hamiltonian(text)
+    exact = expm_unitary(build(h, layout), t)
+    for n, e in zip(steps, errors):
+        dense = np.linalg.norm(np.linalg.matrix_power(sequence_unitary(trotter(h, t / n, 1), layout), n) - exact, 2)
+        assert abs(e["error"] - dense) <= 1e-12 * dense
+
+
+@pytest.mark.parametrize("n", [2**52 + 1, 10**20])
+@pytest.mark.parametrize("experiment, key, config", [
+    ("synth", "n_blocks", {"target": "sz@0*sz@1", "angle": 0.3}),
+    ("trotter-scaling", "steps", {"hamiltonian": "0.9*sz@0*X@2 + 1.1*sx@0*X@2 + 0.5*sz@1*P@2", "t": 0.5}),
+])
+def test_a_repeat_count_past_2_to_the_52_exits_3(tmp_path, capsys, n, experiment, key, config):
+    cfg = write_config(tmp_path, "cfg.json", {"experiment": experiment, "layout": _layout_json([2, 2, 8]),
+                                              key: [4, n], **config})
+    assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"hybridsim: validation error: {key}: must be at most 2**52 (cli.MAX_REPEATS), got {n}\n"
+    assert cli.MAX_REPEATS == 2**52
 
 
 def _bench_workloads(monkeypatch):

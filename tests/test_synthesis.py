@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridsim.evolution import Generators, PulseSequence, expm_unitary, run_sequence, sequence_unitary, trotter
+from hybridsim.evolution import Generators, Pulse, PulseSequence, expm_unitary, run_sequence, sequence_unitary, trotter
 from hybridsim.hilbert import (
     StateVector,
     basis_state,
@@ -21,8 +21,7 @@ from hybridsim.hilbert import (
     qumode,
     reduced_density,
 )
-from hybridsim.operators import (OperatorError, build, fock_annihilate, generator_id, parity_sectors, parse_expr,
-                                 primitive_set, sector_blocks, term, weyl_symbol)
+from hybridsim.operators import OperatorError, build, fock_annihilate, generator_id, parse_expr, primitive_set, term
 from hybridsim import cli, evolution, operators, spectral, synthesis
 from hybridsim.synthesis import (
     NEW_DIRECTION_TOL,
@@ -37,10 +36,8 @@ from hybridsim.synthesis import (
     measure_plan_error,
     oscillator_drive,
     plan_to_json,
-    plan_unitaries,
-    probe_state,
+    power_distances,
     reset_spin,
-    sector_unitary,
     standard_registry,
     synthesize,
 )
@@ -726,12 +723,10 @@ def test_plan_error_matches_the_flat_sequence(dims, target, n_blocks):
     assert abs(measure_plan_error(plan, reg) - _flat_plan_error(plan, reg)) <= 1e-12
 
 
-def _assert_sector_blocks_of(blocks, dense, sectors, layout):
-    """``blocks`` are the sector blocks of the dense unitary within 1e-12, and so is the probe column."""
-    oracle = sector_blocks(dense, sectors)
-    assert [b.shape for b in blocks] == [o.shape for o in oracle]
-    assert max(np.abs(b - o).max() for b, o in zip(blocks, oracle)) <= 1e-12
-    assert np.abs(probe_state(blocks, sectors, layout).amplitudes - dense[:, 0]).max() <= 1e-12
+def _assert_probe_columns(final, exact, compiled, target):
+    """The probe images are column 0 of the dense compiled and target unitaries within 1e-12."""
+    assert np.abs(final.amplitudes - compiled[:, 0]).max() <= 1e-12
+    assert np.abs(exact.amplitudes - target[:, 0]).max() <= 1e-12
 
 
 @pytest.mark.parametrize("dims, target, angle, n_blocks", [
@@ -742,26 +737,25 @@ def _assert_sector_blocks_of(blocks, dense, sectors, layout):
 def test_plan_unitaries_are_the_sector_blocks_of_the_dense_pair(dims, target, angle, n_blocks):
     reg = standard_registry(new_register(dims))
     plan = synthesize(target, angle, n_blocks, reg)
-    sectors, compiled, exact = plan_unitaries(plan, reg)
-    assert len(sectors) >= 2
+    (error,), final, exact = power_distances([(plan.block, n_blocks)], plan.target_sequence, reg.layout,
+                                             reg.matrices, plan.reset_spin_required)
+    assert abs(error - _flat_plan_error(plan, reg)) <= 1e-12
     block = sequence_unitary(plan.block, reg.layout, reg.matrices)
-    _assert_sector_blocks_of(compiled, np.linalg.matrix_power(block, n_blocks), sectors, reg.layout)
-    _assert_sector_blocks_of(exact, sequence_unitary(plan.target_sequence, reg.layout, reg.matrices), sectors,
-                             reg.layout)
-    # an earlier plan's sectors and target blocks are taken as they are
-    again = plan_unitaries(synthesize(target, angle, 4, reg), reg, (sectors, compiled, exact))
-    assert again[0] is sectors and again[2] is exact
+    _assert_probe_columns(final, exact, np.linalg.matrix_power(block, n_blocks),
+                          sequence_unitary(plan.target_sequence, reg.layout, reg.matrices))
 
 
 def test_trotter_step_powers_are_the_sector_blocks_of_the_dense_power():
     layout = new_register([qubit(), qubit(), qumode(8)])
     h = parse_expr("0.9*sz@0*X@2 + 1.1*sx@0*X@2 + 0.5*sz@1*P@2")
-    sectors, table = parity_sectors(weyl_symbol(h, layout), layout), Generators(layout)
-    assert [len(s) for s in sectors] == [16, 16]
-    for n in (4, 16):
-        step = trotter(h, 0.5 / n, 1)
-        power = sector_unitary(step, sectors, layout, table, n)
-        _assert_sector_blocks_of(power, np.linalg.matrix_power(sequence_unitary(step, layout), n), sectors, layout)
+    target = PulseSequence((Pulse(h, 0.5),))
+    errors, final, exact = power_distances([(trotter(h, 0.5 / n, 1), n) for n in (4, 16)], target, layout,
+                                           Generators(layout))
+    dense = sequence_unitary(target, layout)
+    for n, error in zip((4, 16), errors):
+        flat = sequence_unitary(trotter(h, 0.5, n), layout)
+        assert abs(error - np.linalg.norm(flat - dense, 2)) <= 1e-12
+    _assert_probe_columns(final, exact, flat, dense)
 
 
 def test_plan_sequence_is_the_block_repeated(two_spin_registry):
