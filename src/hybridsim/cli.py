@@ -76,8 +76,8 @@ EXPERIMENTS = ("synth", "closure", "qft-demo", "spectrum", "robustness", "trotte
 
 EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_INVALID = 0, 2, 3, 4
 
-# The largest n_blocks or steps a run takes.  Every configuration tried already exits 3 at 2**52, its
-# probe's norm off from 1 by more than 1e-8; far past it a power overflows and its norm fails to converge.
+# The largest integer a config may give.  At 2**52 every n_blocks or steps config tried already exits 3 (its
+# probe's norm off by more than 1e-8), and every size through MemoryError; far past it a power overflows.
 MAX_REPEATS = 2**52
 
 
@@ -160,6 +160,12 @@ def _int(cfg: ExperimentConfig, key: str, default=None, minimum=None) -> int:
     val = _number(cfg, key, default, minimum)
     if not isinstance(val, int):
         raise ConfigError(f"{key}: must be an integer, got {val!r}")
+    return _at_most_max(key, val)
+
+
+def _at_most_max(key: str, val: int) -> int:
+    if val > MAX_REPEATS:
+        raise ConfigError(f"{key}: must be at most 2**52 (cli.MAX_REPEATS), got {val}")
     return val
 
 
@@ -173,8 +179,7 @@ def _int_list(cfg: ExperimentConfig, key: str, minimum: int) -> list[int]:
         raise ConfigError(f"{key}: must be an integer (or list of integers) >= {minimum}")
     if len(set(val)) < len(val):  # a repeated point leaves the error slope's fit rank-deficient
         raise ConfigError(f"{key}: must not repeat a value, got {val}")
-    if max(val) > MAX_REPEATS:
-        raise ConfigError(f"{key}: must be at most 2**52 (cli.MAX_REPEATS), got {max(val)}")
+    _at_most_max(key, max(val))
     return val
 
 
@@ -191,7 +196,7 @@ def _layout(cfg: ExperimentConfig) -> RegisterLayout:
             cut = entry.get("cutoff")
             if not isinstance(cut, int) or isinstance(cut, bool) or cut < 2:
                 raise ConfigError(f"layout[{i}].cutoff: qumode cutoff must be an integer >= 2, got {cut!r}")
-            specs.append(qumode(cut))
+            specs.append(qumode(_at_most_max(f"layout[{i}].cutoff", cut)))
             continue
         raise ConfigError(f'layout[{i}]: expected "qubit" or {{"kind": "qumode", "cutoff": N}}, got {entry!r}')
     return new_register(specs)
@@ -478,6 +483,11 @@ def run(cfg: ExperimentConfig) -> int:
         results, leak, valid, csv_lines, curve_lines = _RUNNERS[cfg.experiment](cfg)
     except (ConfigError, EvolutionError, HilbertError, OperatorError, SpectralError, SynthesisError) as exc:
         print(f"hybridsim: validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (MemoryError, ValueError) as exc:  # numpy refuses an array past the address range with a ValueError
+        if isinstance(exc, ValueError) and not str(exc).startswith(("array is too big", "Maximum allowed dim")):
+            raise
+        print(f"hybridsim: validation error: {cfg.experiment}: cannot allocate its arrays", file=sys.stderr)
         return EXIT_VALIDATION
     results = json.loads(json.dumps(results))  # plain types only
     if not valid:

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import RegisterLayout, StateVector, interior_mask
-from .operators import (HamiltonianExpr, OperatorError, build, generator_id, local_factor, parse_expr, realize,
-                        term, weyl_symbol)
+from .operators import (HamiltonianExpr, OperatorError, Symbol, build, generator_id, local_factor, parse_expr,
+                        realize, term, weyl_symbol)
 
 HERMITICITY_TOL = 1e-10
 
@@ -164,19 +164,12 @@ def _eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(_check_hermitian(h))
 
 
-def _apply(w: np.ndarray, v: np.ndarray, t: float, amps: np.ndarray) -> np.ndarray:
-    """exp(-i H t) with H = v diag(w) v^dagger, applied to a vector or to a (D, k) block."""
-    phases = np.exp(-1j * w * t).reshape((-1,) + (1,) * (amps.ndim - 1))
-    return v @ (phases * (v.conj().T @ amps))
-
-
 def expm_apply(h: np.ndarray, t: float, state: StateVector) -> StateVector:
     """exp(-i H t)|state> for Hermitian H, exact via eigendecomposition."""
-    h = _check_hermitian(h)
-    if h.shape[0] != state.layout.total_dim:
-        raise EvolutionError(f"generator dim {h.shape[0]} != state dim {state.layout.total_dim}")
-    w, v = _eig(h)
-    return StateVector(state.layout, _apply(w, v, t, state.amplitudes))
+    w, v = _eig(h)  # which checks that h is square and Hermitian
+    if len(w) != state.layout.total_dim:
+        raise EvolutionError(f"generator dim {len(w)} != state dim {state.layout.total_dim}")
+    return StateVector(state.layout, v @ (np.exp(-1j * w * t) * (v.conj().T @ state.amplitudes)))
 
 
 def expm_unitary(h: np.ndarray, t: float) -> np.ndarray:
@@ -243,12 +236,12 @@ class Generators:
     def decomposition(self, pulse: Pulse) -> _Factored:
         gid = pulse.generator_id
         if gid not in self._decompositions:
-            self._decompositions[gid] = self._factor(pulse.expr)
+            self._decompositions[gid] = self.factor(weyl_symbol(pulse.expr, self.layout))
         return self._decompositions[gid]
 
-    def _factor(self, expr: HamiltonianExpr) -> _Factored:
+    def factor(self, symbol: Symbol) -> _Factored:
+        """The factored eigendecomposition of a Hermitian symbol, formed on each call (local factors are kept)."""
         layout, dims = self.layout, self.layout.dims
-        symbol = weyl_symbol(expr, layout)
         keys = [dict(key) for key in symbol]
         touched = sorted(set().union(*keys))
         common = [i for i in touched if all(k.get(i) == keys[0].get(i) for k in keys)]

@@ -10,7 +10,8 @@ i.e. one block turns on the effective Hermitian generator i[A, B] for an
 effective time s^2.  Directions of effective generators are taken from the
 derivation-rule registry; their scale and sign are *computed* exactly in
 the algebra of [X, P] = i, from the Weyl symbols of A, B and the direction
-(`operators.symbol_commutator`), with no matrix and no cutoff.  The tests
+(`operators.symbol_commutator`), with no matrix and no cutoff, as are the
+nested commutators of the block's third-order error prediction.  The tests
 check them against the dense interior block.
 
 The closure runs in the same exact algebra: its directions are Weyl
@@ -56,7 +57,6 @@ from .operators import (
     Symbol,
     block_coordinates,
     build,
-    commutator,
     generator_id,
     packed,
     parity_sectors,
@@ -152,14 +152,13 @@ class SynthesisRegistry:
 
     Generators are keyed by the compact canonical text of their Hamiltonian,
     so ids are stable, serializable, and parse back to the same expression;
-    the registry stores expressions, never dense matrices.  ``matrix(gid)``
-    builds one on demand for its one dense user, the third-order error
-    prediction, which reads it block by block over the parity sectors of
-    its generator pair (rules and the closure read expressions); pulses
-    run through ``matrices``, the registry's ``Generators`` table, which
-    factors each id's expression.  One table maps a target id to its rule:
-    a derived direction's own rule, or for a reset alias the sz(x)target
-    rule whose direction differs from the target.
+    the registry stores expressions, never dense matrices (``matrix(gid)``
+    builds one on demand, for the tests' oracles only).  Rules, the closure
+    and the third-order prediction read symbols; ``matrices``, the registry's
+    ``Generators`` table, factors each pulse's expression and each of the
+    prediction's nested commutators.  One table maps a target id to its
+    rule: a derived direction's own rule, or for a reset alias the
+    sz(x)target rule whose direction differs from the target.
     """
 
     def __init__(self, layout: RegisterLayout):
@@ -183,23 +182,20 @@ class SynthesisRegistry:
         return self._records[gid]
 
     def matrix(self, gid: str) -> np.ndarray:
-        """The dense matrix of a registered generator, built on each call (for `third_order_scale`)."""
+        """The dense matrix of a registered generator, built on each call (the tests' oracle)."""
         return build(self.record(gid).expr, self.layout)
 
     def third_order_scale(self, a_id: str, b_id: str) -> float:
-        """0.5 (||[A, i[A,B]]|| + ||[B, i[A,B]]||), computed once per ordered pair (A, B).
+        """0.5 (||i[A, C]|| + ||i[B, C]||) with C = i[A, B], computed once per ordered pair (A, B).
 
-        A and B are sliced to the parity sectors of their keys (`operators.sector_blocks`)
-        before the commutators, and each norm is the largest over the sectors: that of the
-        exactly Hermitian i[A_s, C_s] is its largest |eigenvalue|."""
+        The nested commutators are exact symbols (`operators.symbol_commutator`), and each norm
+        is the largest |eigenvalue| of its symbol on the truncated space, read from the symbol's
+        factored eigendecomposition in the registry's table (`Generators.factor`)."""
         if (a_id, b_id) not in self._third_order:
-            keys = [key for gid in (a_id, b_id) for key in weyl_symbol(self.record(gid).expr, self.layout)]
-            sectors = parity_sectors(keys, self.layout)
-            norms = []
-            for a, b in zip(*(sector_blocks(self.matrix(gid), sectors) for gid in (a_id, b_id))):
-                c = 1j * commutator(a, b)  # Hermitian, as commutator requires; same norms as [A, B]
-                norms.append([np.abs(np.linalg.eigvalsh(1j * commutator(x, c))).max() for x in (a, b)])
-            self._third_order[(a_id, b_id)] = float(0.5 * np.max(norms, axis=0).sum())
+            a, b = (weyl_symbol(self.record(gid).expr, self.layout) for gid in (a_id, b_id))
+            c = symbol_commutator(a, b)
+            norms = [self._generators.factor(symbol_commutator(x, c)).max_energy for x in (a, b)]
+            self._third_order[(a_id, b_id)] = 0.5 * sum(norms)
         return self._third_order[(a_id, b_id)]
 
     @property
@@ -596,8 +592,8 @@ class ClosureReport:
         else:
             block = compress_to_interior(query, layout)
         norm = np.linalg.norm(block)
-        if norm == 0.0:
-            raise SynthesisError("query direction vanishes on the interior block")
+        if not 0.0 < norm < math.inf:
+            raise SynthesisError(f"query direction vanishes on the interior block or is not finite (norm {norm:.1e})")
         block = block / norm
         coords = block_coordinates(block, self.local_bases)
         _, inside = _orthonormal_residual(coords, self.coordinates)
@@ -716,7 +712,7 @@ def close_algebra(
         # relative to the block, or to its symbol's unit coefficient norm if larger: a block can vanish
         # on a small interior up to rounding (McCoy's x³p leaves a ±1e-17i diagonal on one level,
         # which `packed` does not read), and a gap that small is rounding, not a wrong coordinate
-        if abs(realized - norm) > 1e-12 * max(realized, 1.0):
+        if not abs(realized - norm) <= 1e-12 * max(realized, 1.0):  # also true of a non-finite block
             raise SynthesisError(f"direction {k} ({source}): realized interior norm {realized:.17g} "
                                  f"differs from its product coordinates' {norm:.17g}")
         vec, resid = _orthonormal_residual(coords / norm, rows[:n_rows]) if norm >= 1e-12 else (None, 0.0)

@@ -616,3 +616,40 @@ def test_every_benchmark_config_runs_inside_the_phase_budget(tmp_path, monkeypat
             path = tmp_path / f"{seed}-{i}.json"
             workloads.write_config(exp, path)
             assert main(exp.argv(path, tmp_path / f"out-{seed}-{i}")) == 0, exp.label
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings, which a CLI run only prints
+@pytest.mark.parametrize(("cutoff", "config", "message"), [
+    (16, {"probes": ["X@1^1000"]}, "query direction vanishes on the interior block or is not finite (norm nan)"),
+    (4, {"seeds": ["sx@0*X@1^1000"], "degree_cap": 2},
+     "direction 0 (seed 1.0*sx@0*X@1^1000): realized interior norm inf differs from its product coordinates' nan"),
+])
+def test_a_closure_block_that_is_not_finite_exits_3(tmp_path, capsys, cutoff, config, message):
+    cfg = write_config(tmp_path, "cfg.json", {"experiment": "closure", "layout": _layout_json([2, cutoff]), **config})
+    assert main(["closure", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"hybridsim: validation error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n", [2**52, 2**52 + 1, 10**20])
+@pytest.mark.parametrize(("experiment", "key", "config"), [
+    ("spectrum", "n_shots", SPECTRUM_CONFIG),
+    ("robustness", "n_shots", SPECTRUM_CONFIG),
+    ("spectrum", "pointer_cutoff", SPECTRUM_CONFIG),
+    ("spectrum", "trotter_steps", {**SPECTRUM_CONFIG, "method": "trotter"}),
+    ("synth", "layout[1].cutoff", {"target": "sy@0", "angle": 0.3, "n_blocks": 4}),
+    ("closure", "layout[1].cutoff", {}),
+    ("qft-demo", "cutoff", {}),
+])
+def test_a_size_past_the_address_space_exits_3(tmp_path, capsys, n, experiment, key, config):
+    # at 2**52 the first large array asks for at least 32 PiB, which no allocator grants; above it the bound refuses
+    config = {**config, "experiment": experiment}
+    if key.startswith("layout"):
+        config["layout"] = ["qubit", {"kind": "qumode", "cutoff": n}]
+    else:
+        config[key] = n
+    cfg = write_config(tmp_path, "cfg.json", config)
+    assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    why = (f"{experiment}: cannot allocate its arrays" if n == cli.MAX_REPEATS
+           else f"{key}: must be at most 2**52 (cli.MAX_REPEATS), got {n}")
+    assert capsys.readouterr().err == f"hybridsim: validation error: {why}\n"

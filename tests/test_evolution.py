@@ -20,7 +20,7 @@ from hybridsim.evolution import (
     trotter,
 )
 from hybridsim.hilbert import StateVector, basis_state, new_register, qubit, qumode
-from hybridsim.operators import HamiltonianExpr, HamiltonianTerm, LocalOp, build, fock_position, parse_expr
+from hybridsim.operators import HamiltonianExpr, HamiltonianTerm, LocalOp, build, fock_position, parse_expr, weyl_symbol
 from hybridsim.spectral import quadrature_basis
 
 
@@ -207,6 +207,17 @@ def test_factored_propagation_matches_the_dense_exponential(case, t, sign):
     psi = StateVector(layout, amps / np.linalg.norm(amps))
     out = run_sequence(seq, psi).final_state.amplitudes
     assert np.max(np.abs(out - exact @ psi.amplitudes)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@example(case=(new_register([qubit(), qumode(5)]), parse_expr("X@1 - X@1")))
+@example(case=(new_register([qubit(), qumode(6), qumode(6)]), parse_expr("sx@0*X@1^2*X@2")))
+@given(case=_pulse_cases())
+def test_a_factored_symbol_has_the_dense_largest_energy(case):
+    layout, expr = case
+    energy = Generators(layout).factor(weyl_symbol(expr, layout)).max_energy
+    dense = np.abs(np.linalg.eigvalsh(build(expr, layout))).max()
+    assert abs(energy - dense) <= 1e-12 * max(dense, 1.0)
 
 
 def test_sequence_text_round_trip_is_bit_exact():

@@ -174,8 +174,8 @@ def test_plans_for_one_target_share_its_eigendecomposition(monkeypatch):
         before = len(calls)
         errors.append(measure_plan_error(plan, reg))
         counts.append(len(calls) - before)
-    # the first call diagonalizes the rule's two inputs and the target, the second nothing
-    assert counts == [3, 0]
+    # the predictions left sx and sz in the table's local factors: the first call diagonalizes sy, the second nothing
+    assert counts == [1, 0]
     monkeypatch.undo()
     for plan, err in zip(plans, errors):
         exact = expm_unitary(build(plan.target, layout), plan.angle)
@@ -796,10 +796,34 @@ def test_third_order_scale_matches_the_dense_formula(dims, monkeypatch):
     reg = standard_registry(new_register([qubit() if d == 2 else qumode(d) for d in dims]))
     assert len(rules) >= 9
     for a_id, b_id in {pair for rule in rules for pair in ((rule.a_id, rule.b_id), (rule.b_id, rule.a_id))}:
+        x, y = (operators.weyl_symbol(reg.record(gid).expr, reg.layout) for gid in (a_id, b_id))
+        c = operators.symbol_commutator(x, y)
+        exact = 0.5 * sum(np.abs(np.linalg.eigvalsh(operators.realize(operators.symbol_commutator(z, c), reg.layout)))
+                          .max() for z in (x, y))
+        scale = reg.third_order_scale(a_id, b_id)
+        assert abs(scale - exact) <= 1e-12 * (exact or 1.0)
+        # X and P of one mode meet only in a mixed pair, whose nested commutators vanish exactly; elsewhere
+        # the truncated products agree with the exact symbols, which the dense formula checks too
+        x_modes, p_modes = ({i for key in (*x, *y) for i, f in key if isinstance(f, tuple) and f[k]} for k in (0, 1))
+        if x_modes & p_modes:
+            assert scale == 0.0
+            continue
         a, b = reg.matrix(a_id), reg.matrix(b_id)
         c = 1j * (a @ b - b @ a)
         dense = 0.5 * (np.linalg.norm(a @ c - c @ a, 2) + np.linalg.norm(b @ c - c @ b, 2))
-        assert abs(reg.third_order_scale(a_id, b_id) - dense) <= 1e-12 * dense
+        assert abs(scale - dense) <= 1e-12 * dense
+
+
+def test_predicting_a_plan_forms_no_register_sized_matrix():
+    reg = standard_registry(new_register([qubit(), qumode(32), qumode(32)]))  # D = 2048: 64 MiB per matrix
+    tracemalloc.start()
+    try:
+        plan = synthesize("X@1*X@2", 0.7, 64, reg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert 0.0 < plan.predicted_error < np.inf
 
 
 def _dense_rule_oracle(reg, rule):
