@@ -21,7 +21,13 @@ expression or an id that parses as one.  Decompositions are kept per
 generator id, and local factors per (key factor, dimension), in a
 ``Generators`` table owned by the caller (a synthesis registry, a
 spectroscopy run); a run given no table diagonalizes each of its generators
-once for that run only.
+once for that run only.  The pulse loop keeps an owed-basis map, axes -> the
+eigenvectors they are still expressed in: a pulse rotates in only the groups
+not owed as that very ``(axes, v)`` object, first rotating back each owed group
+that meets them; owed groups on axes it does not touch stay owed (its phases
+are constant there), and what is owed at the end is rotated back once.  So a
+Trotter pointer coupling rotates the pointer axis twice in all, and a repeated
+(generator id, signed duration) forms its phases once per call.
 
 Sign convention: a pulse of generator H with duration t and sign s applies
 ``exp(-i * s * H * t)``.  Global phases are never asserted anywhere; state
@@ -206,17 +212,6 @@ class _Factored:
     energies: np.ndarray
     max_energy: float
 
-    def apply(self, t: float, dims: tuple[int, ...], amps: np.ndarray) -> np.ndarray:
-        """exp(-i H t) applied to a vector (D,) or a block (D, k)."""
-        phases = np.exp(-1j * self.energies * t).reshape((-1,) + (1,) * (amps.ndim - 1))
-        for axes, v in self.groups:
-            amps = _on_axes(v.conj().T, axes, dims, amps)
-        # after a group amps is a fresh product, phased in place; with none it is the caller's array
-        amps = np.multiply(phases, amps, out=amps if self.groups else None)
-        for axes, v in self.groups:
-            amps = _on_axes(v, axes, dims, amps)
-        return amps
-
 
 class Generators:
     """Generator id -> factored eigendecomposition on one layout, each id diagonalized once.
@@ -266,21 +261,35 @@ class Generators:
 
 def _propagate(seq: PulseSequence, layout: RegisterLayout, generators: Generators | None,
                amps: np.ndarray) -> np.ndarray:
-    """The pulse loop shared by run_sequence (a vector) and sequence_unitary (a block), within PHASE_BUDGET."""
+    """The one pulse loop, on a vector (D,) or a block (D, k), within PHASE_BUDGET; ``amps`` is never written.
+    ``owed`` maps axes to the eigenvectors they are still in (the module docstring's owed-basis rule)."""
     if generators is None:
         generators = Generators(layout)
     elif not isinstance(generators, Generators):
         raise EvolutionError(f"generators must be a Generators table or None, got {type(generators).__name__}")
     elif generators.layout != layout:
         raise EvolutionError("generator table was built for a different layout")
-    dims = layout.dims
-    for pulse in seq.pulses:
-        if pulse.duration == 0.0:
-            continue
+    caller, dims, shape = amps, layout.dims, (-1,) + (1,) * (amps.ndim - 1)
+    pulses = [(p, (p.generator_id, p.sign * p.duration)) for p in seq.pulses if p.duration != 0.0]
+    last = {key: i for i, (_, key) in enumerate(pulses)}  # a key's phases are kept until its last pulse
+    owed: dict[tuple[int, ...], np.ndarray] = {}
+    phases: dict[tuple[str, float], np.ndarray] = {}
+    for i, (pulse, key) in enumerate(pulses):
         factored = generators.decomposition(pulse)
         if (phase := factored.max_energy * pulse.duration) > PHASE_BUDGET:
             raise EvolutionError(f"pulse {pulse.generator_id}: phase {phase:.3g} exceeds the phase budget 2**52 rad")
-        amps = factored.apply(pulse.sign * pulse.duration, dims, amps)
+        new = [(axes, v) for axes, v in factored.groups if owed.get(axes) is not v]
+        for axes in [a for a in owed if any(set(a) & set(g) for g, _ in new)]:
+            amps = _on_axes(owed.pop(axes), axes, dims, amps)
+        for axes, v in new:
+            amps = _on_axes(v.conj().T, axes, dims, amps)
+            owed[axes] = v
+        ph = phases.pop(key) if key in phases else np.exp(-1j * factored.energies * key[1]).reshape(shape)
+        if last[key] > i:
+            phases[key] = ph
+        amps = np.multiply(ph, amps, out=None if amps is caller else amps)
+    for axes, v in owed.items():
+        amps = _on_axes(v, axes, dims, amps)
     return amps
 
 

@@ -329,11 +329,18 @@ def symbol_commutator(a: Symbol, b: Symbol, moyal: dict | None = None) -> dict[t
 def _monomial_matrix(a: int, b: int, cutoff: int) -> np.ndarray:
     """Weyl-ordered x^a p^b on a truncated mode: the matrix power X^a or P^b of the truncated
     quadrature when pure, so products stay inside the truncated space (the corner caveat above
-    applies), else McCoy's 2^-a Σ_k C(a,k) X^(a-k) P^b X^k (McCoy, PNAS 18, 674 (1932))."""
-    if not a or not b:
-        return np.linalg.matrix_power(fock_position(cutoff) if a else fock_momentum(cutoff), a or b)
-    x, p, power = fock_position(cutoff), np.linalg.matrix_power(fock_momentum(cutoff), b), np.linalg.matrix_power
-    return sum(math.comb(a, k) * power(x, a - k) @ p @ power(x, k) for k in range(a + 1)) / 2**a
+    applies), else McCoy's 2^-a Σ_k C(a,k) X^(a-k) P^b X^k (McCoy, PNAS 18, 674 (1932)).  A factor
+    whose Frobenius norm overflows is refused with an OperatorError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not a or not b:
+            m = np.linalg.matrix_power(fock_position(cutoff) if a else fock_momentum(cutoff), a or b)
+        else:
+            x, power = fock_position(cutoff), np.linalg.matrix_power
+            p = power(fock_momentum(cutoff), b)
+            m = sum(math.comb(a, k) * power(x, a - k) @ p @ power(x, k) for k in range(a + 1)) / 2**a
+        if not np.isfinite(np.linalg.norm(m)):
+            raise OperatorError(f"mode factor x^{a} p^{b} on cutoff {cutoff} overflows (its norm is not finite)")
+    return m
 
 
 def local_factor(f: str | tuple[int, int] | None, dim: int) -> np.ndarray:

@@ -26,6 +26,7 @@ from .evolution import (
     Generators,
     Pulse,
     PulseSequence,
+    _propagate,
     leakage as state_leakage,
     run_sequence,
     trotter,
@@ -161,54 +162,51 @@ def couple_pointer(
     return run_sequence(seq, join_states(system_state, pointer), generators).final_state
 
 
-def _node_amplitudes(joint: StateVector, mode_idx: int) -> tuple[np.ndarray, QuadratureBasis]:
-    """Amplitudes re-expressed in the mode's quadrature-node basis, shape (rest, nodes)."""
-    layout = joint.layout
+def _node_amplitudes(layout: RegisterLayout, amps: np.ndarray, mode_idx: int) -> tuple[np.ndarray, QuadratureBasis]:
+    """Amplitudes re-expressed in the mode's quadrature-node basis: a vector (D,) gives (rest, nodes), a block
+    (D, k) of states gives (rest, k, nodes)."""
     if not layout.is_qumode(mode_idx):
         raise SpectralError(f"subsystem {mode_idx} is not a qumode")
-    basis = quadrature_basis(layout.dims[mode_idx])
-    moved = np.moveaxis(joint.tensor(), mode_idx, -1)
-    flat = moved.reshape(-1, layout.dims[mode_idx])
-    return flat @ basis.vectors.conj(), basis
+    d = layout.dims[mode_idx]
+    basis = quadrature_basis(d)
+    moved = np.moveaxis(amps.reshape(layout.dims + amps.shape[1:]), mode_idx, -1)
+    return moved.reshape((-1,) + amps.shape[1:] + (d,)) @ basis.vectors.conj(), basis
 
 
 def _born(node_amps: np.ndarray) -> np.ndarray:
-    """Normalized Born probabilities of the quadrature nodes, from amplitudes (rest, nodes)."""
+    """Normalized Born probabilities of the quadrature nodes: (nodes,) from (rest, nodes), (k, nodes) from a block."""
     probs = np.sum(np.abs(node_amps) ** 2, axis=0)
-    return probs / probs.sum()
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def measure_position(
     joint: StateVector, mode_idx: int, rng: np.random.Generator
 ) -> tuple[float, StateVector]:
     """Born-sample the X eigenbasis of one mode; returns (node value, collapsed state)."""
-    node_amps, basis = _node_amplitudes(joint, mode_idx)
+    node_amps, basis = _node_amplitudes(joint.layout, joint.amplitudes, mode_idx)
     probs = _born(node_amps)
     k = int(rng.choice(len(probs), p=probs))
-    _, collapsed = _collapse_to_bin(joint, mode_idx, node_amps, basis, np.array([k]))
-    return float(basis.nodes[k]), collapsed
+    _, collapsed = _collapse_to_bins(joint.layout, mode_idx, node_amps, basis, [np.array([k])])
+    return float(basis.nodes[k]), StateVector(joint.layout, collapsed[:, 0])
 
 
-def _collapse_to_bin(
-    joint: StateVector,
+def _collapse_to_bins(
+    layout: RegisterLayout,
     mode_idx: int,
     node_amps: np.ndarray,
     basis: QuadratureBasis,
-    members: np.ndarray,
-) -> tuple[float, StateVector]:
-    """Project onto the span of the given quadrature nodes and renormalize."""
-    layout = joint.layout
-    d = layout.dims[mode_idx]
-    kept = np.zeros_like(node_amps)
-    kept[:, members] = node_amps[:, members]
-    p = float(np.sum(np.abs(kept) ** 2))
-    probs = np.sum(np.abs(kept) ** 2, axis=0) / p
-    outcome = float(np.dot(probs, basis.nodes))
-    flat = (kept / np.sqrt(p)) @ basis.vectors.T
-    dims = layout.dims
-    rest = tuple(dims[i] for i in range(len(dims)) if i != mode_idx)
-    shaped = flat.reshape(rest + (d,))
-    return outcome, StateVector(layout, np.moveaxis(shaped, -1, mode_idx).reshape(-1))
+    bins: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project node amplitudes (rest, nodes) onto the span of each bin's quadrature nodes and renormalize:
+    each bin's Born-weighted position (k,), and its collapsed state as one column of a block (D, k)."""
+    outcomes, rest = np.empty(len(bins)), tuple(d for i, d in enumerate(layout.dims) if i != mode_idx)
+    flat = np.empty((node_amps.shape[0], basis.vectors.shape[0], len(bins)), dtype=complex)  # (rest, level, bin)
+    for j, members in enumerate(bins):
+        probs = np.sum(np.abs(node_amps[:, members]) ** 2, axis=0)
+        outcomes[j] = np.dot(probs, basis.nodes[members]) / probs.sum()
+        flat[:, :, j] = (node_amps[:, members] / np.sqrt(probs.sum())) @ basis.vectors[:, members].T
+    block = np.moveaxis(flat.reshape(rest + flat.shape[1:]), len(rest), mode_idx)  # a view when the mode is last
+    return outcomes, block.reshape(layout.total_dim, len(bins))
 
 
 def _position_bins(node_amps: np.ndarray, nodes: np.ndarray, width: float) -> tuple[list[np.ndarray], np.ndarray]:
@@ -234,10 +232,11 @@ def measure_position_binned(
     """
     if bin_width <= 0:
         raise SpectralError(f"bin_width must be positive, got {bin_width}")
-    node_amps, basis = _node_amplitudes(joint, mode_idx)
+    node_amps, basis = _node_amplitudes(joint.layout, joint.amplitudes, mode_idx)
     members, bin_probs = _position_bins(node_amps, basis.nodes, bin_width)
     chosen = members[int(rng.choice(len(members), p=bin_probs))]
-    return _collapse_to_bin(joint, mode_idx, node_amps, basis, chosen)
+    outcomes, collapsed = _collapse_to_bins(joint.layout, mode_idx, node_amps, basis, [chosen])
+    return float(outcomes[0]), StateVector(joint.layout, collapsed[:, 0])
 
 
 @dataclass(frozen=True)
@@ -323,7 +322,7 @@ def estimate_spectrum(
     pointer = prepare_gaussian_pointer(spec.beta, spec.cutoff)
     joint = couple_pointer(psi, h, pointer, spec.t_couple, method, trotter_steps, generators)
     mode_idx = len(psi.layout)
-    node_amps, basis = _node_amplitudes(joint, mode_idx)
+    node_amps, basis = _node_amplitudes(joint.layout, joint.amplitudes, mode_idx)
     probs = _born(node_amps)
 
     samples = basis.nodes[_stream(seed, 0).choice(len(probs), size=n_shots, p=probs)]
@@ -410,10 +409,12 @@ def robustness_midmeasure(
     uses the total displacement over the total time: peak positions are
     preserved within the resolution (widths may change).  For each detected
     peak the report checks that the system stays in the same eigenspace
-    across the second half.  The baseline, both halves and every branch
-    share one generator table, so the coupling is diagonalized once.  The
-    baseline draws stream 0, the mid-run stream 1: every shot's bin in one
-    draw, then each occupied bin's final nodes in one draw, bins ascending.
+    across the second half.  The baseline and both halves share one
+    generator table, so the coupling is diagonalized once.  The baseline
+    draws stream 0, the mid-run stream 1: every shot's bin in one draw, then
+    each occupied bin's final nodes in one draw, bins ascending.  Each
+    occupied bin's collapsed state is one column of a (D, k) block, and the
+    second half propagates the block once.
     """
     pointer = prepare_gaussian_pointer(spec.beta, spec.cutoff)
     generators = Generators(RegisterLayout(psi.layout.subsystems + pointer.layout.subsystems))
@@ -421,31 +422,22 @@ def robustness_midmeasure(
 
     half = spec.t_couple / 2.0
     joint1 = couple_pointer(psi, h, pointer, half, method, trotter_steps, generators)
-    mode_idx = len(psi.layout)
-    amps1, basis = _node_amplitudes(joint1, mode_idx)
+    layout, mode_idx = joint1.layout, len(psi.layout)
+    amps1, basis = _node_amplitudes(layout, joint1.amplitudes, mode_idx)
     members, bin_probs = _position_bins(amps1, basis.nodes, 1.0 / np.sqrt(2.0 * spec.beta))
-
-    second_half = _coupling_sequence(h, mode_idx, half, method, trotter_steps)
-
-    branches_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def branch_for(bin_i: int):
-        """(mid system amps, post node amps, post node probabilities) per bin."""
-        if bin_i not in branches_cache:
-            _, collapsed = _collapse_to_bin(joint1, mode_idx, amps1, basis, members[bin_i])
-            mid_amps, _ = _node_amplitudes(collapsed, mode_idx)
-            after = run_sequence(second_half, collapsed, generators).final_state
-            amps2, _ = _node_amplitudes(after, mode_idx)
-            branches_cache[bin_i] = (mid_amps, amps2, _born(amps2))
-        return branches_cache[bin_i]
 
     rng = _stream(seed, 1)
     shot_bins = rng.choice(len(members), size=n_shots, p=bin_probs)
+    occupied = np.flatnonzero(np.bincount(shot_bins))
+    _, block = _collapse_to_bins(layout, mode_idx, amps1, basis, [members[i] for i in occupied])
+    block = _propagate(_coupling_sequence(h, mode_idx, half, method, trotter_steps), layout, generators, block)
+    amps2, _ = _node_amplitudes(layout, block, mode_idx)  # (rest, bin, node)
+    del block
+    probs2 = _born(amps2)
     shot_nodes = np.empty(n_shots, dtype=int)
-    for bin_i in np.flatnonzero(np.bincount(shot_bins)):
+    for j, bin_i in enumerate(occupied):
         in_bin = shot_bins == bin_i
-        _, _, probs2 = branch_for(int(bin_i))
-        shot_nodes[in_bin] = rng.choice(len(basis.nodes), size=int(in_bin.sum()), p=probs2)
+        shot_nodes[in_bin] = rng.choice(len(basis.nodes), size=int(in_bin.sum()), p=probs2[j])
     samples = basis.nodes[shot_nodes]
 
     peaks = _make_peaks(samples, spec.beta, spec.t_couple, n_shots)
@@ -454,15 +446,11 @@ def robustness_midmeasure(
     branches = []
     for peak in peaks:
         rep = int(np.argmin(np.abs(samples - peak.center_x)))
-        mid_amps, amps2, _ = branch_for(int(shot_bins[rep]))
-        v1 = _system_vector(mid_amps, int(np.argmax(np.sum(np.abs(mid_amps) ** 2, axis=0))))
-        v2 = _system_vector(amps2, int(shot_nodes[rep]))
+        in_bin = members[shot_bins[rep]]
+        v1 = _system_vector(amps1, int(in_bin[np.argmax(np.sum(np.abs(amps1[:, in_bin]) ** 2, axis=0))]))
+        v2 = _system_vector(amps2[:, np.searchsorted(occupied, shot_bins[rep])], int(shot_nodes[rep]))
         _, proj = min(projectors, key=lambda g: abs(g[0] - peak.eigenvalue))
-        base = min(
-            (b for b in baseline.peaks),
-            key=lambda b: abs(b.eigenvalue - peak.eigenvalue),
-            default=None,
-        )
+        base = min(baseline.peaks, key=lambda b: abs(b.eigenvalue - peak.eigenvalue), default=None)
         branches.append(
             BranchCheck(
                 eigenvalue=peak.eigenvalue,

@@ -241,7 +241,7 @@ def test_criterion_6_spectrum_recovery():
     fid_min = 1.0
     for seed in range(5):
         x, collapsed = measure_position(joint, 2, np.random.default_rng(seed))
-        amps, _ = _node_amplitudes(collapsed, 2)
+        amps, _ = _node_amplitudes(collapsed.layout, collapsed.amplitudes, 2)
         k = int(np.argmax(np.sum(np.abs(amps) ** 2, axis=0)))
         v = amps[:, k] / np.linalg.norm(amps[:, k])
         proj = eigenspace_projector(h_mat, 1.0 if x > 0 else -1.0)

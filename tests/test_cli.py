@@ -85,6 +85,17 @@ def test_parse_error_exit_code(tmp_path):
     assert main(["spectrum", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize(("argv", "message"), [
+    (["bogus", "--config", "cfg.json"], "argument experiment: invalid choice: 'bogus'"),
+    (["spectrum"], "the following arguments are required: --config"),
+])
+def test_an_unknown_experiment_or_a_missing_config_exits_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"hybridsim: error: {message}" in capsys.readouterr().err
+
+
 def test_validation_error_names_field(tmp_path, capsys):
     bad = dict(SPECTRUM_CONFIG, pointer_cutoff=1)
     cfg = write_config(tmp_path, "bad.json", bad)
@@ -170,6 +181,21 @@ def test_synth_run(tmp_path):
     assert errors[0] > errors[-1]
     assert res["error_slope"] < -0.3
     assert res["probe_state_fidelity"] >= 0.99
+
+
+@pytest.mark.parametrize(("target", "noted"), [("sz@0*sz@1", True), ("sy@0", False)])
+def test_a_zero_prediction_beside_a_measured_error_carries_a_note(tmp_path, target, noted):
+    config = {"experiment": "synth", "layout": _layout_json([2, 2, 8]), "target": target, "angle": 0.3,
+              "n_blocks": [4, 16]}
+    out = tmp_path / "out"
+    assert main(["synth", "--config", write_config(tmp_path, "cfg.json", config), "--out", str(out)]) == 0
+    res = json.loads((out / "summary.json").read_text())["results"]
+    assert all((row["predicted_error"] == 0.0 < row["measured_error"]) == noted for row in res["errors"])
+    assert res["notes"] == ([f"predicted_error is 0.0 at n_blocks [4, 16]: the block is exact in the algebra of "
+                             "[X, P] = i, so measured_error there is truncation-edge error, which the exact "
+                             "prediction omits"] if noted else [])
+    rows = [ln for ln in (out / "samples.csv").read_text().splitlines() if not ln.startswith("#")]
+    assert rows[0] == "n_blocks,block_step,measured_error,predicted_error" and len(rows) == 3
 
 
 def test_closure_run(tmp_path):
@@ -618,15 +644,15 @@ def test_every_benchmark_config_runs_inside_the_phase_budget(tmp_path, monkeypat
             assert main(exp.argv(path, tmp_path / f"out-{seed}-{i}")) == 0, exp.label
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings, which a CLI run only prints
-@pytest.mark.parametrize(("cutoff", "config", "message"), [
-    (16, {"probes": ["X@1^1000"]}, "query direction vanishes on the interior block or is not finite (norm nan)"),
-    (4, {"seeds": ["sx@0*X@1^1000"], "degree_cap": 2},
-     "direction 0 (seed 1.0*sx@0*X@1^1000): realized interior norm inf differs from its product coordinates' nan"),
-])
-def test_a_closure_block_that_is_not_finite_exits_3(tmp_path, capsys, cutoff, config, message):
+@pytest.mark.parametrize(("cutoff", "config"), [
+    (16, {"probes": ["X@1^1000"]}),
+    (4, {"seeds": ["sx@0*X@1^1000"], "degree_cap": 2}),  # X^1000 is finite on 4 levels, but its norm overflows
+], ids=["probe", "seed"])
+def test_a_closure_block_that_is_not_finite_exits_3(tmp_path, capsys, cutoff, config):
+    # no warning filter: the project's error::RuntimeWarning would fail the test if numpy warned
     cfg = write_config(tmp_path, "cfg.json", {"experiment": "closure", "layout": _layout_json([2, cutoff]), **config})
     assert main(["closure", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    message = f"mode factor x^1000 p^0 on cutoff {cutoff} overflows (its norm is not finite)"
     assert capsys.readouterr().err == f"hybridsim: validation error: {message}\n"
     assert not (tmp_path / "out").exists()
 

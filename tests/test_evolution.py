@@ -11,6 +11,7 @@ from hybridsim.evolution import (
     Pulse,
     PulseSequence,
     UnknownGeneratorError,
+    _propagate,
     cv_qft,
     expm_apply,
     expm_unitary,
@@ -218,6 +219,51 @@ def test_a_factored_symbol_has_the_dense_largest_energy(case):
     energy = Generators(layout).factor(weyl_symbol(expr, layout)).max_energy
     dense = np.abs(np.linalg.eigvalsh(build(expr, layout))).max()
     assert abs(energy - dense) <= 1e-12 * max(dense, 1.0)
+
+
+@st.composite
+def _sequence_cases(draw):
+    """(layout, pulses) on 1-4 subsystems: generators over few local factors, so pulses share factors and recur."""
+    specs = draw(st.lists(st.one_of(st.just(qubit()), st.integers(2, 4).map(qumode)), min_size=1, max_size=4))
+    layout = new_register(specs)
+    n = len(layout)
+
+    def product():
+        sites = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        ops = [draw(st.sampled_from(("sx@{}", "sz@{}") if layout.is_qubit(i) else ("X@{}", "P@{}", "X@{}^2")))
+               .format(i) for i in sorted(sites)]
+        return "*".join([repr(draw(st.floats(0.2, 1.5)))] + ops)
+
+    gens = [draw(st.one_of(  # a product, a sum (a common factor or a multi-axis group), or no group at all
+        st.builds(product), st.builds(lambda k: " + ".join(product() for _ in range(k)), st.integers(2, 3)),
+        st.just("0.7*id@0"))) for _ in range(draw(st.integers(1, 3)))]
+    pulses = draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from((0.0, 0.3, 0.3, 0.8)),
+                                     st.sampled_from((1, -1))), min_size=1, max_size=8))
+    return layout, [Pulse(parse_expr(g), t, s) for g, t, s in pulses]
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@example(case=(new_register([qubit(), qubit(), qumode(4)]),  # a Trotter pointer coupling: P@2 stays rotated
+               [Pulse(parse_expr(g), 0.4) for g in ["sz@0*sz@1*P@2", "0.5*sx@0*sx@1*P@2"] * 3]))
+@example(case=(new_register([qubit(), qumode(3), qubit()]),  # a multi-axis group, then one of its axes alone
+               [Pulse(parse_expr("sz@0*X@1 + sx@0*P@1"), 0.5), Pulse(parse_expr("sx@0*sz@2"), 0.7, -1),
+                Pulse(parse_expr("0.7*id@0"), 0.3), Pulse(parse_expr("sz@0*X@1 + sx@0*P@1"), 0.0),
+                Pulse(parse_expr("P@1"), 0.2)]))
+@given(case=_sequence_cases())
+def test_a_pulse_sequence_matches_the_dense_product(case):
+    layout, pulses = case
+    dense = np.eye(layout.total_dim, dtype=complex)
+    for p in pulses:
+        dense = expm_unitary(build(p.expr, layout), p.sign * p.duration) @ dense
+    seq = PulseSequence(tuple(pulses))
+    assert np.max(np.abs(sequence_unitary(seq, layout) - dense)) <= 1e-12
+    rng = np.random.default_rng(1)
+    for shape in ((layout.total_dim,), (layout.total_dim, 3)):
+        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        before = amps.copy()
+        out = _propagate(seq, layout, Generators(layout), amps)
+        assert np.array_equal(amps, before)
+        assert np.max(np.abs(out - dense @ amps)) <= 1e-12
 
 
 def test_sequence_text_round_trip_is_bit_exact():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import hybridsim
-from hybridsim.evolution import LEAKAGE_INVALID
+from hybridsim import evolution, spectral
+from hybridsim.evolution import LEAKAGE_INVALID, run_sequence
 from hybridsim.hilbert import StateVector, basis_state, new_register, qubit, qumode
 from hybridsim.operators import build, fock_momentum, fock_position, parse_expr
 from hybridsim.spectral import (
@@ -108,7 +109,7 @@ def test_couple_creates_equal_branches():
     joint = couple_pointer(
         two_qubit_uniform(), parse_expr("sz@0*sz@1"), prepare_gaussian_pointer(4.0, 128), 5.0
     )
-    amps, basis = _node_amplitudes(joint, 2)
+    amps, basis = _node_amplitudes(joint.layout, joint.amplitudes, 2)
     probs = np.sum(np.abs(amps) ** 2, axis=0)
     assert abs(probs[basis.nodes > 0].sum() - 0.5) <= 1e-10
     assert abs(probs[basis.nodes < 0].sum() - 0.5) <= 1e-10
@@ -147,7 +148,7 @@ def test_measure_position_collapses_system_to_eigenvector():
     joint = couple_pointer(plus, parse_expr("sz@0"), prepare_gaussian_pointer(4.0, 128), 5.0)
     for seed in range(6):
         x, collapsed = measure_position(joint, 1, np.random.default_rng(seed))
-        amps, _ = _node_amplitudes(collapsed, 1)
+        amps, _ = _node_amplitudes(collapsed.layout, collapsed.amplitudes, 1)
         k = int(np.argmax(np.sum(np.abs(amps) ** 2, axis=0)))
         v = amps[:, k] / np.linalg.norm(amps[:, k])
         target = np.array([1, 0]) if x > 0 else np.array([0, 1])
@@ -315,6 +316,49 @@ def test_exact_spectrum_of_five_qubits_never_diagonalizes_the_joint_space(monkey
     for peak, energy in zip(est.peaks, energies[picked]):
         assert abs(peak.eigenvalue - energy) <= spec.resolution
         assert abs(peak.weight - 1.0 / 3.0) <= 0.05
+
+
+def test_a_trotter_pointer_coupling_rotates_the_pointer_axis_twice(monkeypatch):
+    # 64 rounds of two pulses that share P on the pointer: into P's eigenbasis once, back once
+    pointer_axes = []
+    on_axes = evolution._on_axes
+    monkeypatch.setattr(evolution, "_on_axes", lambda m, axes, dims, amps: pointer_axes.append(2 in axes)
+                        or on_axes(m, axes, dims, amps))
+    h = parse_expr("1.1*sz@0*sz@1 + 0.5*sx@0*sx@1")
+    joint = couple_pointer(two_qubit_uniform(), h, prepare_gaussian_pointer(4.0, 32), 1.0, "trotter", 64)
+    assert sum(pointer_axes) == 2
+    exact = couple_pointer(two_qubit_uniform(), h, prepare_gaussian_pointer(4.0, 32), 1.0)
+    assert joint.fidelity(exact) >= 1.0 - 1e-12  # the two terms commute
+
+
+@pytest.mark.parametrize("method", ["exact", "trotter"])
+def test_the_robustness_block_equals_per_bin_runs(monkeypatch, method):
+    h, psi, seed = parse_expr("0.9*sz@0*sz@1 + 0.6*sx@0*sx@1"), two_qubit_uniform(), 3
+    spec = PointerSpec(beta=4.0, cutoff=64, t_couple=3.0)
+    blocks = []
+    propagate = spectral._propagate
+    monkeypatch.setattr(spectral, "_propagate", lambda *a: blocks.append(out := propagate(*a)) or out)
+    rep = robustness_midmeasure(h, psi, spec, 500, seed, method, 16)
+    (block,) = blocks
+    # the reference: each occupied bin's projection, formed densely, run on its own
+    joint = couple_pointer(psi, h, prepare_gaussian_pointer(4.0, 64), 1.5, method, 16)
+    node_amps, basis = _node_amplitudes(joint.layout, joint.amplitudes, 2)
+    members, bin_probs = spectral._position_bins(node_amps, basis.nodes, 1.0 / np.sqrt(8.0))
+    rng = spectral._stream(seed, 1)
+    shot_bins = rng.choice(len(members), size=500, p=bin_probs)
+    occupied = np.flatnonzero(np.bincount(shot_bins))
+    assert block.shape == (4 * 64, len(occupied)) and len(occupied) > 1
+    second_half = spectral._coupling_sequence(h, 2, 1.5, method, 16)
+    samples = np.empty(500)
+    for j, i in enumerate(occupied):
+        nodes = basis.vectors[:, members[i]]
+        kept = np.kron(np.eye(4), nodes @ nodes.T) @ joint.amplitudes
+        after = run_sequence(second_half, StateVector(joint.layout, kept / np.linalg.norm(kept))).final_state
+        assert np.max(np.abs(block[:, j] - after.amplitudes)) <= 1e-12
+        probs = np.sum(np.abs(_node_amplitudes(after.layout, after.amplitudes, 2)[0]) ** 2, axis=0)
+        in_bin = shot_bins == i
+        samples[in_bin] = basis.nodes[rng.choice(64, size=int(in_bin.sum()), p=probs / probs.sum())]
+    assert rep.samples == tuple(samples.tolist())
 
 
 def test_robustness_identity_hamiltonian_mean_and_width():
