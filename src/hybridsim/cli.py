@@ -272,10 +272,11 @@ def _write_outputs(cfg: ExperimentConfig, results: dict, leak: float, valid: boo
     (cfg.out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
-def _histogram_lines(samples, n_bins: int = 60) -> list[str]:
-    lo, hi = min(samples), max(samples)
+def _histogram_lines(nodes: np.ndarray, shot_nodes: np.ndarray, n_bins: int = 60) -> list[str]:
+    weights = np.bincount(shot_nodes, minlength=len(nodes))  # the shots' histogram is the nodes' by shot count
+    lo, hi = float(nodes[weights > 0].min()), float(nodes[weights > 0].max())
     pad = 0.05 * (hi - lo) if hi > lo else 0.5
-    counts, edges = np.histogram(samples, bins=n_bins, range=(lo - pad, hi + pad))
+    counts, edges = np.histogram(nodes, bins=n_bins, range=(lo - pad, hi + pad), weights=weights)
     edges = edges.tolist()
     lines = ["# x count"]
     for c, left, right in zip(counts.tolist(), edges[:-1], edges[1:]):
@@ -309,16 +310,16 @@ def _spectrum_inputs(cfg: ExperimentConfig) -> tuple:
     return h, psi, spec, n_shots, cfg.seed, method, trotter_steps
 
 
-def _shot_lines(samples: tuple[float, ...], t_couple: float) -> list[str]:
-    # samples take at most `cutoff` node values: format each value's row text once
-    texts = {x: f"{x!r},{x / t_couple!r}" for x in set(samples)}
-    return ["shot,x,eigenvalue_estimate"] + [f"{i},{texts[x]}" for i, x in enumerate(samples)]
+def _shot_lines(nodes: np.ndarray, shot_nodes: np.ndarray, t_couple: float) -> list[str]:
+    # a shot is one of the `cutoff` nodes: format each node's row text once, then take it per shot
+    texts = np.array([f"{x!r},{x / t_couple!r}" for x in nodes.tolist()], dtype=object)[shot_nodes]
+    return ["shot,x,eigenvalue_estimate"] + [f"{i},{text}" for i, text in enumerate(texts.tolist())]
 
 
 def _run_spectrum(cfg: ExperimentConfig):
     est = estimate_spectrum(*_spectrum_inputs(cfg))
-    csv = _shot_lines(est.samples, est.t_couple)
-    return estimate_to_dict(est), est.leakage, est.valid, csv, _histogram_lines(est.samples)
+    csv = _shot_lines(est.nodes, est.shot_nodes, est.t_couple)
+    return estimate_to_dict(est), est.leakage, est.valid, csv, _histogram_lines(est.nodes, est.shot_nodes)
 
 
 def _run_robustness(cfg: ExperimentConfig):
@@ -331,9 +332,9 @@ def _run_robustness(cfg: ExperimentConfig):
         "branches": [asdict(b) for b in rep.branches],
         "resolution": rep.resolution,
     }
-    csv = _shot_lines(rep.samples, rep.baseline.t_couple)
+    csv = _shot_lines(rep.nodes, rep.shot_nodes, rep.baseline.t_couple)
     valid = rep.valid and rep.baseline.valid
-    return results, rep.leakage, valid, csv, _histogram_lines(rep.samples)
+    return results, rep.leakage, valid, csv, _histogram_lines(rep.nodes, rep.shot_nodes)
 
 
 def _run_synth(cfg: ExperimentConfig):

@@ -253,9 +253,19 @@ class Generators:
         energies = np.broadcast_to(energies, dims).reshape(-1)
         return _Factored(tuple((axes, v) for axes, (_, v) in parts), energies, float(np.abs(energies).max()))
 
+    def quadrature(self, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+        """The truncated X's ascending nodes and eigenvectors, both read-only: one eigh per cutoff."""
+        return self._local_eig((1, 0), cutoff)
+
     def _local_eig(self, f: str | tuple[int, int], dim: int) -> tuple[np.ndarray, np.ndarray]:
         if (f, dim) not in self._local:
-            self._local[(f, dim)] = _eig(local_factor(f, dim))
+            w, v = self.quadrature(dim) if f == (0, 1) else _eig(local_factor(f, dim))
+            if f == (1, 0):  # signed so <0|x_k> > 0, like the positive ground-state wavefunction
+                v = v * np.where(v[0].real < 0, -1.0, 1.0)
+            elif f == (0, 1):  # the truncated P is F X F^dagger exactly, F = diag(i^n): its eigenvectors are F V
+                v = np.array([1, 1j, -1, -1j])[np.arange(dim) % 4, None] * v
+            w.flags.writeable = v.flags.writeable = False
+            self._local[(f, dim)] = w, v
         return self._local[(f, dim)]
 
 

@@ -4,20 +4,23 @@ read the pointer position.
 
 Position measurement uses the eigenbasis of the truncated X operator, whose
 nodes are the scaled Gauss-Hermite points; Born sampling is exactly diagonal
-there and no external grid has to be chosen.  A Gaussian pointer of width
-parameter beta (beta = 1 is the vacuum, beta > 1 squeezes X) resolves
-eigenvalues to about 1/(t sqrt(beta)); that figure is recorded with every
-run, and scaling against it is what the resolution experiments check.
+there and no external grid has to be chosen.  The run's generator table owns
+that quadrature and reads P's eigenvectors from it (`Generators.quadrature`).
+A Gaussian pointer of width parameter beta (beta = 1 is the vacuum, beta > 1
+squeezes X) resolves eigenvalues to about 1/(t sqrt(beta)); that figure is
+recorded with every run, and scaling against it is what the resolution
+experiments check.
 
 Shots come from one generator per stream of the master seed, each stream's
 shots drawn in one call: the same seed and n_shots give the same samples,
-and an n-shot spectrum is the prefix of a longer one at the same seed.
+and an n-shot spectrum is the prefix of a longer one at the same seed.  A
+shot is kept as its node index, so output costs follow the at most `cutoff`
+nodes: the CLI formats each node's row once and bins nodes by shot count.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,7 +46,6 @@ from .operators import (
     HamiltonianTerm,
     LocalOp,
     build,
-    fock_position,
 )
 
 
@@ -81,16 +83,9 @@ class QuadratureBasis:
     vectors: np.ndarray
 
 
-@lru_cache(maxsize=32)
 def quadrature_basis(cutoff: int) -> QuadratureBasis:
-    nodes, vectors = np.linalg.eigh(fock_position(cutoff))
-    # Fix signs so <0|x_k> > 0, matching the positive ground-state wavefunction.
-    signs = np.sign(vectors[0, :].real)
-    signs[signs == 0] = 1.0
-    vectors = vectors * signs
-    nodes.flags.writeable = False
-    vectors.flags.writeable = False
-    return QuadratureBasis(nodes, vectors)
+    """A fresh table's quadrature of one cutoff: a run reads its own table's instead."""
+    return QuadratureBasis(*Generators(RegisterLayout((qumode(cutoff),))).quadrature(cutoff))
 
 
 def prepare_gaussian_pointer(beta: float, cutoff: int) -> StateVector:
@@ -162,13 +157,14 @@ def couple_pointer(
     return run_sequence(seq, join_states(system_state, pointer), generators).final_state
 
 
-def _node_amplitudes(layout: RegisterLayout, amps: np.ndarray, mode_idx: int) -> tuple[np.ndarray, QuadratureBasis]:
-    """Amplitudes re-expressed in the mode's quadrature-node basis: a vector (D,) gives (rest, nodes), a block
-    (D, k) of states gives (rest, k, nodes)."""
+def _node_amplitudes(layout: RegisterLayout, amps: np.ndarray, mode_idx: int,
+                     generators: Generators | None = None) -> tuple[np.ndarray, QuadratureBasis]:
+    """Amplitudes re-expressed in the mode's quadrature-node basis, read from ``generators`` (else a fresh
+    table): a vector (D,) gives (rest, nodes), a block (D, k) of states gives (rest, k, nodes)."""
     if not layout.is_qumode(mode_idx):
         raise SpectralError(f"subsystem {mode_idx} is not a qumode")
     d = layout.dims[mode_idx]
-    basis = quadrature_basis(d)
+    basis = QuadratureBasis(*(generators or Generators(layout)).quadrature(d))
     moved = np.moveaxis(amps.reshape(layout.dims + amps.shape[1:]), mode_idx, -1)
     return moved.reshape((-1,) + amps.shape[1:] + (d,)) @ basis.vectors.conj(), basis
 
@@ -249,10 +245,21 @@ class Peak:
 
 
 @dataclass(frozen=True)
-class SpectrumEstimate:
+class _Shots:
+    """A run's shots as indices into its read-only quadrature nodes; ``samples`` is their positions."""
+
+    nodes: np.ndarray
+    shot_nodes: np.ndarray
+
+    @property
+    def samples(self) -> tuple[float, ...]:
+        return tuple(self.nodes[self.shot_nodes].tolist())
+
+
+@dataclass(frozen=True)
+class SpectrumEstimate(_Shots):
     """Sampled pointer positions plus the detected peaks and run diagnostics."""
 
-    samples: tuple[float, ...]
     t_couple: float
     beta: float
     peaks: tuple[Peak, ...]
@@ -320,13 +327,15 @@ def estimate_spectrum(
     if n_shots < 1:
         raise SpectralError(f"n_shots must be >= 1, got {n_shots}")
     pointer = prepare_gaussian_pointer(spec.beta, spec.cutoff)
+    if generators is None:
+        generators = Generators(RegisterLayout(psi.layout.subsystems + pointer.layout.subsystems))
     joint = couple_pointer(psi, h, pointer, spec.t_couple, method, trotter_steps, generators)
     mode_idx = len(psi.layout)
-    node_amps, basis = _node_amplitudes(joint.layout, joint.amplitudes, mode_idx)
+    node_amps, basis = _node_amplitudes(joint.layout, joint.amplitudes, mode_idx, generators)
     probs = _born(node_amps)
 
-    samples = basis.nodes[_stream(seed, 0).choice(len(probs), size=n_shots, p=probs)]
-    peaks = _make_peaks(samples, spec.beta, spec.t_couple, n_shots)
+    shot_nodes = _stream(seed, 0).choice(len(probs), size=n_shots, p=probs)
+    peaks = _make_peaks(basis.nodes[shot_nodes], spec.beta, spec.t_couple, n_shots)
 
     leak = state_leakage(joint)
     notes = []
@@ -339,7 +348,8 @@ def estimate_spectrum(
     if leak > LEAKAGE_INVALID:
         notes.append(f"leakage {leak:.3e} exceeds {LEAKAGE_INVALID}")
     return SpectrumEstimate(
-        samples=tuple(samples.tolist()),
+        nodes=basis.nodes,
+        shot_nodes=shot_nodes,
         t_couple=spec.t_couple,
         beta=spec.beta,
         peaks=peaks,
@@ -364,9 +374,8 @@ class BranchCheck:
 
 
 @dataclass(frozen=True)
-class RobustnessReport:
+class RobustnessReport(_Shots):
     baseline: SpectrumEstimate
-    samples: tuple[float, ...]
     peaks: tuple[Peak, ...]
     branches: tuple[BranchCheck, ...]
     resolution: float
@@ -375,14 +384,13 @@ class RobustnessReport:
     seed: int
 
 
-def _eigenspace_projectors(h_mat: np.ndarray, tol: float = 1e-9) -> list[tuple[float, np.ndarray]]:
+def _eigenspaces(h_mat: np.ndarray, tol: float = 1e-9) -> list[tuple[float, np.ndarray]]:
+    """Each distinct eigenvalue (within tol) and its eigenvectors V as columns: a fidelity is ||V^dagger v||^2."""
     evals, evecs = np.linalg.eigh(h_mat)
-    groups: list[tuple[float, np.ndarray]] = []
-    start = 0
+    groups, start = [], 0
     for i in range(1, len(evals) + 1):
         if i == len(evals) or evals[i] - evals[start] > tol:
-            vecs = evecs[:, start:i]
-            groups.append((float(np.mean(evals[start:i])), vecs @ vecs.conj().T))
+            groups.append((float(np.mean(evals[start:i])), evecs[:, start:i]))
             start = i
     return groups
 
@@ -423,7 +431,7 @@ def robustness_midmeasure(
     half = spec.t_couple / 2.0
     joint1 = couple_pointer(psi, h, pointer, half, method, trotter_steps, generators)
     layout, mode_idx = joint1.layout, len(psi.layout)
-    amps1, basis = _node_amplitudes(layout, joint1.amplitudes, mode_idx)
+    amps1, basis = _node_amplitudes(layout, joint1.amplitudes, mode_idx, generators)
     members, bin_probs = _position_bins(amps1, basis.nodes, 1.0 / np.sqrt(2.0 * spec.beta))
 
     rng = _stream(seed, 1)
@@ -431,7 +439,7 @@ def robustness_midmeasure(
     occupied = np.flatnonzero(np.bincount(shot_bins))
     _, block = _collapse_to_bins(layout, mode_idx, amps1, basis, [members[i] for i in occupied])
     block = _propagate(_coupling_sequence(h, mode_idx, half, method, trotter_steps), layout, generators, block)
-    amps2, _ = _node_amplitudes(layout, block, mode_idx)  # (rest, bin, node)
+    amps2, _ = _node_amplitudes(layout, block, mode_idx, generators)  # (rest, bin, node)
     del block
     probs2 = _born(amps2)
     shot_nodes = np.empty(n_shots, dtype=int)
@@ -442,29 +450,30 @@ def robustness_midmeasure(
 
     peaks = _make_peaks(samples, spec.beta, spec.t_couple, n_shots)
 
-    projectors = _eigenspace_projectors(build(h, psi.layout))
+    eigenspaces = _eigenspaces(build(h, psi.layout))
     branches = []
     for peak in peaks:
         rep = int(np.argmin(np.abs(samples - peak.center_x)))
         in_bin = members[shot_bins[rep]]
         v1 = _system_vector(amps1, int(in_bin[np.argmax(np.sum(np.abs(amps1[:, in_bin]) ** 2, axis=0))]))
         v2 = _system_vector(amps2[:, np.searchsorted(occupied, shot_bins[rep])], int(shot_nodes[rep]))
-        _, proj = min(projectors, key=lambda g: abs(g[0] - peak.eigenvalue))
+        _, vecs = min(eigenspaces, key=lambda g: abs(g[0] - peak.eigenvalue))
         base = min(baseline.peaks, key=lambda b: abs(b.eigenvalue - peak.eigenvalue), default=None)
         branches.append(
             BranchCheck(
                 eigenvalue=peak.eigenvalue,
                 baseline_eigenvalue=None if base is None else base.eigenvalue,
                 shift=None if base is None else abs(peak.eigenvalue - base.eigenvalue),
-                fidelity_before=float(np.vdot(v1, proj @ v1).real),
-                fidelity_after=float(np.vdot(v2, proj @ v2).real),
+                fidelity_before=float(np.sum(np.abs(vecs.conj().T @ v1) ** 2)),
+                fidelity_after=float(np.sum(np.abs(vecs.conj().T @ v2) ** 2)),
             )
         )
 
     leak = state_leakage(joint1)
     return RobustnessReport(
+        nodes=basis.nodes,
+        shot_nodes=shot_nodes,
         baseline=baseline,
-        samples=tuple(samples.tolist()),
         peaks=peaks,
         branches=tuple(branches),
         resolution=spec.resolution,
@@ -472,11 +481,6 @@ def robustness_midmeasure(
         valid=leak <= LEAKAGE_INVALID,
         seed=seed,
     )
-
-
-def spectrum_rows(est: SpectrumEstimate) -> list[tuple[int, float, float]]:
-    """CSV rows (shot, x, eigenvalue_estimate)."""
-    return [(i, x, x / est.t_couple) for i, x in enumerate(est.samples)]
 
 
 def estimate_to_dict(est: SpectrumEstimate) -> dict:

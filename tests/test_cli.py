@@ -566,7 +566,32 @@ def test_shot_lines_format_each_shot_as_before():
 
     samples = (0.5, -1.25, 0.5, 1e-17, -1.25, 3.0000000000000004, 0.5)
     expected = ["shot,x,eigenvalue_estimate"] + [f"{i},{x!r},{x / 3.7!r}" for i, x in enumerate(samples)]
-    assert _shot_lines(samples, 3.7) == expected
+    assert _shot_lines(*np.unique(samples, return_inverse=True), 3.7) == expected
+
+
+@pytest.mark.parametrize("n_shots", [1, 400])
+@pytest.mark.parametrize(("experiment", "runner"), [("spectrum", "estimate_spectrum"),
+                                                    ("robustness", "robustness_midmeasure")])
+def test_shot_rows_and_histogram_equal_the_formulas_on_the_samples(tmp_path, monkeypatch, experiment, runner,
+                                                                   n_shots):
+    # rows and bins formed from node indices equal the per-sample formulas; one shot takes the pad = 0.5 branch
+    results, run = [], getattr(cli, runner)
+    monkeypatch.setattr(cli, runner, lambda *a: results.append(run(*a)) or results[-1])
+    cfg = write_config(tmp_path, "c.json", dict(SPECTRUM_CONFIG, experiment=experiment, n_shots=n_shots))
+    assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    samples, t = results[0].samples, SPECTRUM_CONFIG["t_couple"]
+    assert len(samples) == n_shots and (len(set(samples)) > 1) == (n_shots > 1)
+
+    def data(name):
+        return [ln for ln in (tmp_path / "out" / name).read_text().splitlines() if not ln.startswith("#")]
+
+    assert data("samples.csv") == ["shot,x,eigenvalue_estimate"] + [f"{i},{x!r},{x / t!r}"
+                                                                   for i, x in enumerate(samples)]
+    lo, hi = min(samples), max(samples)
+    pad = 0.05 * (hi - lo) if hi > lo else 0.5
+    counts, edges = np.histogram(samples, bins=60, range=(lo - pad, hi + pad))
+    edges = edges.tolist()
+    assert data("curve.dat") == [f"{(a + b) / 2!r} {c}" for c, a, b in zip(counts.tolist(), edges[:-1], edges[1:])]
 
 
 def test_a_synth_run_propagates_its_target_pulse_once(tmp_path, monkeypatch):

@@ -127,8 +127,8 @@ def test_generator_table_diagonalizes_each_id_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
     u = sequence_unitary(seq, layout, table)
     rep = run_sequence(seq, basis_state(layout, [0, 1]), table)
-    # the id and the inline sz@0*P@1 each once per factor, never at 12
-    assert calls == [(2, 2), (6, 6), (2, 2), (6, 6)]
+    # the id and the inline sz@0*P@1 each once per factor, never at 12; P's eigenvectors come from X's
+    assert calls == [(2, 2), (6, 6), (2, 2)]
     assert np.max(np.abs(u @ basis_state(layout, [0, 1]).amplitudes - rep.final_state.amplitudes)) <= 1e-12
 
 

@@ -24,7 +24,6 @@ from hybridsim.spectral import (
     quadrature_basis,
     reliable_shift,
     robustness_midmeasure,
-    spectrum_rows,
 )
 
 
@@ -182,9 +181,7 @@ def test_estimate_spectrum_two_branches_and_rows():
     assert abs(est.peaks[-1].eigenvalue - 1.0) <= 0.1
     for peak in est.peaks:
         assert abs(peak.weight - 0.5) <= 0.05
-    rows = spectrum_rows(est)
-    assert rows[0][0] == 0 and len(rows) == 2000
-    assert rows[5][2] == rows[5][1] / 5.0
+    assert len(est.samples) == 2000 and est.samples[5] == est.nodes[est.shot_nodes[5]]
 
 
 def test_pointer_shift_is_linear_in_coefficient():
@@ -287,11 +284,47 @@ def test_robustness_diagonalizes_the_coupling_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h) or eigh(h))
     rep = robustness_midmeasure(parse_expr("sz@0"), psi, spec, 200, seed=4)
     assert len(rep.samples) == 200
-    # the quadrature basis is cached per cutoff, so an earlier test may have built it
-    dims = sorted(h.shape[-1] for h in calls if not np.array_equal(h, fock_position(64)))
-    # sz twice (the coupling's system factor and the system's eigenspaces), P once, nothing at 2 * 64
-    assert dims == [2, 2, 64]
-    assert sum(np.array_equal(h, fock_momentum(64)) for h in calls) == 1
+    # sz twice (the coupling's system factor and the system's eigenspaces), X once for both the pointer
+    # basis and the coupling's P factor, nothing at 2 * 64
+    assert [h.shape[-1] for h in calls] == [2, 64, 2]
+    assert np.array_equal(calls[1], fock_position(64))
+
+
+@pytest.mark.parametrize("cutoff", [12, 64, 128])
+def test_the_tables_momentum_factor_rebuilds_the_truncated_p(cutoff):
+    # P = F X F^dagger with F = diag(i^n): its factor is X's quadrature nodes and F times X's eigenvectors
+    table = evolution.Generators(new_register([qumode(cutoff)]))
+    factored = table.decomposition(evolution.Pulse("P@0", 1.0))
+    ((axes, v),) = factored.groups
+    assert axes == (0,) and np.array_equal(factored.energies, table.quadrature(cutoff)[0])
+    assert np.max(np.abs((v * factored.energies) @ v.conj().T - fock_momentum(cutoff))) <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["exact", "trotter"])
+def test_a_spectrum_run_makes_one_pointer_level_eigh(monkeypatch, method):
+    # the pointer basis and the coupling's P factor both read the run's one quadrature
+    dims = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: dims.append(m.shape[-1]) or eigh(m))
+    spec = PointerSpec(beta=4.0, cutoff=128, t_couple=2.0)
+    est = estimate_spectrum(parse_expr("1.1*sz@0*sz@1 + 0.5*sx@0*sx@1"), two_qubit_uniform(), spec, 200, 1, method)
+    assert dims.count(128) == 1 and len(est.samples) == 200
+
+
+def test_branch_fidelities_equal_the_projector_formula_on_a_degenerate_spectrum(monkeypatch):
+    # sz@0*sz@1 has two doubly degenerate eigenspaces, whose projectors are (1 -+ ZZ)/2
+    h = parse_expr("sz@0*sz@1")
+    zz = build(h, two_qubit_uniform().layout)
+    assert [(e, v.shape) for e, v in spectral._eigenspaces(zz)] == [(-1.0, (4, 2)), (1.0, (4, 2))]
+    vectors = []
+    system_vector = spectral._system_vector
+    monkeypatch.setattr(spectral, "_system_vector", lambda *a: vectors.append(v := system_vector(*a)) or v)
+    rep = robustness_midmeasure(h, two_qubit_uniform(), PointerSpec(beta=1.0, cutoff=32, t_couple=1.0), 300, 2)
+    assert len(vectors) == 2 * len(rep.branches) > 0
+    for branch, v1, v2 in zip(rep.branches, vectors[::2], vectors[1::2]):
+        projector = (np.eye(4) + (1.0 if branch.eigenvalue > 0 else -1.0) * zz) / 2
+        assert abs(branch.fidelity_before - np.vdot(v1, projector @ v1).real) <= 1e-12
+        assert abs(branch.fidelity_after - np.vdot(v2, projector @ v2).real) <= 1e-12
 
 
 def test_exact_spectrum_of_five_qubits_never_diagonalizes_the_joint_space(monkeypatch):
