@@ -253,9 +253,10 @@ class Generators:
         energies = np.broadcast_to(energies, dims).reshape(-1)
         return _Factored(tuple((axes, v) for axes, (_, v) in parts), energies, float(np.abs(energies).max()))
 
-    def quadrature(self, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-        """The truncated X's ascending nodes and eigenvectors, both read-only: one eigh per cutoff."""
-        return self._local_eig((1, 0), cutoff)
+    def quadrature(self, cutoff: int, f: tuple[int, int] = (1, 0)) -> tuple[np.ndarray, np.ndarray]:
+        """The truncated X's ascending nodes and eigenvectors V, both read-only: one eigh per cutoff.
+        With ``f = (0, 1)``, the truncated P's: the same nodes and F·V."""
+        return self._local_eig(f, cutoff)
 
     def _local_eig(self, f: str | tuple[int, int], dim: int) -> tuple[np.ndarray, np.ndarray]:
         if (f, dim) not in self._local:

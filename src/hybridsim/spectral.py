@@ -176,10 +176,11 @@ def _born(node_amps: np.ndarray) -> np.ndarray:
 
 
 def measure_position(
-    joint: StateVector, mode_idx: int, rng: np.random.Generator
+    joint: StateVector, mode_idx: int, rng: np.random.Generator, generators: Generators | None = None
 ) -> tuple[float, StateVector]:
-    """Born-sample the X eigenbasis of one mode; returns (node value, collapsed state)."""
-    node_amps, basis = _node_amplitudes(joint.layout, joint.amplitudes, mode_idx)
+    """Born-sample the X eigenbasis of one mode; returns (node value, collapsed state).  The basis is read from
+    ``generators``, a caller-owned table for the joint layout, else from a fresh one."""
+    node_amps, basis = _node_amplitudes(joint.layout, joint.amplitudes, mode_idx, generators)
     probs = _born(node_amps)
     k = int(rng.choice(len(probs), p=probs))
     _, collapsed = _collapse_to_bins(joint.layout, mode_idx, node_amps, basis, [np.array([k])])
@@ -215,7 +216,7 @@ def _position_bins(node_amps: np.ndarray, nodes: np.ndarray, width: float) -> tu
 
 
 def measure_position_binned(
-    joint: StateVector, mode_idx: int, rng: np.random.Generator, bin_width: float
+    joint: StateVector, mode_idx: int, rng: np.random.Generator, bin_width: float, generators: Generators | None = None
 ) -> tuple[float, StateVector]:
     """Projective position measurement at finite resolution ``bin_width``.
 
@@ -224,11 +225,11 @@ def measure_position_binned(
     wavepacket that the truncated mode can keep evolving.  A single-node
     collapse would saturate the Fock space and cannot be translated
     faithfully, which is why mid-run measurements use this form.  Returns
-    the Born-weighted position within the bin and the collapsed state.
+    the Born-weighted position within the bin and the collapsed state; ``generators`` is as in `measure_position`.
     """
     if bin_width <= 0:
         raise SpectralError(f"bin_width must be positive, got {bin_width}")
-    node_amps, basis = _node_amplitudes(joint.layout, joint.amplitudes, mode_idx)
+    node_amps, basis = _node_amplitudes(joint.layout, joint.amplitudes, mode_idx, generators)
     members, bin_probs = _position_bins(node_amps, basis.nodes, bin_width)
     chosen = members[int(rng.choice(len(members), p=bin_probs))]
     outcomes, collapsed = _collapse_to_bins(joint.layout, mode_idx, node_amps, basis, [chosen])

@@ -23,14 +23,15 @@ product of local factors, so a direction is a short real vector over
 products of per-subsystem orthonormal bases, and membership is measured as
 dot products there.  Synthesis *error*, in
 contrast, is the spectral norm on the whole truncated space: it quantifies
-what the compiled sequence does in this simulator.  The pulses conserve the
-parity sectors of their generators (`operators.parity_sectors`), so one
-function, `power_distances`, forms each unitary as its diagonal blocks there.
-A plan is one block and a repeat count: each block of the block's unitary is
-raised to the n-th power by repeated squaring, at a cost of log n times the
-sum of the sectors' cubed sizes.  The error is the largest of the block pairs'
-distances; a run passes every plan's block in one call, which forms the
-target's blocks once and reads the probe states from the first sector.
+what the compiled sequence does in this simulator.  One function,
+`power_distances`, forms each unitary as the diagonal blocks its pulses
+conserve: spin unitaries on the Gauss-Hermite nodes, the truncated X's
+eigenvalues (Golub & Welsch, Math. Comp. 23, 221 (1969)), when they touch each
+mode through one quadrature, else the parity sectors of their generators
+(`operators.parity_sectors`).  A plan is one block and a repeat count: each
+block of the block's unitary is raised to the n-th power by repeated squaring,
+at a cost of log n times the sum of the blocks' cubed sizes.  The error is the
+largest block pair's distance; a run passes every plan's block in one call.
 
 The spin-reset rule: with a spin held in |0>, a one-term generator sz(x)M
 with M on modes only acts on the modes as M alone.  ``_reset_effective``
@@ -45,15 +46,18 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .evolution import HERMITICITY_TOL, Generators, Pulse, PulseSequence, run_sequence, sequence_unitary
+from .evolution import (HERMITICITY_TOL, Generators, Pulse, PulseSequence, _on_axes, _propagate, run_sequence,
+                        sequence_unitary)
 from .hilbert import RegisterLayout, StateVector, compress_to_interior, interior_levels
 from .operators import (
+    SECTOR_TOL,
     HamiltonianExpr,
     HamiltonianTerm,
+    OperatorError,
     Symbol,
     block_coordinates,
     build,
@@ -360,31 +364,73 @@ def synthesize(
 def power_distances(steps: list[tuple[PulseSequence, int]], target: PulseSequence, layout: RegisterLayout,
                     table: Generators, held_spin: int | None = None) -> tuple[list[float], StateVector, StateVector]:
     """Each ``(step, n)`` pair's spectral-norm distance of step**n from ``target``, and the images of |0...0>
-    under the last power and under the target.  The pulses conserve the parity sectors of their generators'
-    keys (`operators.parity_sectors`, read once per generator id), so each unitary is one propagation of the
-    identity cut into its sector blocks (`operators.sector_blocks`), and only the step's blocks are powered, by
-    repeated squaring.  A distance is the largest block pair's, read with ``held_spin`` on the indices where
-    that spin is |0>.  Flat index 0 leads the first sector, so a probe image is column 0 of the first block."""
+    under the last power and under the target.  The blocks follow from the generators' keys, read once per id: a
+    node field (`_node_field`) when each mode's keys are all x^a or all p^b, else the parity sectors, cut from a
+    propagated identity, whose first holds flat index 0 and so the probe column.  Only the step's blocks are
+    powered.  A distance is the largest block pair's, read with ``held_spin`` on the indices where that spin is |0>."""
     pulses = {p.generator_id: p for seq in (target, *(step for step, _ in steps)) for p in seq.pulses}
-    sectors = parity_sectors([key for p in pulses.values() for key in weyl_symbol(p.expr, layout)], layout)
-    held = [np.arange(len(s)) for s in sectors]  # the indices a distance reads in each sector
-    if held_spin is not None:
-        held = [np.flatnonzero(s // math.prod(layout.dims[held_spin + 1:]) % 2 == 0) for s in sectors]
+    keys = [key for p in pulses.values() for key in weyl_symbol(p.expr, layout)]
+    # (subsystem, None for a Pauli, else (1, 0) for x^a or (0, 1) for p^b: a generator's monomials are pure)
+    kinds = {(i, None if isinstance(f, str) else (min(f[0], 1), min(f[1], 1))) for key in keys for i, f in key}
+    if len(quads := dict(sorted(kinds))) == len(kinds):
+        read, held, probe = _node_field(layout, table, quads, held_spin)
+    else:
+        sectors = parity_sectors(keys, layout)
+        held = [np.arange(len(s)) for s in sectors]  # the indices a distance reads in each sector
+        if held_spin is not None:
+            held = [np.flatnonzero(s // math.prod(layout.dims[held_spin + 1:]) % 2 == 0) for s in sectors]
 
-    def probe(blocks: list[np.ndarray]) -> StateVector:
-        amps = np.zeros(layout.total_dim, dtype=complex)
-        amps[sectors[0]] = blocks[0][:, 0]
-        return StateVector(layout, amps)
+        def read(seq: PulseSequence) -> list[np.ndarray]:
+            return sector_blocks(sequence_unitary(seq, layout, table), sectors)
 
-    exact = sector_blocks(sequence_unitary(target, layout, table), sectors)
+        def probe(blocks: list[np.ndarray]) -> StateVector:
+            amps = np.zeros(layout.total_dim, dtype=complex)
+            amps[sectors[0]] = blocks[0][:, 0]
+            return StateVector(layout, amps)
+
+    exact = read(target)
     distances = []
     for step, n in steps:
-        power = [np.linalg.matrix_power(b, n) for b in sector_blocks(sequence_unitary(step, layout, table), sectors)]
-        distances.append(max(float(np.linalg.norm((u - v)[np.ix_(h, h)], 2))
+        power = [np.linalg.matrix_power(b, n) for b in read(step)]
+        distances.append(max(float(np.linalg.norm((u - v)[..., h[:, None], h], 2, axis=(-2, -1)).max())
                              for u, v, h in zip(power, exact, held) if len(h)))
         final = probe(power)
         del power  # only its probe column outlives it, before the next power is formed
     return distances, final, probe(exact)
+
+
+def _node_field(layout: RegisterLayout, table: Generators, quads: dict, held_spin: int | None):
+    """`power_distances`' blocks for ``quads`` (touched subsystem -> its quadrature's key factor, None for a qubit):
+    a (Π c_m, d_spin, d_spin) stack of U(x), read by W_m^† (`Generators.quadrature`) from one propagated block with
+    columns |σ⟩ on the touched qubits, Σ_x W_m[:, x] on each touched mode and |0> elsewhere.  A U(x) not unitary
+    within SECTOR_TOL raises OperatorError.  A probe image is Σ_x U(x)[:, 0] ⊗_m conj(W_m[0, x_m]) W_m[:, x_m]."""
+    dims, touched = layout.dims, list(quads)
+    modes, spins = [i for i in touched if quads[i]], [i for i in touched if not quads[i]]
+    ws, d_spin = [table.quadrature(dims[i], quads[i])[1] for i in modes], 2 ** len(spins)
+    columns = {**{i: np.eye(2) for i in spins}, **{i: w.sum(axis=1, keepdims=True) for i, w in zip(modes, ws)}}
+    block = reduce(np.kron, [columns.get(i, np.eye(d, 1)) for i, d in enumerate(dims)], np.ones((1, 1), complex))
+    on_touched = tuple(slice(None) if i in quads else 0 for i in range(len(dims)))
+    order = [touched.index(i) for i in modes + spins]  # a field's axes: the nodes, then the qubit states
+    stride = 2 ** sum(i > held_spin for i in spins) if held_spin in spins else d_spin
+    held = np.flatnonzero(np.arange(d_spin) // stride % 2 == 0)
+
+    def field(seq: PulseSequence) -> list[np.ndarray]:
+        out = _propagate(seq, layout, table, block)
+        for i, w in zip(modes, ws):
+            out = _on_axes(w.conj().T, (i,), dims, out)
+        stack = out.reshape(dims + (d_spin,))[on_touched].transpose(order + [len(order)]).reshape(-1, d_spin, d_spin)
+        if (resid := np.abs(stack.conj().swapaxes(1, 2) @ stack - np.eye(d_spin)).max()) > SECTOR_TOL:
+            raise OperatorError(f"a node block departs from unitarity by {resid:.3e} (tolerance {SECTOR_TOL:g})")
+        return [stack]
+
+    def probe(stacks: list[np.ndarray]) -> StateVector:
+        amps = np.zeros(dims, dtype=complex)
+        amps[on_touched] = stacks[0][:, :, 0].reshape([dims[i] for i in modes + spins]).transpose(np.argsort(order))
+        for i, w in zip(modes, ws):
+            amps = _on_axes(w * w[0].conj(), (i,), dims, amps.reshape(-1))
+        return StateVector(layout, amps.reshape(-1))
+
+    return field, [held], probe
 
 
 def measure_plan_error(plan: SynthPlan, registry: SynthesisRegistry) -> float:

@@ -465,12 +465,10 @@ def _layout_json(dims):
     return ["qubit" if d == 2 else {"kind": "qumode", "cutoff": d} for d in dims]
 
 
-# The four gate-synthesis benchmark configs: the sectors of their generators' keys, and the
-# index sets each error norm reads (a reset plan's are those where its held spin is |0>).
+# The two gate-synthesis benchmark configs that put X and P on one mode: the sectors of their
+# generators' keys, and the index sets each error norm reads.
 @pytest.mark.parametrize("experiment, dims, config, found, normed", [
-    ("synth", [2, 12, 12], {"target": "X@1*X@2", "angle": 0.35, "n_blocks": [4, 16]}, [144] * 2, [72] * 2),
     ("synth", [2, 2, 32], {"target": "sz@0*sz@1", "angle": 0.3, "n_blocks": [4, 16]}, [32] * 4, [32] * 4),
-    ("synth", [2, 2, 32], {"target": "sy@0*X@2^2", "angle": 0.2, "n_blocks": [4, 16]}, [64] * 2, [64] * 2),
     ("trotter-scaling", [2, 2, 32], {"hamiltonian": "0.9*sz@0*X@2 + 1.1*sx@0*X@2 + 0.5*sz@1*P@2",
                                      "t": 0.5, "steps": [4, 8]}, [64] * 2, [64] * 2),
 ])
@@ -516,8 +514,6 @@ def _assert_leakage_matches(summary, replayed):
 
 
 @pytest.mark.parametrize("dims, target, angle, blocks", [
-    ([2, 6, 6], "X@1*X@2", 0.35, [4, 16]),
-    ([2, 2, 8], "sy@0*X@2^2", 0.2, [4, 16]),
     ([2, 2, 8], "sz@0*sz@1", 0.3, [4, 16, 64]),
 ])
 def test_synth_reads_its_probe_from_the_plan_unitary(tmp_path, monkeypatch, dims, target, angle, blocks):
@@ -531,6 +527,41 @@ def test_synth_reads_its_probe_from_the_plan_unitary(tmp_path, monkeypatch, dims
     for n in blocks:
         sizes = [d for d, k in powers if k == n]
         assert len(sizes) >= 2 and sum(sizes) == np.prod(dims)
+    monkeypatch.undo()
+
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    layout = new_register([qubit() if d == 2 else qumode(d) for d in dims])
+    reg = standard_registry(layout)
+    plan = synthesize(target, angle, blocks[-1], reg)
+    probe = basis_state(layout, [0] * len(dims))
+    final = run_sequence(plan.sequence, probe, reg.matrices).final_state
+    exact = run_sequence(plan.target_sequence, probe, reg.matrices).final_state
+    assert abs(summary["results"]["probe_state_fidelity"] - exact.fidelity(final)) <= 1e-12
+    _assert_leakage_matches(summary, leakage(final))
+
+
+# Plans whose pulses touch each mode through X alone: each unitary is a (nodes, d_spin, d_spin) field.
+@pytest.mark.parametrize("dims, target, angle, blocks, stack", [
+    ([2, 6, 6], "X@1*X@2", 0.35, [4, 16], (36, 2, 2)),
+    ([2, 2, 8], "sy@0*X@2^2", 0.2, [4, 16], (8, 2, 2)),
+])
+def test_a_single_quadrature_synth_powers_its_node_field(tmp_path, monkeypatch, dims, target, angle, blocks, stack):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run read its unitaries by parity sector")
+
+    _refuse_replay(monkeypatch)
+    monkeypatch.setattr(synthesis, "parity_sectors", refuse)
+    monkeypatch.setattr(synthesis, "sequence_unitary", refuse)
+    shapes = []
+    matrix_power = np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power", lambda m, n: shapes.append((np.shape(m), n)) or matrix_power(m, n))
+    cfg = write_config(tmp_path, "synth.json", {
+        "experiment": "synth", "layout": ["qubit" if d == 2 else {"kind": "qumode", "cutoff": d} for d in dims],
+        "target": target, "angle": angle, "n_blocks": blocks})
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    # each n_blocks raises its step's field once (the powers of other exponents are local operator powers)
+    for n in blocks:
+        assert [shape for shape, k in shapes if k == n] == [stack]
     monkeypatch.undo()
 
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())

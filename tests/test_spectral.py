@@ -137,7 +137,8 @@ def test_measure_position_on_node_state_is_deterministic():
 def test_measure_position_vacuum_statistics():
     pointer = prepare_gaussian_pointer(1.0, 64)
     rng = np.random.default_rng(17)
-    xs = [measure_position(pointer, 0, rng)[0] for _ in range(10000)]
+    table = evolution.Generators(pointer.layout)
+    xs = [measure_position(pointer, 0, rng, table)[0] for _ in range(10000)]
     assert abs(np.var(xs) - 0.5) <= 0.05 * 0.5
 
 
@@ -158,7 +159,8 @@ def test_measure_position_collapses_system_to_eigenvector():
 def test_binned_measurement_keeps_outcome_statistics():
     pointer = prepare_gaussian_pointer(4.0, 64)
     rng = np.random.default_rng(23)
-    xs = [measure_position_binned(pointer, 0, rng, 0.35)[0] for _ in range(4000)]
+    table = evolution.Generators(pointer.layout)
+    xs = [measure_position_binned(pointer, 0, rng, 0.35, table)[0] for _ in range(4000)]
     assert abs(np.mean(xs)) <= 0.03
     assert abs(np.var(xs) - 0.125) <= 0.15 * 0.125
 

@@ -758,6 +758,111 @@ def test_trotter_step_powers_are_the_sector_blocks_of_the_dense_power():
     _assert_probe_columns(final, exact, flat, dense)
 
 
+def _flat_distances(steps, target, layout, held_spin=None):
+    """The dense flat reference: each step's pulses repeated n times as one dense unitary, its spectral-norm
+    distance from the target's on the indices where ``held_spin`` is |0>, and the last flat unitary and the target."""
+    keep = np.arange(layout.total_dim)
+    if held_spin is not None:
+        keep = keep[keep // int(np.prod(layout.dims[held_spin + 1:])) % 2 == 0]
+    dense = sequence_unitary(target, layout)
+    flats = [sequence_unitary(PulseSequence(step.pulses * n), layout) for step, n in steps]
+    return [float(np.linalg.norm((u - dense)[np.ix_(keep, keep)], 2)) for u in flats], flats[-1], dense
+
+
+def _assert_the_node_field_matches_the_flat_plan(steps, target, layout, held_spin=None):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the plan was read by parity sector")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthesis, "parity_sectors", refuse)
+        errors, final, exact = power_distances(steps, target, layout, Generators(layout), held_spin)
+    flat_errors, flat, dense = _flat_distances(steps, target, layout, held_spin)
+    assert np.abs(np.subtract(errors, flat_errors)).max() <= 1e-12
+    _assert_probe_columns(final, exact, flat, dense)
+
+
+@pytest.mark.parametrize("dims, target, angle", [
+    ([qubit(), qumode(6), qumode(6)], "X@1*X@2", 0.35),  # x only, spin 0 held
+    ([qumode(5), qubit(), qumode(6)], "X@0*X@2", -0.3),  # spin 1 held between the modes
+    ([qubit(), qubit(), qumode(8)], "sy@0*X@2^2", -0.2),  # an X^2 factor; qubit 1 untouched
+    ([qumode(8), qubit()], "sy@1*X@0^2", 0.3),  # [qumode, qubit] order
+    ([qubit(), qumode(6), qumode(5)], "sy@0*X@1^2", 0.25),  # mode 2 untouched
+    ([qubit(), qumode(6)], "sy@0", 0.4),  # spin only: one node
+])
+def test_a_single_quadrature_plan_matches_the_dense_flat_plan(dims, target, angle):
+    reg = standard_registry(new_register(dims))
+    plans = [synthesize(target, angle, n, reg) for n in (4, 16)]
+    _assert_the_node_field_matches_the_flat_plan([(p.block, p.n_blocks) for p in plans], plans[-1].target_sequence,
+                                                 reg.layout, plans[-1].reset_spin_required)
+
+
+@pytest.mark.parametrize("dims, text", [
+    ([qubit(), qumode(8)], "0.9*sz@0*P@1 + 1.1*sx@0*P@1 + 0.4*P@1^2"),  # p only
+    ([qumode(7), qumode(5)], "0.7*X@0*P@1 + 0.3*X@0^2 + 0.5*P@1^2"),  # no qubit: d_spin = 1
+    ([qubit(), qumode(6), qubit(), qumode(5)], "sz@2*X@3 + 0.5*sx@2*X@3^2"),  # qubit 0 and mode 1 untouched
+])
+def test_a_single_quadrature_trotter_run_matches_the_dense_flat_plan(dims, text):
+    layout, h = new_register(dims), parse_expr(text)
+    _assert_the_node_field_matches_the_flat_plan([(trotter(h, 0.6 / n, 1), n) for n in (2, 8)],
+                                                 PulseSequence((Pulse(h, 0.6),)), layout)
+
+
+@st.composite
+def _single_quadrature_cases(draw):
+    """(layout, steps, target, held spin) on 1-3 subsystems, each mode touched through one quadrature."""
+    layout = new_register(draw(st.lists(st.one_of(st.just(qubit()), st.integers(2, 5).map(qumode)),
+                                        min_size=1, max_size=3)))
+    n = len(layout)
+    quadrature = {i: draw(st.sampled_from(("X", "P"))) for i in range(n) if layout.is_qumode(i)}
+
+    def product():
+        sites = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        ops = [draw(st.sampled_from(("sx@{}", "sy@{}", "sz@{}"))).format(i) if layout.is_qubit(i)
+               else f"{quadrature[i]}@{i}" + draw(st.sampled_from(("", "^2"))) for i in sorted(sites)]
+        return "*".join([repr(draw(st.floats(0.2, 1.5)))] + ops)
+
+    gens = [" + ".join(product() for _ in range(draw(st.integers(1, 2)))) for _ in range(draw(st.integers(1, 3)))]
+
+    def sequence(min_size):
+        pulses = draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from((0.0, 0.3, 0.8)),
+                                         st.sampled_from((1, -1))), min_size=min_size, max_size=4))
+        return PulseSequence(tuple(Pulse(parse_expr(g), t, s) for g, t, s in pulses))
+
+    steps = [(sequence(0), k) for k in draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))]
+    held = draw(st.sampled_from([None] + [i for i in range(n) if layout.is_qubit(i)]))
+    return layout, steps, sequence(1), held
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(case=_single_quadrature_cases())
+def test_a_single_quadrature_pulse_sequence_matches_the_dense_flat_plan(case):
+    layout, steps, target, held = case
+    _assert_the_node_field_matches_the_flat_plan(steps, target, layout, held)
+
+
+def test_a_plan_with_x_and_p_on_one_mode_is_read_by_parity_sector(two_spin_registry, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the plan was read on the quadrature nodes")
+
+    calls = []
+    parity_sectors = operators.parity_sectors
+    monkeypatch.setattr(synthesis, "_node_field", refuse)
+    monkeypatch.setattr(synthesis, "parity_sectors", lambda keys, layout: calls.append(layout)
+                        or parity_sectors(keys, layout))
+    plan = synthesize("sz@0*sz@1", 0.3, 16, two_spin_registry)  # sz@0*P@2 and sz@1*X@2
+    assert abs(measure_plan_error(plan, two_spin_registry) - _flat_plan_error(plan, two_spin_registry)) <= 1e-12
+    assert calls == [two_spin_registry.layout]
+
+
+def test_a_node_block_that_is_not_unitary_raises(monkeypatch):
+    propagate = synthesis._propagate
+    # a leak between the nodes of mode 2: each Fock level takes 1e-6 of the level below it
+    monkeypatch.setattr(synthesis, "_propagate", lambda *args: (out := propagate(*args)) + 1e-6 * np.roll(out, 1, 0))
+    reg = standard_registry(new_register([qubit(), qumode(6), qumode(6)]))
+    with pytest.raises(OperatorError, match="departs from unitarity"):
+        measure_plan_error(synthesize("X@1*X@2", 0.35, 4, reg), reg)
+
+
 def test_plan_sequence_is_the_block_repeated(two_spin_registry):
     reg = two_spin_registry
     angle, n = np.pi / 4, 16
