@@ -243,22 +243,25 @@ def parity_sectors(keys, layout: RegisterLayout) -> list[np.ndarray]:
 
 # Where a matrix formed from the keys joins two of their sectors, its entries are rounding:
 # at most 1.3e-15 in the gate-synthesis benchmark's step and target unitaries (seeds 5, 7, 11;
-# unitary entries are at most 1), and exactly 0 in realized generators.  Their single-quadrature
-# plans' node blocks (`synthesis.power_distances`) depart from unitarity by at most 2.5e-14.
+# unitary entries are at most 1), and exactly 0 in realized generators.  Each sector's stack of
+# those unitaries' blocks (`synthesis.power_distances`) departs from unitarity by at most 2.5e-14.
 SECTOR_TOL = 1e-10
 
 
 def sector_blocks(m: np.ndarray, sectors: list[np.ndarray]) -> list[np.ndarray]:
-    """The diagonal blocks of ``m`` on its parity sectors (`parity_sectors`, which partition the
-    register; a subset would leave entries unread): each sector's columns are gathered, then their
-    rows.  Raises OperatorError when an entry joining two sectors, which is every entry of those
-    columns outside the block, exceeds SECTOR_TOL, so a matrix that does not conserve them is
-    never read by its blocks.  Costs O(D²)."""
+    """The diagonal blocks of ``m``, a matrix or a stack (..., d, d) of them, on its parity sectors
+    (`parity_sectors`, which partition the register; a subset would leave entries unread): each
+    sector's columns are gathered, then their rows.  Raises OperatorError when an entry joining two
+    sectors, which is every entry of those columns outside the block, exceeds SECTOR_TOL, so a
+    matrix that does not conserve them is never read by its blocks.  One sector is all of ``m``,
+    returned uncopied; more cost one pass over ``m``'s entries."""
+    if len(sectors) == 1:
+        return [m]
     blocks, leak = [], 0.0
     for s in sectors:
-        columns = m.take(s, axis=1)
-        blocks.append(columns.take(s, axis=0))
-        columns[s] = 0.0
+        columns = m.take(s, axis=-1)
+        blocks.append(columns.take(s, axis=-2))
+        columns[..., s, :] = 0.0
         leak = max(leak, float(np.abs(columns).max()))
     if leak > SECTOR_TOL:
         raise OperatorError(f"an entry of modulus {leak:.3e} joins two parity sectors (tolerance {SECTOR_TOL:g})")

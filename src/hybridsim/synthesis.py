@@ -25,13 +25,14 @@ dot products there.  Synthesis *error*, in
 contrast, is the spectral norm on the whole truncated space: it quantifies
 what the compiled sequence does in this simulator.  One function,
 `power_distances`, forms each unitary as the diagonal blocks its pulses
-conserve: spin unitaries on the Gauss-Hermite nodes, the truncated X's
-eigenvalues (Golub & Welsch, Math. Comp. 23, 221 (1969)), when they touch each
-mode through one quadrature, else the parity sectors of their generators
-(`operators.parity_sectors`).  A plan is one block and a repeat count: each
-block of the block's unitary is raised to the n-th power by repeated squaring,
-at a cost of log n times the sum of the blocks' cubed sizes.  The error is the
-largest block pair's distance; a run passes every plan's block in one call.
+conserve: a field over the Gauss-Hermite nodes, the truncated X's eigenvalues
+(Golub & Welsch, Math. Comp. 23, 221 (1969)), of each mode touched through one
+quadrature, cut into the parity sectors (`operators.parity_sectors`) of the
+rest of the touched register, so its cost follows the touched subsystems.  A
+plan is one block and a repeat count: each block of the block's unitary is
+raised to the n-th power by repeated squaring, at a cost of log n times the
+sum of the blocks' cubed sizes.  The error is the largest block pair's
+distance; a run passes every plan's block in one call.
 
 The spin-reset rule: with a spin held in |0>, a one-term generator sz(x)M
 with M on modes only acts on the modes as M alone.  ``_reset_effective``
@@ -50,8 +51,8 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .evolution import (HERMITICITY_TOL, Generators, Pulse, PulseSequence, _on_axes, _propagate, run_sequence,
-                        sequence_unitary)
+from .evolution import HERMITICITY_TOL, Generators, Pulse, PulseSequence, _on_axes, _propagate, run_sequence
+from .evolution import sequence_unitary  # not called here, but kept importable, which the benchmark's tracer pins
 from .hilbert import RegisterLayout, StateVector, compress_to_interior, interior_levels
 from .operators import (
     SECTOR_TOL,
@@ -364,29 +365,53 @@ def synthesize(
 def power_distances(steps: list[tuple[PulseSequence, int]], target: PulseSequence, layout: RegisterLayout,
                     table: Generators, held_spin: int | None = None) -> tuple[list[float], StateVector, StateVector]:
     """Each ``(step, n)`` pair's spectral-norm distance of step**n from ``target``, and the images of |0...0>
-    under the last power and under the target.  The blocks follow from the generators' keys, read once per id: a
-    node field (`_node_field`) when each mode's keys are all x^a or all p^b, else the parity sectors, cut from a
-    propagated identity, whose first holds flat index 0 and so the probe column.  Only the step's blocks are
-    powered.  A distance is the largest block pair's, read with ``held_spin`` on the indices where that spin is |0>."""
+    under the last power and under the target.  The generators' keys, read once per id, fix the blocks: a mode whose
+    keys are all x^a or all p^b is a node axis, read by W_m^† (`Generators.quadrature`); the qubits and every mode
+    with both quadratures form the inner register, cut into the parity sectors of the keys' factors on it.  One
+    propagated block, with columns |k> on the inner register, Σ_x W_m[:, x] on each node axis and |0> elsewhere,
+    gives a (Π c_m, d_inner, d_inner) stack of U(x).  A U(x) not unitary within SECTOR_TOL, which is how a node
+    axis shows it is not conserved, raises OperatorError where a node axis is read or the inner register is qubits
+    alone.  Only the step's sector stacks are powered.  A distance is the largest block pair's, read with
+    ``held_spin`` on the indices where that spin is |0>.  A probe image is column 0 of the first sector, which
+    holds inner index 0: Σ_x U(x)[:, 0] ⊗_m conj(W_m[0, x_m]) W_m[:, x_m]."""
+    dims = layout.dims
     pulses = {p.generator_id: p for seq in (target, *(step for step, _ in steps)) for p in seq.pulses}
     keys = [key for p in pulses.values() for key in weyl_symbol(p.expr, layout)]
     # (subsystem, None for a Pauli, else (1, 0) for x^a or (0, 1) for p^b: a generator's monomials are pure)
     kinds = {(i, None if isinstance(f, str) else (min(f[0], 1), min(f[1], 1))) for key in keys for i, f in key}
-    if len(quads := dict(sorted(kinds))) == len(kinds):
-        read, held, probe = _node_field(layout, table, quads, held_spin)
-    else:
-        sectors = parity_sectors(keys, layout)
-        held = [np.arange(len(s)) for s in sectors]  # the indices a distance reads in each sector
-        if held_spin is not None:
-            held = [np.flatnonzero(s // math.prod(layout.dims[held_spin + 1:]) % 2 == 0) for s in sectors]
+    quads = dict(sorted(kinds))
+    modes = [i for i, q in quads.items() if q and (i, q[::-1]) not in kinds]  # the other quadrature is absent
+    inner = [i for i in quads if i not in modes]
+    ws, d_inner = [table.quadrature(dims[i], quads[i])[1] for i in modes], math.prod(dims[i] for i in inner)
+    position = {i: k for k, i in enumerate(inner)}
+    sectors = parity_sectors([tuple((position[i], f) for i, f in key if i in position) for key in keys],
+                             RegisterLayout(tuple(layout.subsystems[i] for i in inner))) if inner else [np.arange(1)]
+    columns = {**{i: np.eye(dims[i]) for i in inner}, **{i: w.sum(axis=1, keepdims=True) for i, w in zip(modes, ws)}}
+    block = reduce(np.kron, [columns.get(i, np.eye(d, 1)) for i, d in enumerate(dims)], np.ones((1, 1), complex))
+    on_touched = tuple(slice(None) if i in quads else 0 for i in range(len(dims)))
+    order = [list(quads).index(i) for i in modes + inner]  # a stack's axes: the nodes, then the inner register
+    stride = math.prod(dims[i] for i in inner if i > held_spin) if held_spin in position else d_inner
+    held = [np.flatnonzero(s // stride % 2 == 0) for s in sectors]  # the indices a distance reads in each sector
+    checked = bool(modes) or all(layout.is_qubit(i) for i in inner)  # else the stack is U's exact restriction
 
-        def read(seq: PulseSequence) -> list[np.ndarray]:
-            return sector_blocks(sequence_unitary(seq, layout, table), sectors)
+    def read(seq: PulseSequence) -> list[np.ndarray]:
+        out = _propagate(seq, layout, table, block)
+        for i, w in zip(modes, ws):
+            out = _on_axes(w.conj().T, (i,), dims, out)
+        stack = out.reshape(dims + (d_inner,))[on_touched].transpose(order + [len(order)])
+        blocks = sector_blocks(stack.reshape(-1, d_inner, d_inner), sectors)
+        resid = max(np.abs(b.conj().swapaxes(1, 2) @ b - np.eye(b.shape[-1])).max() for b in blocks) if checked else 0
+        if resid > SECTOR_TOL:
+            raise OperatorError(f"a node block departs from unitarity by {resid:.3e} (tolerance {SECTOR_TOL:g})")
+        return blocks
 
-        def probe(blocks: list[np.ndarray]) -> StateVector:
-            amps = np.zeros(layout.total_dim, dtype=complex)
-            amps[sectors[0]] = blocks[0][:, 0]
-            return StateVector(layout, amps)
+    def probe(blocks: list[np.ndarray]) -> StateVector:
+        column, amps = np.zeros((len(blocks[0]), d_inner), dtype=complex), np.zeros(dims, dtype=complex)
+        column[:, sectors[0]] = blocks[0][:, :, 0]
+        amps[on_touched] = column.reshape([dims[i] for i in modes + inner]).transpose(np.argsort(order))
+        for i, w in zip(modes, ws):
+            amps = _on_axes(w * w[0].conj(), (i,), dims, amps.reshape(-1))
+        return StateVector(layout, amps.reshape(-1))
 
     exact = read(target)
     distances = []
@@ -397,40 +422,6 @@ def power_distances(steps: list[tuple[PulseSequence, int]], target: PulseSequenc
         final = probe(power)
         del power  # only its probe column outlives it, before the next power is formed
     return distances, final, probe(exact)
-
-
-def _node_field(layout: RegisterLayout, table: Generators, quads: dict, held_spin: int | None):
-    """`power_distances`' blocks for ``quads`` (touched subsystem -> its quadrature's key factor, None for a qubit):
-    a (Π c_m, d_spin, d_spin) stack of U(x), read by W_m^† (`Generators.quadrature`) from one propagated block with
-    columns |σ⟩ on the touched qubits, Σ_x W_m[:, x] on each touched mode and |0> elsewhere.  A U(x) not unitary
-    within SECTOR_TOL raises OperatorError.  A probe image is Σ_x U(x)[:, 0] ⊗_m conj(W_m[0, x_m]) W_m[:, x_m]."""
-    dims, touched = layout.dims, list(quads)
-    modes, spins = [i for i in touched if quads[i]], [i for i in touched if not quads[i]]
-    ws, d_spin = [table.quadrature(dims[i], quads[i])[1] for i in modes], 2 ** len(spins)
-    columns = {**{i: np.eye(2) for i in spins}, **{i: w.sum(axis=1, keepdims=True) for i, w in zip(modes, ws)}}
-    block = reduce(np.kron, [columns.get(i, np.eye(d, 1)) for i, d in enumerate(dims)], np.ones((1, 1), complex))
-    on_touched = tuple(slice(None) if i in quads else 0 for i in range(len(dims)))
-    order = [touched.index(i) for i in modes + spins]  # a field's axes: the nodes, then the qubit states
-    stride = 2 ** sum(i > held_spin for i in spins) if held_spin in spins else d_spin
-    held = np.flatnonzero(np.arange(d_spin) // stride % 2 == 0)
-
-    def field(seq: PulseSequence) -> list[np.ndarray]:
-        out = _propagate(seq, layout, table, block)
-        for i, w in zip(modes, ws):
-            out = _on_axes(w.conj().T, (i,), dims, out)
-        stack = out.reshape(dims + (d_spin,))[on_touched].transpose(order + [len(order)]).reshape(-1, d_spin, d_spin)
-        if (resid := np.abs(stack.conj().swapaxes(1, 2) @ stack - np.eye(d_spin)).max()) > SECTOR_TOL:
-            raise OperatorError(f"a node block departs from unitarity by {resid:.3e} (tolerance {SECTOR_TOL:g})")
-        return [stack]
-
-    def probe(stacks: list[np.ndarray]) -> StateVector:
-        amps = np.zeros(dims, dtype=complex)
-        amps[on_touched] = stacks[0][:, :, 0].reshape([dims[i] for i in modes + spins]).transpose(np.argsort(order))
-        for i, w in zip(modes, ws):
-            amps = _on_axes(w * w[0].conj(), (i,), dims, amps.reshape(-1))
-        return StateVector(layout, amps.reshape(-1))
-
-    return field, [held], probe
 
 
 def measure_plan_error(plan: SynthPlan, registry: SynthesisRegistry) -> float:

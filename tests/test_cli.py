@@ -484,8 +484,8 @@ def test_gate_synthesis_norms_are_taken_per_parity_sector(tmp_path, monkeypatch,
     norm = np.linalg.norm
 
     def block_norm(x, ord=None, *args, **kwargs):
-        if ord == 2 and np.ndim(x) == 2:  # a block pair's spectral-norm distance
-            sizes["normed"].append(len(x))
+        if ord == 2 and np.ndim(x) >= 2:  # a stack of block pairs' spectral-norm distances
+            sizes["normed"].append(np.shape(x)[-1])
         return norm(x, ord, *args, **kwargs)
 
     monkeypatch.setattr(synthesis, "parity_sectors", parity_sectors)
@@ -504,7 +504,8 @@ def _refuse_replay(monkeypatch):
     monkeypatch.setattr("hybridsim.cli.run_sequence", refuse)
     powers = []
     matrix_power = np.linalg.matrix_power
-    monkeypatch.setattr(np.linalg, "matrix_power", lambda m, n: powers.append((len(m), n)) or matrix_power(m, n))
+    monkeypatch.setattr(np.linalg, "matrix_power",
+                        lambda m, n: powers.append((np.shape(m)[-1], n)) or matrix_power(m, n))
     return powers
 
 
@@ -547,10 +548,14 @@ def test_synth_reads_its_probe_from_the_plan_unitary(tmp_path, monkeypatch, dims
 ])
 def test_a_single_quadrature_synth_powers_its_node_field(tmp_path, monkeypatch, dims, target, angle, blocks, stack):
     def refuse(*args, **kwargs):
-        raise AssertionError("the run read its unitaries by parity sector")
+        raise AssertionError("the run formed a dense plan unitary")
+
+    def parity_sectors(keys, layout):  # only the touched qubit's sectors
+        assert layout == new_register([qubit()])
+        return operators.parity_sectors(keys, layout)
 
     _refuse_replay(monkeypatch)
-    monkeypatch.setattr(synthesis, "parity_sectors", refuse)
+    monkeypatch.setattr(synthesis, "parity_sectors", parity_sectors)
     monkeypatch.setattr(synthesis, "sequence_unitary", refuse)
     shapes = []
     matrix_power = np.linalg.matrix_power

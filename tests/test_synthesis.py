@@ -769,16 +769,30 @@ def _flat_distances(steps, target, layout, held_spin=None):
     return [float(np.linalg.norm((u - dense)[np.ix_(keep, keep)], 2)) for u in flats], flats[-1], dense
 
 
-def _assert_the_node_field_matches_the_flat_plan(steps, target, layout, held_spin=None):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the plan was read by parity sector")
-
+def _assert_the_plan_matches_the_flat_plan(steps, target, layout, held_spin=None):
+    """`power_distances`' errors and probe images are the dense flat plan's within 1e-12; returns the column
+    count of each block it propagated."""
+    widths, propagate = [], synthesis._propagate
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(synthesis, "parity_sectors", refuse)
+        mp.setattr(synthesis, "_propagate", lambda *args: widths.append(args[-1].shape[1]) or propagate(*args))
         errors, final, exact = power_distances(steps, target, layout, Generators(layout), held_spin)
     flat_errors, flat, dense = _flat_distances(steps, target, layout, held_spin)
     assert np.abs(np.subtract(errors, flat_errors)).max() <= 1e-12
     _assert_probe_columns(final, exact, flat, dense)
+    return widths
+
+
+def _assert_the_node_field_matches_the_flat_plan(steps, target, layout, held_spin=None):
+    pulses = [p for seq in (target, *(step for step, _ in steps)) for p in seq.pulses]
+    touched = {i for p in pulses for key in operators.weyl_symbol(p.expr, layout) for i, _ in key}
+
+    def parity_sectors(keys, sub):  # only the touched qubits' sectors: every mode is a node axis
+        assert sub.subsystems == tuple(qubit() for i in sorted(touched) if layout.is_qubit(i))
+        return operators.parity_sectors(keys, sub)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthesis, "parity_sectors", parity_sectors)
+        _assert_the_plan_matches_the_flat_plan(steps, target, layout, held_spin)
 
 
 @pytest.mark.parametrize("dims, target, angle", [
@@ -808,17 +822,22 @@ def test_a_single_quadrature_trotter_run_matches_the_dense_flat_plan(dims, text)
 
 
 @st.composite
-def _single_quadrature_cases(draw):
-    """(layout, steps, target, held spin) on 1-3 subsystems, each mode touched through one quadrature."""
+def _plan_cases(draw, mixed=False):
+    """(layout, steps, target, held spin) on 1-3 subsystems, each mode touched through one quadrature, or with
+    ``mixed`` through X, P or both."""
     layout = new_register(draw(st.lists(st.one_of(st.just(qubit()), st.integers(2, 5).map(qumode)),
                                         min_size=1, max_size=3)))
     n = len(layout)
-    quadrature = {i: draw(st.sampled_from(("X", "P"))) for i in range(n) if layout.is_qumode(i)}
+    quadrature = {i: draw(st.sampled_from(("XP", "X", "P") if mixed else ("X", "P")))
+                  for i in range(n) if layout.is_qumode(i)}
+
+    def mode_op(i):  # a mode that carries both quadratures takes one of them per product
+        return quadrature[i] if len(quadrature[i]) == 1 else draw(st.sampled_from(quadrature[i]))
 
     def product():
         sites = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
         ops = [draw(st.sampled_from(("sx@{}", "sy@{}", "sz@{}"))).format(i) if layout.is_qubit(i)
-               else f"{quadrature[i]}@{i}" + draw(st.sampled_from(("", "^2"))) for i in sorted(sites)]
+               else f"{mode_op(i)}@{i}" + draw(st.sampled_from(("", "^2"))) for i in sorted(sites)]
         return "*".join([repr(draw(st.floats(0.2, 1.5)))] + ops)
 
     gens = [" + ".join(product() for _ in range(draw(st.integers(1, 2)))) for _ in range(draw(st.integers(1, 3)))]
@@ -834,19 +853,41 @@ def _single_quadrature_cases(draw):
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
-@given(case=_single_quadrature_cases())
+@given(case=_plan_cases())
 def test_a_single_quadrature_pulse_sequence_matches_the_dense_flat_plan(case):
     layout, steps, target, held = case
     _assert_the_node_field_matches_the_flat_plan(steps, target, layout, held)
 
 
-def test_a_plan_with_x_and_p_on_one_mode_is_read_by_parity_sector(two_spin_registry, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the plan was read on the quadrature nodes")
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)  # 25 put X and P on one mode
+@given(case=_plan_cases(mixed=True))
+def test_a_pulse_sequence_with_both_quadratures_on_a_mode_matches_the_dense_flat_plan(case):
+    layout, steps, target, held = case
+    _assert_the_plan_matches_the_flat_plan(steps, target, layout, held)
 
+
+# Mode 2 carries X and P, so it joins the qubits in the inner register: each unitary is read from one block
+# of 2·2·8 = 32 columns, not D = 192.  Mode 3 is a node axis of the Trotter run and untouched by the synth plan.
+def test_a_trotter_run_with_a_mixed_mode_beside_a_node_axis_matches_the_dense_flat_plan():
+    layout = new_register([qubit(), qubit(), qumode(8), qumode(6)])
+    h = parse_expr("0.9*sz@0*X@2 + 1.1*sx@0*X@2 + 0.5*sz@1*P@2 + 0.4*sz@1*X@3")
+    widths = _assert_the_plan_matches_the_flat_plan([(trotter(h, 0.6 / n, 1), n) for n in (2, 8)],
+                                                    PulseSequence((Pulse(h, 0.6),)), layout)
+    assert widths == [32] * 3
+
+
+def test_a_mixed_synth_plan_beside_an_untouched_mode_matches_the_dense_flat_plan():
+    reg = standard_registry(new_register([qubit(), qubit(), qumode(8), qumode(6)]))
+    plans = [synthesize("sz@0*sz@1", 0.3, n, reg) for n in (4, 16)]  # sz@0*P@2 and sz@1*X@2
+    steps = [(p.block, p.n_blocks) for p in plans]
+    widths = _assert_the_plan_matches_the_flat_plan(steps, plans[-1].target_sequence, reg.layout,
+                                                    plans[-1].reset_spin_required)
+    assert widths == [32] * 3
+
+
+def test_a_plan_with_x_and_p_on_one_mode_is_read_by_parity_sector(two_spin_registry, monkeypatch):
     calls = []
     parity_sectors = operators.parity_sectors
-    monkeypatch.setattr(synthesis, "_node_field", refuse)
     monkeypatch.setattr(synthesis, "parity_sectors", lambda keys, layout: calls.append(layout)
                         or parity_sectors(keys, layout))
     plan = synthesize("sz@0*sz@1", 0.3, 16, two_spin_registry)  # sz@0*P@2 and sz@1*X@2
