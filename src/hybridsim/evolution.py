@@ -27,7 +27,7 @@ not owed as that very ``(axes, v)`` object, first rotating back each owed group
 that meets them; owed groups on axes it does not touch stay owed (its phases
 are constant there), and what is owed at the end is rotated back once.  So a
 Trotter pointer coupling rotates the pointer axis twice in all, and a repeated
-(generator id, signed duration) forms its phases once per call.
+(generator id, signed duration) forms its phases once per call, on touched axes.
 
 Sign convention: a pulse of generator H with duration t and sign s applies
 ``exp(-i * s * H * t)``.  Global phases are never asserted anywhere; state
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,7 +78,7 @@ class Pulse:
             raise EvolutionError(f"pulse duration must be finite and >= 0, got {d}")
         object.__setattr__(self, "duration", d)
 
-    @property
+    @cached_property  # formatted once per pulse: the pulse loop reads it for its key and its decomposition
     def generator_id(self) -> str:
         if isinstance(self.generator, str):
             return self.generator
@@ -203,9 +204,9 @@ class _Factored:
     ``groups`` pairs each group's sorted subsystem axes with its eigenvector
     matrix; no group covers a subsystem the generator does not touch, and a
     generator that touches none has no group.  ``energies`` is the outer
-    product of the groups' eigenvalues, flattened over the whole register
-    once, so a pulse forms its phases as the dense formula does, and
-    ``max_energy`` their largest modulus, which bounds a pulse's phase.
+    product of the groups' eigenvalues, of size 1 on each axis no group
+    covers, and ``max_energy`` is their largest modulus, which bounds a
+    pulse's phase.
     """
 
     groups: tuple[tuple[tuple[int, ...], np.ndarray], ...]
@@ -250,7 +251,6 @@ class Generators:
         energies = np.full((1,) * len(dims), 1.0 if rest else sum(symbol.values(), 0.0))
         for axes, (w, _) in parts:
             energies = energies * w.reshape([d if i in axes else 1 for i, d in enumerate(dims)])
-        energies = np.broadcast_to(energies, dims).reshape(-1)
         return _Factored(tuple((axes, v) for axes, (_, v) in parts), energies, float(np.abs(energies).max()))
 
     def quadrature(self, cutoff: int, f: tuple[int, int] = (1, 0)) -> tuple[np.ndarray, np.ndarray]:
@@ -280,12 +280,11 @@ def _propagate(seq: PulseSequence, layout: RegisterLayout, generators: Generator
         raise EvolutionError(f"generators must be a Generators table or None, got {type(generators).__name__}")
     elif generators.layout != layout:
         raise EvolutionError("generator table was built for a different layout")
-    caller, dims, shape = amps, layout.dims, (-1,) + (1,) * (amps.ndim - 1)
-    pulses = [(p, (p.generator_id, p.sign * p.duration)) for p in seq.pulses if p.duration != 0.0]
-    last = {key: i for i, (_, key) in enumerate(pulses)}  # a key's phases are kept until its last pulse
+    caller, dims, ones = amps, layout.dims, (1,) * (amps.ndim - 1)
+    tensor = dims + amps.shape[1:]
     owed: dict[tuple[int, ...], np.ndarray] = {}
     phases: dict[tuple[str, float], np.ndarray] = {}
-    for i, (pulse, key) in enumerate(pulses):
+    for pulse in (p for p in seq.pulses if p.duration != 0.0):
         factored = generators.decomposition(pulse)
         if (phase := factored.max_energy * pulse.duration) > PHASE_BUDGET:
             raise EvolutionError(f"pulse {pulse.generator_id}: phase {phase:.3g} exceeds the phase budget 2**52 rad")
@@ -295,10 +294,10 @@ def _propagate(seq: PulseSequence, layout: RegisterLayout, generators: Generator
         for axes, v in new:
             amps = _on_axes(v.conj().T, axes, dims, amps)
             owed[axes] = v
-        ph = phases.pop(key) if key in phases else np.exp(-1j * factored.energies * key[1]).reshape(shape)
-        if last[key] > i:
-            phases[key] = ph
-        amps = np.multiply(ph, amps, out=None if amps is caller else amps)
+        if (key := (pulse.generator_id, pulse.sign * pulse.duration)) not in phases:
+            phases[key] = np.exp(-1j * factored.energies * key[1]).reshape(factored.energies.shape + ones)
+        amps = np.multiply(phases[key], amps.reshape(tensor),  # both reshapes inline: no name keeps a (D, k) view
+                           out=None if amps is caller else amps.reshape(tensor)).reshape(caller.shape)
     for axes, v in owed.items():
         amps = _on_axes(v, axes, dims, amps)
     return amps

@@ -183,6 +183,15 @@ def test_synth_run(tmp_path):
     assert res["probe_state_fidelity"] >= 0.99
 
 
+def test_synth_probe_fidelity_is_at_most_one(tmp_path):
+    # 256 blocks by repeated squaring drift the probe images' norms; the fidelity read from them stays a fidelity
+    config = {"experiment": "synth", "layout": _layout_json([2, 2, 16]), "target": "sz@0*sz@1", "angle": 0.785,
+              "n_blocks": [4, 16, 64, 256]}
+    out = tmp_path / "out"
+    assert main(["synth", "--config", write_config(tmp_path, "cfg.json", config), "--out", str(out)]) == 0
+    assert 0.99 <= json.loads((out / "summary.json").read_text())["results"]["probe_state_fidelity"] <= 1.0
+
+
 @pytest.mark.parametrize(("target", "noted"), [("sz@0*sz@1", True), ("sy@0", False)])
 def test_a_zero_prediction_beside_a_measured_error_carries_a_note(tmp_path, target, noted):
     config = {"experiment": "synth", "layout": _layout_json([2, 2, 8]), "target": target, "angle": 0.3,

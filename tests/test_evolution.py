@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,8 +23,9 @@ from hybridsim.evolution import (
     trotter,
 )
 from hybridsim.hilbert import StateVector, basis_state, new_register, qubit, qumode
-from hybridsim.operators import HamiltonianExpr, HamiltonianTerm, LocalOp, build, fock_position, parse_expr, weyl_symbol
-from hybridsim.spectral import quadrature_basis
+from hybridsim.operators import (HamiltonianExpr, HamiltonianTerm, LocalOp, build, fock_position, generator_id,
+                                 parse_expr, weyl_symbol)
+from hybridsim.spectral import _coupling_sequence, quadrature_basis
 
 
 def test_expm_zero_time_is_identity():
@@ -141,6 +144,53 @@ def test_an_explicit_identity_factor_is_not_diagonalized(monkeypatch):
     assert calls == [(2, 2)]
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     assert np.max(np.abs(u - expm_unitary(build(parse_expr("sz@0"), layout), 0.4))) <= 1e-14
+
+
+def test_a_factored_generator_keeps_its_energies_on_the_axes_it_touches():
+    layout = new_register([qubit(), qubit(), qumode(8)])
+    factored = Generators(layout).factor(weyl_symbol(parse_expr("sz@0*X@2"), layout))
+    assert factored.energies.shape == (2, 1, 8)
+    assert factored.max_energy == np.abs(factored.energies).max()
+
+
+def _chain(n: int) -> HamiltonianExpr:
+    return parse_expr(" + ".join([f"0.2*sz@{i}*sz@{i + 1}" for i in range(n - 1)] + [f"0.1*sx@{i}" for i in range(n)]))
+
+
+def test_the_pulse_loop_formats_each_pulse_id_once(monkeypatch):
+    # a 64-round Trotter coupling of five terms repeats the same five pulses: 320 pulses, five formatted ids
+    layout = new_register([qubit()] * 3 + [qumode(16)])
+    seq = _coupling_sequence(_chain(3), 3, 5.0, "trotter", 64)
+    calls = []
+    monkeypatch.setattr(evolution, "generator_id", lambda expr: calls.append(expr) or generator_id(expr))
+    run_sequence(seq, basis_state(layout, [0] * 4))
+    assert len(seq) == 320 and len(calls) == 5
+
+
+def _traced_peak(seq: PulseSequence, layout, table, amps: np.ndarray) -> int:
+    tracemalloc.start()
+    try:
+        _propagate(seq, layout, table, amps)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_trotter_coupling_keeps_no_register_sized_phases_per_term():
+    # 15 terms on 8 qubits and a 64-level pointer (D = 16,384), each diagonalized in the run: every term's
+    # energies and phases span only the axes it touches, so the state and its rotated copy dominate the peak
+    layout = new_register([qubit()] * 8 + [qumode(64)])
+    amps = basis_state(layout, [0] * 9).amplitudes
+    assert _traced_peak(_coupling_sequence(_chain(8), 8, 5.0, "trotter", 4), layout, None, amps) < 4 * amps.nbytes
+
+
+def test_an_exact_coupling_of_a_block_holds_no_third_block():
+    # one pulse on every axis: each rotation holds its input and output blocks, and no name keeps a third alive
+    layout = new_register([qubit()] * 6 + [qumode(64)])
+    seq, table = _coupling_sequence(_chain(6), 6, 5.0, "exact", 1), Generators(layout)
+    table.decomposition(seq.pulses[0])
+    block = np.eye(layout.total_dim, 8, dtype=complex)
+    assert _traced_peak(seq, layout, table, block) < 2.5 * block.nbytes
 
 
 @pytest.mark.parametrize(("text", "energy"), [("0.7*id@0", 0.7), ("X@1 - X@1", 0.0)])
