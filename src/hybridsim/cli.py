@@ -395,7 +395,7 @@ def _run_closure(cfg: ExperimentConfig):
             seed_exprs = [parse_expr(s) for s in seeds]
         except ExprSyntaxError as exc:
             raise ConfigError(f"seeds: {exc}") from None
-    seed_ids = [registry.register(expr, drivable=True, origin="primitive") for expr in seed_exprs]
+    seed_ids = [registry.register(expr, drivable=True) for expr in seed_exprs]
     report = close_algebra(
         seed_ids,
         max_new=_int(cfg, "max_new", default=64, minimum=1),

@@ -18,15 +18,17 @@ coupling ``H (x) P`` costs ``d_sys^3 + cutoff^3`` rather than
 ``(d_sys * cutoff)^3`` and a product-term pulse never forms a ``D x D``
 matrix.  Every pulse takes this one path: its generator is an inline
 expression or an id that parses as one.  Decompositions are kept per
-generator id, and local factors per (key factor, dimension), in a
-``Generators`` table owned by the caller (a synthesis registry, a
-spectroscopy run); a run given no table diagonalizes each of its generators
-once for that run only.  The pulse loop keeps an owed-basis map, axes -> the
-eigenvectors they are still expressed in: a pulse rotates in only the groups
-not owed as that very ``(axes, v)`` object, first rotating back each owed group
-that meets them; owed groups on axes it does not touch stay owed (its phases
-are constant there), and what is owed at the end is rotated back once.  So a
-Trotter pointer coupling rotates the pointer axis twice in all, and a repeated
+generator id, local factors per (key factor, dimension) and remaining groups
+per (sub-register, sub-symbol), in a ``Generators`` table owned by the caller
+(a synthesis registry, a spectroscopy run); ``H`` and ``H (x) P`` share their
+remaining group, so a spectroscopy run diagonalizes ``H`` once.  A run given
+no table diagonalizes each of its generators once for that run only.  The
+pulse loop keeps an owed-basis map, axes -> the eigenvectors they are still
+expressed in: a pulse rotates in only the groups not owed as that very
+``(axes, v)`` object, first rotating back each owed group that meets them;
+owed groups on axes it does not touch stay owed (its phases are constant
+there), and what is owed at the end is rotated back once.  So a Trotter
+pointer coupling rotates the pointer axis twice in all, and a repeated
 (generator id, signed duration) forms its phases once per call, on touched axes.
 
 Sign convention: a pulse of generator H with duration t and sign s applies
@@ -221,13 +223,15 @@ class Generators:
     expression, else its id parsed as Hamiltonian text), and its Weyl symbol
     is factored by its keys as the module docstring describes.  The table
     belongs to the caller that creates it: pass the same table to several
-    runs on one layout and they share every eigendecomposition.
+    runs on one layout and they share every eigendecomposition, down to the
+    local factors and remaining groups that different generators have in common.
     """
 
     def __init__(self, layout: RegisterLayout):
         self.layout = layout
         self._decompositions: dict[str, _Factored] = {}
-        self._local: dict[tuple[str | tuple[int, int], int], tuple[np.ndarray, np.ndarray]] = {}
+        # (key factor, dimension) of a local factor, or (sub-register specs, sub-symbol items) of a remaining group
+        self._eigs: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     def decomposition(self, pulse: Pulse) -> _Factored:
         gid = pulse.generator_id
@@ -236,7 +240,8 @@ class Generators:
         return self._decompositions[gid]
 
     def factor(self, symbol: Symbol) -> _Factored:
-        """The factored eigendecomposition of a Hermitian symbol, formed on each call (local factors are kept)."""
+        """The factored eigendecomposition of a Hermitian symbol, assembled on each call from the table's
+        kept eigendecompositions of its local factors and of its remaining group."""
         layout, dims = self.layout, self.layout.dims
         keys = [dict(key) for key in symbol]
         touched = sorted(set().union(*keys))
@@ -246,7 +251,10 @@ class Generators:
         if rest:
             position = {i: k for k, i in enumerate(rest)}
             sub = {tuple((position[i], f) for i, f in key if i in position): c for key, c in symbol.items()}
-            parts.append((rest, _eig(realize(sub, RegisterLayout(tuple(layout.subsystems[i] for i in rest))))))
+            group = (tuple(layout.subsystems[i] for i in rest), frozenset(sub.items()))
+            if group not in self._eigs:
+                self._eigs[group] = _eig(realize(sub, RegisterLayout(group[0])))
+            parts.append((rest, self._eigs[group]))
         # with no remaining group every key is the same product, or there is none: its coefficient scales
         energies = np.full((1,) * len(dims), 1.0 if rest else sum(symbol.values(), 0.0))
         for axes, (w, _) in parts:
@@ -259,15 +267,15 @@ class Generators:
         return self._local_eig(f, cutoff)
 
     def _local_eig(self, f: str | tuple[int, int], dim: int) -> tuple[np.ndarray, np.ndarray]:
-        if (f, dim) not in self._local:
+        if (f, dim) not in self._eigs:
             w, v = self.quadrature(dim) if f == (0, 1) else _eig(local_factor(f, dim))
             if f == (1, 0):  # signed so <0|x_k> > 0, like the positive ground-state wavefunction
                 v = v * np.where(v[0].real < 0, -1.0, 1.0)
             elif f == (0, 1):  # the truncated P is F X F^dagger exactly, F = diag(i^n): its eigenvectors are F V
                 v = np.array([1, 1j, -1, -1j])[np.arange(dim) % 4, None] * v
             w.flags.writeable = v.flags.writeable = False
-            self._local[(f, dim)] = w, v
-        return self._local[(f, dim)]
+            self._eigs[(f, dim)] = w, v
+        return self._eigs[(f, dim)]
 
 
 def _propagate(seq: PulseSequence, layout: RegisterLayout, generators: Generators | None,

@@ -29,6 +29,7 @@ from .evolution import (
     Generators,
     Pulse,
     PulseSequence,
+    _on_axes,
     _propagate,
     leakage as state_leakage,
     run_sequence,
@@ -45,7 +46,7 @@ from .operators import (
     HamiltonianExpr,
     HamiltonianTerm,
     LocalOp,
-    build,
+    weyl_symbol,
 )
 
 
@@ -227,8 +228,8 @@ def measure_position_binned(
     faithfully, which is why mid-run measurements use this form.  Returns
     the Born-weighted position within the bin and the collapsed state; ``generators`` is as in `measure_position`.
     """
-    if bin_width <= 0:
-        raise SpectralError(f"bin_width must be positive, got {bin_width}")
+    if not (np.isfinite(bin_width) and bin_width > 0):
+        raise SpectralError(f"bin_width must be positive and finite, got {bin_width}")
     node_amps, basis = _node_amplitudes(joint.layout, joint.amplitudes, mode_idx, generators)
     members, bin_probs = _position_bins(node_amps, basis.nodes, bin_width)
     chosen = members[int(rng.choice(len(members), p=bin_probs))]
@@ -385,17 +386,6 @@ class RobustnessReport(_Shots):
     seed: int
 
 
-def _eigenspaces(h_mat: np.ndarray, tol: float = 1e-9) -> list[tuple[float, np.ndarray]]:
-    """Each distinct eigenvalue (within tol) and its eigenvectors V as columns: a fidelity is ||V^dagger v||^2."""
-    evals, evecs = np.linalg.eigh(h_mat)
-    groups, start = [], 0
-    for i in range(1, len(evals) + 1):
-        if i == len(evals) or evals[i] - evals[start] > tol:
-            groups.append((float(np.mean(evals[start:i])), evecs[:, start:i]))
-            start = i
-    return groups
-
-
 def _system_vector(node_amps: np.ndarray, k: int) -> np.ndarray:
     column = node_amps[:, k]
     return column / np.linalg.norm(column)
@@ -418,8 +408,10 @@ def robustness_midmeasure(
     uses the total displacement over the total time: peak positions are
     preserved within the resolution (widths may change).  For each detected
     peak the report checks that the system stays in the same eigenspace
-    across the second half.  The baseline and both halves share one
-    generator table, so the coupling is diagonalized once.  The baseline
+    across the second half: a fidelity is the branch vector's weight, in H's
+    eigenbasis, on the energies within 1e-9 of the eigenvalue nearest the
+    peak.  The baseline, both halves and H's eigenbasis share one generator
+    table, so the coupling is diagonalized once, and with it H.  The baseline
     draws stream 0, the mid-run stream 1: every shot's bin in one draw, then
     each occupied bin's final nodes in one draw, bins ascending.  Each
     occupied bin's collapsed state is one column of a (D, k) block, and the
@@ -451,22 +443,27 @@ def robustness_midmeasure(
 
     peaks = _make_peaks(samples, spec.beta, spec.t_couple, n_shots)
 
-    eigenspaces = _eigenspaces(build(h, psi.layout))
+    system, sys_dims = generators.factor(weyl_symbol(h, layout)), layout.dims[:mode_idx]
+    energies = np.broadcast_to(system.energies, sys_dims + (1,)).reshape(-1)  # the pointer axis is untouched
     branches = []
     for peak in peaks:
         rep = int(np.argmin(np.abs(samples - peak.center_x)))
         in_bin = members[shot_bins[rep]]
         v1 = _system_vector(amps1, int(in_bin[np.argmax(np.sum(np.abs(amps1[:, in_bin]) ** 2, axis=0))]))
         v2 = _system_vector(amps2[:, np.searchsorted(occupied, shot_bins[rep])], int(shot_nodes[rep]))
-        _, vecs = min(eigenspaces, key=lambda g: abs(g[0] - peak.eigenvalue))
+        pair = np.stack([v1, v2], axis=1)
+        for axes, v in system.groups:  # into H's eigenbasis
+            pair = _on_axes(v.conj().T, axes, sys_dims, pair)
+        nearest = energies[np.argmin(np.abs(energies - peak.eigenvalue))]
+        before, after = np.sum(np.abs(pair[np.abs(energies - nearest) <= 1e-9]) ** 2, axis=0)
         base = min(baseline.peaks, key=lambda b: abs(b.eigenvalue - peak.eigenvalue), default=None)
         branches.append(
             BranchCheck(
                 eigenvalue=peak.eigenvalue,
                 baseline_eigenvalue=None if base is None else base.eigenvalue,
                 shift=None if base is None else abs(peak.eigenvalue - base.eigenvalue),
-                fidelity_before=float(np.sum(np.abs(vecs.conj().T @ v1) ** 2)),
-                fidelity_after=float(np.sum(np.abs(vecs.conj().T @ v2) ** 2)),
+                fidelity_before=float(before),
+                fidelity_after=float(after),
             )
         )
 

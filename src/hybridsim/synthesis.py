@@ -115,7 +115,6 @@ class GeneratorRecord:
     generator_id: str
     expr: HamiltonianExpr
     drivable: bool
-    origin: str  # "primitive" | "reset-effective" | "derived"
 
 
 @dataclass(frozen=True)
@@ -175,10 +174,10 @@ class SynthesisRegistry:
 
     # -- generators ---------------------------------------------------------
 
-    def register(self, expr: HamiltonianExpr, *, drivable: bool, origin: str) -> str:
+    def register(self, expr: HamiltonianExpr, *, drivable: bool) -> str:
         gid = generator_id(expr)
         if gid not in self._records:
-            self._records[gid] = GeneratorRecord(gid, expr, drivable, origin)
+            self._records[gid] = GeneratorRecord(gid, expr, drivable)
         return gid
 
     def record(self, gid: str) -> GeneratorRecord:
@@ -224,7 +223,7 @@ class SynthesisRegistry:
         reset = _reset_effective(rule.direction, self.layout)
         if reset is None:
             raise SynthesisError(f"direction {rule.direction_id!r} is not sz times mode operators")
-        target_id = self.register(reset[1], drivable=False, origin="derived")
+        target_id = self.register(reset[1], drivable=False)
         self._rules.setdefault(target_id, rule)
         return target_id
 
@@ -252,21 +251,16 @@ def _reset_effective(expr: HamiltonianExpr, layout: RegisterLayout) -> tuple[int
     return spins[0][0], HamiltonianExpr((HamiltonianTerm(t.coefficient, modes),))
 
 
-def derive_rule(
-    a_id: str,
-    b_id: str,
-    candidate_direction: HamiltonianExpr,
-    registry: SynthesisRegistry,
-    *,
-    register: bool = True,
-) -> DerivationRule:
+def derive_rule(a_id: str, b_id: str, candidate_direction: HamiltonianExpr,
+                registry: SynthesisRegistry) -> DerivationRule:
     """Compute i[A, B] exactly and project it on a candidate direction.
 
     With k the Weyl symbol of i[A, B] (`symbol_commutator`) and g the
     candidate's, as coefficient vectors, the scale is g.k / g.g and the
     residual |k - scale g| / |scale g|, exactly 0.0 for a true identity at
     any cutoff.  Raises DerivationError when the residual exceeds
-    RULE_RESIDUAL_TOL, which signals a wrong identity.
+    RULE_RESIDUAL_TOL, which signals a wrong identity; every raise comes
+    before the candidate is registered as drivable with its rule.
     """
     k = symbol_commutator(*(weyl_symbol(registry.record(gid).expr, registry.layout) for gid in (a_id, b_id)))
     g = weyl_symbol(candidate_direction, registry.layout)
@@ -282,9 +276,8 @@ def derive_rule(
         raise DerivationError(f"candidate {generator_id(candidate_direction)!r} rejected: "
                               f"residual {residual:.3e} > {RULE_RESIDUAL_TOL:g}")
     rule = DerivationRule(a_id, b_id, candidate_direction, generator_id(candidate_direction), scale, residual)
-    if register:
-        registry.register(candidate_direction, drivable=True, origin="derived")
-        registry.add_rule(rule)
+    registry.register(candidate_direction, drivable=True)
+    registry.add_rule(rule)
     return rule
 
 
@@ -475,11 +468,11 @@ def standard_registry(layout: RegisterLayout) -> SynthesisRegistry:
     spins, modes = spins_and_modes(layout)
     primitives = [gen.expr for s in spins for m in modes for gen in primitive_set(layout, s, m).members]
     for expr in primitives:
-        reg.register(expr, drivable=True, origin="primitive")
+        reg.register(expr, drivable=True)
     for expr in primitives:
         reset = _reset_effective(expr, layout)
         if reset is not None:
-            reg.register(reset[1], drivable=True, origin="reset-effective")
+            reg.register(reset[1], drivable=True)
 
     first, shared = spins[0], modes[0]
     slots = {
@@ -688,7 +681,7 @@ def close_algebra(
             reset = _reset_effective(expr, layout)
             if reset is None:
                 continue
-            eff_id = registry.register(reset[1], drivable=True, origin="reset-effective")
+            eff_id = registry.register(reset[1], drivable=True)
             if eff_id not in [s[0] for s in seeds]:
                 seeds.append((eff_id, reset[1]))
                 notes.append(f"reset-effective seed {eff_id} from {gid}")

@@ -11,7 +11,7 @@ import hybridsim
 from hybridsim import evolution, spectral
 from hybridsim.evolution import LEAKAGE_INVALID, run_sequence
 from hybridsim.hilbert import StateVector, basis_state, new_register, qubit, qumode
-from hybridsim.operators import build, fock_momentum, fock_position, parse_expr
+from hybridsim.operators import build, fock_momentum, fock_position, parse_expr, weyl_symbol
 from hybridsim.spectral import (
     PointerSpec,
     SpectralError,
@@ -165,6 +165,13 @@ def test_binned_measurement_keeps_outcome_statistics():
     assert abs(np.var(xs) - 0.125) <= 0.15 * 0.125
 
 
+@pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf])
+def test_binned_measurement_rejects_a_width_that_is_not_a_finite_resolution(width):
+    # NaN would split every node into its own bin, and inf would bin the whole axis as one
+    with pytest.raises(SpectralError, match="bin_width"):
+        measure_position_binned(prepare_gaussian_pointer(1.0, 16), 0, np.random.default_rng(1), width)
+
+
 def test_estimate_spectrum_single_peak():
     layout = new_register([qubit()])
     psi = basis_state(layout, [0])
@@ -286,9 +293,9 @@ def test_robustness_diagonalizes_the_coupling_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h) or eigh(h))
     rep = robustness_midmeasure(parse_expr("sz@0"), psi, spec, 200, seed=4)
     assert len(rep.samples) == 200
-    # sz twice (the coupling's system factor and the system's eigenspaces), X once for both the pointer
+    # sz once (the coupling's system factor, which the branch eigenspaces reuse), X once for both the pointer
     # basis and the coupling's P factor, nothing at 2 * 64
-    assert [h.shape[-1] for h in calls] == [2, 64, 2]
+    assert [h.shape[-1] for h in calls] == [2, 64]
     assert np.array_equal(calls[1], fock_position(64))
 
 
@@ -317,7 +324,8 @@ def test_branch_fidelities_equal_the_projector_formula_on_a_degenerate_spectrum(
     # sz@0*sz@1 has two doubly degenerate eigenspaces, whose projectors are (1 -+ ZZ)/2
     h = parse_expr("sz@0*sz@1")
     zz = build(h, two_qubit_uniform().layout)
-    assert [(e, v.shape) for e, v in spectral._eigenspaces(zz)] == [(-1.0, (4, 2)), (1.0, (4, 2))]
+    energies = evolution.Generators(two_qubit_uniform().layout).decomposition(evolution.Pulse(h, 1.0)).energies
+    assert sorted(energies.flat) == [-1, -1, 1, 1]
     vectors = []
     system_vector = spectral._system_vector
     monkeypatch.setattr(spectral, "_system_vector", lambda *a: vectors.append(v := system_vector(*a)) or v)
@@ -325,6 +333,52 @@ def test_branch_fidelities_equal_the_projector_formula_on_a_degenerate_spectrum(
     assert len(vectors) == 2 * len(rep.branches) > 0
     for branch, v1, v2 in zip(rep.branches, vectors[::2], vectors[1::2]):
         projector = (np.eye(4) + (1.0 if branch.eigenvalue > 0 else -1.0) * zz) / 2
+        assert abs(branch.fidelity_before - np.vdot(v1, projector @ v1).real) <= 1e-12
+        assert abs(branch.fidelity_after - np.vdot(v2, projector @ v2).real) <= 1e-12
+
+
+@pytest.mark.parametrize("method, sizes", [("exact", [64, 4]), ("trotter", [2, 64, 2, 4])])
+def test_robustness_reads_the_system_eigenbasis_from_the_run_table(monkeypatch, method, sizes):
+    # exact: the coupling's remaining group is H's, so H is diagonalized once; Trotter: the terms' factors, then H
+    dims = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: dims.append(m.shape[-1]) or eigh(m))
+    spec = PointerSpec(beta=4.0, cutoff=64, t_couple=3.0)
+    rep = robustness_midmeasure(parse_expr("1.1*sz@0*sz@1 + 0.5*sx@0*sx@1"), two_qubit_uniform(), spec, 200, 4,
+                                method, 16)
+    assert dims == sizes and rep.branches
+
+
+def test_the_coupling_and_its_system_share_the_remaining_groups_eigenvectors():
+    h = parse_expr("1.1*sz@0*sz@1 + 0.5*sx@0*sx@1")
+    layout = new_register([qubit(), qubit(), qumode(16)])
+    table = evolution.Generators(layout)
+    coupling = table.decomposition(spectral._coupling_sequence(h, 2, 1.0, "exact", 1).pulses[0])
+    ((system_axes, system_v),) = table.factor(weyl_symbol(h, layout)).groups
+    assert system_axes == (0, 1) and dict(coupling.groups)[(0, 1)] is system_v
+
+
+@pytest.mark.parametrize("text, degeneracy", [
+    ("0.7*sz@0*sx@1 + 0.4*sz@0*sz@1", 4),  # sz@0 is a common factor, qubit 2 untouched: +-sqrt(0.65)
+    ("0.7*sz@0*sy@2 + 0.4*sx@0*sz@2", 2),  # one complex group on axes 0 and 2 around untouched qubit 1: +-1.1, +-0.3
+])
+def test_branch_fidelities_equal_the_dense_projector_of_the_nearest_eigenspace(monkeypatch, text, degeneracy):
+    layout = new_register([qubit()] * 3)
+    h = parse_expr(text)
+    rng = np.random.default_rng(4)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    vectors = []
+    system_vector = spectral._system_vector
+    monkeypatch.setattr(spectral, "_system_vector", lambda *a: vectors.append(v := system_vector(*a)) or v)
+    rep = robustness_midmeasure(h, StateVector(layout, amps / np.linalg.norm(amps)),
+                                PointerSpec(beta=4.0, cutoff=128, t_couple=5.0), 2000, 2)
+    energies, eigenvectors = np.linalg.eigh(build(h, layout))
+    assert len(vectors) == 2 * len(rep.branches) > 0
+    for branch, v1, v2 in zip(rep.branches, vectors[::2], vectors[1::2]):
+        nearest = energies[np.argmin(np.abs(energies - branch.eigenvalue))]
+        space = eigenvectors[:, np.abs(energies - nearest) <= 1e-9]
+        projector = space @ space.conj().T
+        assert space.shape[1] == degeneracy
         assert abs(branch.fidelity_before - np.vdot(v1, projector @ v1).real) <= 1e-12
         assert abs(branch.fidelity_after - np.vdot(v2, projector @ v2).real) <= 1e-12
 

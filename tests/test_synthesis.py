@@ -22,7 +22,7 @@ from hybridsim.hilbert import (
     reduced_density,
 )
 from hybridsim.operators import OperatorError, build, fock_annihilate, generator_id, parse_expr, primitive_set, term
-from hybridsim import cli, evolution, operators, spectral, synthesis
+from hybridsim import cli, evolution, operators, synthesis
 from hybridsim.synthesis import (
     NEW_DIRECTION_TOL,
     RULE_RESIDUAL_TOL,
@@ -69,8 +69,8 @@ def test_block_small_step_stays_near_identity(spin_mode_registry):
 
 def test_block_of_commuting_pair_is_identity(two_spin_registry):
     reg = two_spin_registry
-    a = reg.register(parse_expr("sz@0"), drivable=True, origin="derived")
-    b = reg.register(parse_expr("sz@1"), drivable=True, origin="derived")
+    a = reg.register(parse_expr("sz@0"), drivable=True)
+    b = reg.register(parse_expr("sz@1"), drivable=True)
     u = sequence_unitary(group_commutator(a, b, 0.7, reg), reg.layout, reg.matrices)
     assert np.linalg.norm(u - np.eye(reg.layout.total_dim), 2) <= 1e-10
 
@@ -107,13 +107,13 @@ def test_derive_rule_examples(spin_mode_registry):
     assert rule is not None and rule.residual <= 1e-8 and abs(rule.scale) > 0
 
     with pytest.raises(DerivationError):
-        derive_rule(SZX, SZP, term(1.0, (0, "sx")), reg, register=False)
+        derive_rule(SZX, SZP, term(1.0, (0, "sx")), reg)
 
 
 def test_derive_rule_rejects_a_candidate_with_a_residual(spin_mode_registry):
     # i[szP, szX] is the identity: it has a component along id + sx, and a residual as large
     with pytest.raises(DerivationError, match=r"rejected: residual 1\.000e\+00"):
-        derive_rule(SZP, SZX, parse_expr("id@0 + sx@0"), spin_mode_registry, register=False)
+        derive_rule(SZP, SZX, parse_expr("id@0 + sx@0"), spin_mode_registry)
 
 
 def test_derive_rule_two_spin(two_spin_registry):
@@ -125,7 +125,7 @@ def test_derive_rule_two_spin(two_spin_registry):
 
 def test_derive_rule_rejects_zero_candidate(spin_mode_registry):
     with pytest.raises(SynthesisError):
-        derive_rule(SZX, SXX, term(1e-30, (0, "sz")), spin_mode_registry, register=False)
+        derive_rule(SZX, SXX, term(1e-30, (0, "sz")), spin_mode_registry)
 
 
 def test_synthesize_sigma_y(spin_mode_registry):
@@ -289,7 +289,7 @@ def test_closure_single_seed(spin_mode_registry):
 
 def test_closure_of_a_vanishing_seed_is_empty():
     reg = SynthesisRegistry(new_register([qubit(), qumode(8)]))
-    rep = close_algebra([reg.register(parse_expr("X@1 - X@1"), drivable=True, origin="primitive")],
+    rep = close_algebra([reg.register(parse_expr("X@1 - X@1"), drivable=True)],
                         max_new=5, degree_cap=3, registry=reg)
     assert rep.directions == ()
     assert rep.basis.shape == (0, 144)
@@ -396,7 +396,7 @@ def _dense_reference_closure(mats, max_new, degree_cap, mask):
 def test_closure_of_a_mixed_parity_seed_matches_the_complex_reference(max_new):
     layout = new_register([qubit(), qumode(8)])
     reg = SynthesisRegistry(layout)
-    seeds = [reg.register(parse_expr(t), drivable=True, origin="primitive")
+    seeds = [reg.register(parse_expr(t), drivable=True)
              for t in ("0.8*sx@0*X@1 + 0.6*sy@0*X@1", "sz@0*P@1", "sz@0*X@1")]
     rep = close_algebra(seeds, max_new=max_new, degree_cap=4, registry=reg)
     mask = interior_mask(layout)
@@ -417,7 +417,7 @@ def _bare_closure(specs, spins, max_new, degree_cap):
     """Closure of every listed spin's primitive set on the last mode, in a registry of the seeds only."""
     layout = new_register(specs)
     reg = SynthesisRegistry(layout)
-    seeds = [reg.register(g.expr, drivable=True, origin="primitive")
+    seeds = [reg.register(g.expr, drivable=True)
              for s in spins for g in primitive_set(layout, s, len(specs) - 1).members]
     return close_algebra(seeds, max_new=max_new, degree_cap=degree_cap, registry=reg)
 
@@ -454,7 +454,7 @@ def test_closure_basis_grows_with_the_directions_found():
 
 def _closure_without_resets(seed_texts, cutoff, degree_cap):
     reg = SynthesisRegistry(new_register([qubit(), qumode(cutoff)]))
-    seeds = [reg.register(parse_expr(t), drivable=True, origin="primitive") for t in seed_texts]
+    seeds = [reg.register(parse_expr(t), drivable=True) for t in seed_texts]
     return close_algebra(seeds, max_new=10**9, degree_cap=degree_cap, registry=reg, include_reset_effectives=False)
 
 
@@ -497,7 +497,7 @@ def test_closure_report_keeps_genuine_directions_of_a_large_interior(cutoff):
 def test_closure_report_and_membership_realize_only_the_interior(monkeypatch):
     layout = new_register([qubit(), qumode(12)])  # interior: 2 x 9 levels of 2 x 12
     reg = SynthesisRegistry(layout)
-    seeds = [reg.register(g.expr, drivable=True, origin="primitive") for g in primitive_set(layout, 0, 1).members]
+    seeds = [reg.register(g.expr, drivable=True) for g in primitive_set(layout, 0, 1).members]
     shapes = []
     realize = operators.realize
 
@@ -562,7 +562,7 @@ def test_closure_report_stays_inside_a_byte_budget_that_packed_rows_exceed():
     budget = 32e6
     layout = new_register([qubit(), qumode(24), qumode(24)])
     reg = SynthesisRegistry(layout)
-    seeds = [reg.register(g.expr, drivable=True, origin="primitive")
+    seeds = [reg.register(g.expr, drivable=True)
              for mode in (1, 2) for g in primitive_set(layout, 0, mode).members]
     tracemalloc.start()
     try:
@@ -608,7 +608,7 @@ def test_closures_own_their_factor_and_moyal_tables(monkeypatch):
 def test_closure_report_checks_its_product_coordinates_against_the_realized_block(monkeypatch):
     layout = new_register([qubit(), qumode(8)])
     reg = SynthesisRegistry(layout)
-    seeds = [reg.register(g.expr, drivable=True, origin="primitive") for g in primitive_set(layout, 0, 1).members]
+    seeds = [reg.register(g.expr, drivable=True) for g in primitive_set(layout, 0, 1).members]
     realize = operators.realize
     monkeypatch.setattr(synthesis, "realize", lambda *args: realize(*args) * (1.0 + 1e-11))
     with pytest.raises(SynthesisError, match="differs from its product coordinates"):
@@ -627,7 +627,7 @@ def _drop_position_factors(factors):
 def test_closure_report_catches_a_transposed_or_dropped_factor(monkeypatch, corrupt):
     layout = new_register([qubit(), qumode(8)])
     reg = SynthesisRegistry(layout)
-    seeds = [reg.register(g.expr, drivable=True, origin="primitive") for g in primitive_set(layout, 0, 1).members]
+    seeds = [reg.register(g.expr, drivable=True) for g in primitive_set(layout, 0, 1).members]
     realize = operators.realize
     monkeypatch.setattr(synthesis, "realize",
                         lambda symbol, layout, levels, factors: realize(symbol, layout, levels, corrupt(factors)))
@@ -640,7 +640,7 @@ def test_closure_stops_once_its_search_has_stopped():
     reports = []
     for cap in (4, 10**9):
         reg = SynthesisRegistry(layout)
-        seeds = [reg.register(g.expr, drivable=True, origin="primitive") for g in primitive_set(layout, 0, 1).members]
+        seeds = [reg.register(g.expr, drivable=True) for g in primitive_set(layout, 0, 1).members]
         reports.append(close_algebra(seeds, max_new=20, degree_cap=cap, registry=reg))
     short, long = reports
     assert [(d.degree, d.source, d.row) for d in long.directions] == [(d.degree, d.source, d.row)
@@ -648,7 +648,7 @@ def test_closure_stops_once_its_search_has_stopped():
     assert np.array_equal(long.coordinates, short.coordinates)
 
     reg = SynthesisRegistry(layout)  # {sz·X, sz·P} saturates: a degree adds nothing
-    seeds = [reg.register(parse_expr(text), drivable=True, origin="primitive") for text in ("sz@0*X@1", "sz@0*P@1")]
+    seeds = [reg.register(parse_expr(text), drivable=True) for text in ("sz@0*X@1", "sz@0*P@1")]
     assert close_algebra(seeds, max_new=10**6, degree_cap=10**9, registry=reg).directions_per_degree == {1: 4, 2: 2}
 
 
@@ -1037,7 +1037,7 @@ def test_standard_registry_derives_each_direction_once(monkeypatch):
 def test_standard_registry_rules_are_exact_and_build_no_matrix(monkeypatch):
     built = []
     dense_build, matrix = operators.build, SynthesisRegistry.matrix
-    for module in (operators, synthesis, evolution, spectral, cli):
+    for module in (operators, synthesis, evolution, cli):
         monkeypatch.setattr(module, "build", lambda *a, **k: built.append("build") or dense_build(*a, **k))
     monkeypatch.setattr(SynthesisRegistry, "matrix", lambda self, gid: built.append("matrix") or matrix(self, gid))
     scales = []
@@ -1060,8 +1060,8 @@ def test_derive_rule_validates_its_inputs_as_build_does(spin_mode_registry):
         with pytest.raises(OperatorError):
             build(parse_expr(text), reg.layout)
         with pytest.raises(OperatorError):
-            derive_rule(SZP, SZX, parse_expr(text), reg, register=False)
+            derive_rule(SZP, SZX, parse_expr(text), reg)
     with pytest.raises(SynthesisError, match="vanishes"):
-        derive_rule(SZP, SZX, parse_expr("X@1 - X@1"), reg, register=False)
+        derive_rule(SZP, SZX, parse_expr("X@1 - X@1"), reg)
     with pytest.raises(SynthesisError, match="unknown generator id"):
-        derive_rule("1.0*sy@0*P@1", SZX, parse_expr("id@0"), reg, register=False)
+        derive_rule("1.0*sy@0*P@1", SZX, parse_expr("id@0"), reg)

@@ -33,7 +33,7 @@ def main(argv: list[str]) -> int:
     from hybridsim.synthesis import SynthesisRegistry, close_algebra
 
     registry = SynthesisRegistry(new_register([qubit(), qumode(16)]))
-    seeds = [registry.register(parse_expr(text), drivable=True, origin="primitive")
+    seeds = [registry.register(parse_expr(text), drivable=True)
              for text in ("sx@0*X@1", "sz@0*X@1", "sz@0*P@1")]
     start = time.perf_counter()
     report = close_algebra(seeds, max_new=10**6, degree_cap=6, registry=registry)
