@@ -221,16 +221,13 @@ def _initial_state(cfg: ExperimentConfig, layout: RegisterLayout) -> StateVector
         return StateVector(layout, amps)
     if spec["type"] == "basis":
         occs = spec.get("occupations")
-        if not isinstance(occs, list):
-            raise ConfigError("initial_state.occupations: must be a list of integers")
+        if not isinstance(occs, list) or not all(isinstance(n, int) and not isinstance(n, bool) for n in occs):
+            raise ConfigError(f"initial_state.occupations: must be a list of integers, got {occs!r}")
         try:
             return basis_state(layout, occs)
         except Exception as exc:
             raise ConfigError(f"initial_state.occupations: {exc}") from None
     raise ConfigError(f"initial_state.type: unknown type {spec['type']!r}")
-
-
-parse_hamiltonian = parse_expr
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +379,8 @@ def _expr_texts(cfg: ExperimentConfig, key: str, default=None):
 def _run_closure(cfg: ExperimentConfig):
     layout = _layout(cfg)
     seeds = _expr_texts(cfg, "seeds")
+    if seeds == []:
+        raise ConfigError("seeds: must name at least one generator")
     probe_texts = _expr_texts(cfg, "probes", default=[])
     include_reset_effectives = cfg.raw.get("include_reset_effectives", True)
     if not isinstance(include_reset_effectives, bool):
@@ -433,7 +432,7 @@ def _run_qft_demo(cfg: ExperimentConfig):
     parts = ([term(dx, (0, "P"))] if dx else []) + ([term(-dp, (0, "X"))] if dp else [])
     if parts:
         gen = parts[0] if len(parts) == 1 else parts[0] + parts[1]
-        state = run_sequence(PulseSequence((Pulse(gen, 1.0),)), state).final_state
+        state = run_sequence(PulseSequence((Pulse(gen, 1.0),)), state)
     x_op = build(parse_expr("X@0"), layout)
     p_op = build(parse_expr("P@0"), layout)
 

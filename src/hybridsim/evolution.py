@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,9 +108,6 @@ class PulseSequence:
     def __len__(self) -> int:
         return len(self.pulses)
 
-    def __add__(self, other: PulseSequence) -> PulseSequence:
-        return PulseSequence(self.pulses + other.pulses, self.metadata + other.metadata)
-
     def to_text(self) -> str:
         """Line-oriented form: one ``<generator_id> <sign> <duration>`` per pulse.
 
@@ -138,25 +136,6 @@ class PulseSequence:
                 raise EvolutionError(f"line {lineno}: sign must be +1 or -1, got {sign_text!r}")
             pulses.append(Pulse(gid, float(dur_text), int(sign_text)))
         return cls(tuple(pulses), tuple(metadata))
-
-
-@dataclass(frozen=True)
-class EvolutionReport:
-    """Final state of a run; its diagnostics are read from it."""
-
-    final_state: StateVector
-
-    @property
-    def leakage(self) -> float:
-        return leakage(self.final_state)
-
-    @property
-    def norm_drift(self) -> float:
-        return abs(self.final_state.norm - 1.0)
-
-    @property
-    def valid(self) -> bool:
-        return self.leakage <= LEAKAGE_INVALID
 
 
 def _check_hermitian(h: np.ndarray) -> np.ndarray:
@@ -216,6 +195,13 @@ class _Factored:
     max_energy: float
 
 
+class Quadrature(NamedTuple):
+    """A truncated quadrature's ascending nodes and its eigenvectors as columns, both read-only."""
+
+    nodes: np.ndarray
+    vectors: np.ndarray
+
+
 class Generators:
     """Generator id -> factored eigendecomposition on one layout, each id diagonalized once.
 
@@ -261,10 +247,10 @@ class Generators:
             energies = energies * w.reshape([d if i in axes else 1 for i, d in enumerate(dims)])
         return _Factored(tuple((axes, v) for axes, (_, v) in parts), energies, float(np.abs(energies).max()))
 
-    def quadrature(self, cutoff: int, f: tuple[int, int] = (1, 0)) -> tuple[np.ndarray, np.ndarray]:
-        """The truncated X's ascending nodes and eigenvectors V, both read-only: one eigh per cutoff.
+    def quadrature(self, cutoff: int, f: tuple[int, int] = (1, 0)) -> Quadrature:
+        """The truncated X's nodes and eigenvectors V: one eigh per cutoff.
         With ``f = (0, 1)``, the truncated P's: the same nodes and F·V."""
-        return self._local_eig(f, cutoff)
+        return Quadrature(*self._local_eig(f, cutoff))
 
     def _local_eig(self, f: str | tuple[int, int], dim: int) -> tuple[np.ndarray, np.ndarray]:
         if (f, dim) not in self._eigs:
@@ -311,14 +297,14 @@ def _propagate(seq: PulseSequence, layout: RegisterLayout, generators: Generator
     return amps
 
 
-def run_sequence(seq: PulseSequence, state: StateVector, generators: Generators | None = None) -> EvolutionReport:
-    """Execute a pulse sequence on a state.
+def run_sequence(seq: PulseSequence, state: StateVector, generators: Generators | None = None) -> StateVector:
+    """The state a pulse sequence takes ``state`` to.
 
     ``generators`` is a caller-owned ``Generators`` table for the state's
     layout, which keeps its eigendecompositions across calls, or None for a
     table that lasts this call only; anything else raises EvolutionError.
     """
-    return EvolutionReport(StateVector(state.layout, _propagate(seq, state.layout, generators, state.amplitudes)))
+    return StateVector(state.layout, _propagate(seq, state.layout, generators, state.amplitudes))
 
 
 def sequence_unitary(seq: PulseSequence, layout: RegisterLayout, generators: Generators | None = None) -> np.ndarray:

@@ -139,9 +139,6 @@ class StateVector:
         val = np.vdot(self.amplitudes, op @ self.amplitudes)
         return float(val.real)
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per subsystem (read-only view)."""
         return self.amplitudes.reshape(self.layout.dims)
@@ -220,10 +217,6 @@ class DensityMatrix:
         mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)

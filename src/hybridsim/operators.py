@@ -154,9 +154,6 @@ class HamiltonianExpr:
     def __rmul__(self, c: float) -> HamiltonianExpr:
         return HamiltonianExpr(tuple(HamiltonianTerm(c * t.coefficient, t.factors) for t in self.terms))
 
-    def __neg__(self) -> HamiltonianExpr:
-        return (-1.0) * self
-
 
 def term(coefficient: float, *factors: tuple[int, str] | tuple[int, str, int]) -> HamiltonianExpr:
     """Single-term expression builder: term(0.5, (0, "sz"), (1, "X", 2))."""

@@ -29,6 +29,7 @@ from .evolution import (
     Generators,
     Pulse,
     PulseSequence,
+    Quadrature,
     _on_axes,
     _propagate,
     leakage as state_leakage,
@@ -74,19 +75,6 @@ class PointerSpec:
     def resolution(self) -> float:
         """Eigenvalue resolution figure 1/(t sqrt(beta))."""
         return 1.0 / (self.t_couple * np.sqrt(self.beta))
-
-
-@dataclass(frozen=True)
-class QuadratureBasis:
-    """Eigenbasis of the truncated X: strictly increasing nodes, orthonormal columns."""
-
-    nodes: np.ndarray
-    vectors: np.ndarray
-
-
-def quadrature_basis(cutoff: int) -> QuadratureBasis:
-    """A fresh table's quadrature of one cutoff: a run reads its own table's instead."""
-    return QuadratureBasis(*Generators(RegisterLayout((qumode(cutoff),))).quadrature(cutoff))
 
 
 def prepare_gaussian_pointer(beta: float, cutoff: int) -> StateVector:
@@ -155,17 +143,17 @@ def couple_pointer(
         raise SpectralError(f"coupling time must be positive, got {t}")
 
     seq = _coupling_sequence(h, n_sys, t, method, trotter_steps)
-    return run_sequence(seq, join_states(system_state, pointer), generators).final_state
+    return run_sequence(seq, join_states(system_state, pointer), generators)
 
 
 def _node_amplitudes(layout: RegisterLayout, amps: np.ndarray, mode_idx: int,
-                     generators: Generators | None = None) -> tuple[np.ndarray, QuadratureBasis]:
+                     generators: Generators | None = None) -> tuple[np.ndarray, Quadrature]:
     """Amplitudes re-expressed in the mode's quadrature-node basis, read from ``generators`` (else a fresh
     table): a vector (D,) gives (rest, nodes), a block (D, k) of states gives (rest, k, nodes)."""
     if not layout.is_qumode(mode_idx):
         raise SpectralError(f"subsystem {mode_idx} is not a qumode")
     d = layout.dims[mode_idx]
-    basis = QuadratureBasis(*(generators or Generators(layout)).quadrature(d))
+    basis = (generators or Generators(layout)).quadrature(d)
     moved = np.moveaxis(amps.reshape(layout.dims + amps.shape[1:]), mode_idx, -1)
     return moved.reshape((-1,) + amps.shape[1:] + (d,)) @ basis.vectors.conj(), basis
 
@@ -192,7 +180,7 @@ def _collapse_to_bins(
     layout: RegisterLayout,
     mode_idx: int,
     node_amps: np.ndarray,
-    basis: QuadratureBasis,
+    basis: Quadrature,
     bins: list[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Project node amplitudes (rest, nodes) onto the span of each bin's quadrature nodes and renormalize:

@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -545,7 +545,7 @@ def oscillator_drive(
     step = PulseSequence((Pulse(gen, abs(t) / n_steps, 1 if t > 0 else -1),))
     table = Generators(state.layout)
     for _ in range(n_steps):
-        state = run_sequence(step, reset_spin(state, spin_idx, rng), table).final_state
+        state = run_sequence(step, reset_spin(state, spin_idx, rng), table)
     return state
 
 
@@ -557,19 +557,14 @@ def oscillator_drive(
 class ClosureDirection:
     """One direction of the generated algebra, found as an exact Weyl symbol.
 
-    ``row`` is its row of the report's ``coordinates`` (its m×m interior block in product
-    coordinates, orthonormalized against the earlier rows), or None when that block depends on
-    them within NEW_DIRECTION_TOL.  ``vector`` is the same row of the report's packed ``basis``.
+    ``row`` is its row of the report's ``coordinates`` and packed ``basis`` (its m×m interior
+    block in product coordinates, orthonormalized against the earlier rows), or None when that
+    block depends on them within NEW_DIRECTION_TOL.
     """
 
     degree: int
     source: str
     row: int | None = None
-    report: ClosureReport | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def vector(self) -> np.ndarray | None:
-        return None if self.row is None else self.report.basis[self.row]
 
 
 @dataclass(frozen=True)
@@ -588,9 +583,6 @@ class ClosureReport:
     depth_reached: int
     notes: tuple[str, ...] = ()
     factors: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "directions", tuple(replace(d, report=self) for d in self.directions))
 
     @property
     def directions_per_degree(self) -> dict[int, int]:

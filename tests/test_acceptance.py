@@ -138,7 +138,7 @@ def test_criterion_3_synthesis_convergence():
 
     plus = np.ones(4) / 2.0
     probe = StateVector(layout_zz, np.kron(plus, np.eye(16)[0]).astype(complex))
-    final = run_sequence(plans[-1].sequence, probe, reg_zz.matrices).final_state
+    final = run_sequence(plans[-1].sequence, probe, reg_zz.matrices)
     purity = reduced_density(final, [2]).purity()
 
     ok_y = -0.65 <= slope_y <= -0.35

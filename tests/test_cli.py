@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from hybridsim import cli, operators, synthesis
-from hybridsim.cli import main, parse_hamiltonian
+from hybridsim.cli import main
 from hybridsim.evolution import Generators, expm_unitary, leakage, run_sequence, sequence_unitary, trotter
 from hybridsim.hilbert import basis_state, new_register, qubit, qumode
-from hybridsim.operators import ExprSyntaxError, build
+from hybridsim.operators import ExprSyntaxError, build, parse_expr
 from hybridsim.synthesis import standard_registry, synthesize
 
 
@@ -36,12 +36,12 @@ SPECTRUM_CONFIG = {
 
 
 def test_parse_hamiltonian_examples():
-    expr = parse_hamiltonian("1.0*sz@0*sz@1")
+    expr = parse_expr("1.0*sz@0*sz@1")
     assert len(expr.terms) == 1 and len(expr.terms[0].factors) == 2
-    expr = parse_hamiltonian("0.5*X@1^2 + 0.5*P@1^2")
+    expr = parse_expr("0.5*X@1^2 + 0.5*P@1^2")
     assert len(expr.terms) == 2
     with pytest.raises(ExprSyntaxError):
-        parse_hamiltonian("sz@0*sx@0")
+        parse_expr("sz@0*sx@0")
 
 
 def test_spectrum_run_and_outputs(tmp_path):
@@ -236,6 +236,12 @@ BUS_CLOSURE = {
 }
 
 
+def test_closure_refuses_an_empty_seed_list(tmp_path, capsys):
+    cfg = write_config(tmp_path, "closure.json", dict(BUS_CLOSURE, seeds=[]))
+    assert main(["closure", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "seeds: must name at least one generator" in capsys.readouterr().err
+
+
 def test_closure_run_with_explicit_seeds(tmp_path):
     cfg = write_config(tmp_path, "closure.json", BUS_CLOSURE)
     out = tmp_path / "closure"
@@ -275,6 +281,16 @@ def test_closure_rejects_mistyped_fields(tmp_path, capsys, field, value):
     )
     assert main(["closure", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert f"{field}: must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("occupations", [[True], [False], [1.0], ["1"], [None]])
+def test_basis_occupations_must_be_integers(tmp_path, capsys, occupations):
+    # JSON true and false load as bools, which Python counts as ints
+    payload = dict(SPECTRUM_CONFIG, layout=["qubit"], hamiltonian="sz@0",
+                   initial_state={"type": "basis", "occupations": occupations})
+    cfg = write_config(tmp_path, "spectrum.json", payload)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "initial_state.occupations: must be a list of integers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -448,7 +464,7 @@ def test_trotter_scaling_errors_match_the_flat_product(tmp_path, t):
     )
     assert main(["trotter-scaling", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     errors = json.loads((tmp_path / "out" / "summary.json").read_text())["results"]["errors"]
-    h = parse_hamiltonian(text)
+    h = parse_expr(text)
     exact = expm_unitary(build(h, layout), t)
     assert [e["n_steps"] for e in errors] == steps
     for e in errors:
@@ -463,7 +479,7 @@ def test_trotter_scaling_errors_match_the_dense_norm(tmp_path):
                                                    "hamiltonian": text, "t": t, "steps": steps})
     assert main(["trotter-scaling", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     errors = json.loads((tmp_path / "out" / "summary.json").read_text())["results"]["errors"]
-    h = parse_hamiltonian(text)
+    h = parse_expr(text)
     exact = expm_unitary(build(h, layout), t)
     for n, e in zip(steps, errors):
         dense = np.linalg.norm(np.linalg.matrix_power(sequence_unitary(trotter(h, t / n, 1), layout), n) - exact, 2)
@@ -544,8 +560,8 @@ def test_synth_reads_its_probe_from_the_plan_unitary(tmp_path, monkeypatch, dims
     reg = standard_registry(layout)
     plan = synthesize(target, angle, blocks[-1], reg)
     probe = basis_state(layout, [0] * len(dims))
-    final = run_sequence(plan.sequence, probe, reg.matrices).final_state
-    exact = run_sequence(plan.target_sequence, probe, reg.matrices).final_state
+    final = run_sequence(plan.sequence, probe, reg.matrices)
+    exact = run_sequence(plan.target_sequence, probe, reg.matrices)
     assert abs(summary["results"]["probe_state_fidelity"] - exact.fidelity(final)) <= 1e-12
     _assert_leakage_matches(summary, leakage(final))
 
@@ -583,8 +599,8 @@ def test_a_single_quadrature_synth_powers_its_node_field(tmp_path, monkeypatch, 
     reg = standard_registry(layout)
     plan = synthesize(target, angle, blocks[-1], reg)
     probe = basis_state(layout, [0] * len(dims))
-    final = run_sequence(plan.sequence, probe, reg.matrices).final_state
-    exact = run_sequence(plan.target_sequence, probe, reg.matrices).final_state
+    final = run_sequence(plan.sequence, probe, reg.matrices)
+    exact = run_sequence(plan.target_sequence, probe, reg.matrices)
     assert abs(summary["results"]["probe_state_fidelity"] - exact.fidelity(final)) <= 1e-12
     _assert_leakage_matches(summary, leakage(final))
 
@@ -601,7 +617,7 @@ def test_trotter_scaling_reads_its_probe_from_the_last_step_power(tmp_path, monk
 
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     layout = new_register([qubit(), qumode(8)])
-    final = run_sequence(trotter(parse_hamiltonian(text), t, steps[-1]), basis_state(layout, [0, 0])).final_state
+    final = run_sequence(trotter(parse_expr(text), t, steps[-1]), basis_state(layout, [0, 0]))
     assert leakage(final) >= 1e-6
     _assert_leakage_matches(summary, leakage(final))
 
@@ -673,7 +689,7 @@ def test_trotter_terms_that_cancel_in_the_sum_still_set_the_sectors(tmp_path):
                                                    "hamiltonian": text, "t": t, "steps": steps})
     assert main(["trotter-scaling", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     errors = json.loads((tmp_path / "out" / "summary.json").read_text())["results"]["errors"]
-    layout, h = new_register([qubit(), qumode(8)]), parse_hamiltonian(text)
+    layout, h = new_register([qubit(), qumode(8)]), parse_expr(text)
     exact = expm_unitary(build(h, layout), t)
     for n, e in zip(steps, errors):
         dense = np.linalg.norm(np.linalg.matrix_power(sequence_unitary(trotter(h, t / n, 1), layout), n) - exact, 2)

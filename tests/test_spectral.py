@@ -9,7 +9,7 @@ import pytest
 
 import hybridsim
 from hybridsim import evolution, spectral
-from hybridsim.evolution import LEAKAGE_INVALID, run_sequence
+from hybridsim.evolution import LEAKAGE_INVALID, Generators, run_sequence
 from hybridsim.hilbert import StateVector, basis_state, new_register, qubit, qumode
 from hybridsim.operators import build, fock_momentum, fock_position, parse_expr, weyl_symbol
 from hybridsim.spectral import (
@@ -21,7 +21,6 @@ from hybridsim.spectral import (
     measure_position,
     measure_position_binned,
     prepare_gaussian_pointer,
-    quadrature_basis,
     reliable_shift,
     robustness_midmeasure,
 )
@@ -33,7 +32,7 @@ def two_qubit_uniform():
 
 
 def test_quadrature_basis_matches_gauss_hermite():
-    basis = quadrature_basis(40)
+    basis = Generators(new_register([qumode(40)])).quadrature(40)
     nodes, _ = np.polynomial.hermite.hermgauss(40)
     assert np.max(np.abs(basis.nodes - nodes)) <= 1e-12
     assert np.all(np.diff(basis.nodes) > 0)
@@ -58,7 +57,7 @@ def test_pointer_variance_tracks_beta():
 def test_pointer_wavefunction_shape():
     # node amplitudes divided by the discrete measure follow e^{-beta x^2/2}
     beta, cutoff = 4.0, 64
-    basis = quadrature_basis(cutoff)
+    basis = Generators(new_register([qumode(cutoff)])).quadrature(cutoff)
     pointer = prepare_gaussian_pointer(beta, cutoff)
     node_coeff = basis.vectors.conj().T @ pointer.amplitudes
     phi0 = np.pi**-0.25 * np.exp(-basis.nodes**2 / 2)
@@ -125,7 +124,7 @@ def test_couple_rejects_hamiltonian_on_pointer():
 
 def test_measure_position_on_node_state_is_deterministic():
     layout = new_register([qumode(32)])
-    basis = quadrature_basis(32)
+    basis = Generators(new_register([qumode(32)])).quadrature(32)
     k = 13
     state = StateVector(layout, basis.vectors[:, k])
     for seed in range(5):
@@ -220,7 +219,7 @@ def test_cluster_weights_match_spectral_decomposition():
 
 def test_measurement_support_is_on_the_sampled_node():
     pointer = prepare_gaussian_pointer(1.0, 32)
-    basis = quadrature_basis(32)
+    basis = Generators(new_register([qumode(32)])).quadrature(32)
     x, collapsed = measure_position(pointer, 0, np.random.default_rng(2))
     node_coeff = basis.vectors.conj().T @ collapsed.amplitudes
     k = int(np.argmin(np.abs(basis.nodes - x)))
@@ -442,7 +441,7 @@ def test_the_robustness_block_equals_per_bin_runs(monkeypatch, method):
     for j, i in enumerate(occupied):
         nodes = basis.vectors[:, members[i]]
         kept = np.kron(np.eye(4), nodes @ nodes.T) @ joint.amplitudes
-        after = run_sequence(second_half, StateVector(joint.layout, kept / np.linalg.norm(kept))).final_state
+        after = run_sequence(second_half, StateVector(joint.layout, kept / np.linalg.norm(kept)))
         assert np.max(np.abs(block[:, j] - after.amplitudes)) <= 1e-12
         probs = np.sum(np.abs(_node_amplitudes(after.layout, after.amplitudes, 2)[0]) ** 2, axis=0)
         in_bin = shot_bins == i
