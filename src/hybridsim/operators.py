@@ -365,10 +365,12 @@ def realize(symbol: Symbol, layout: RegisterLayout, levels: tuple[int, ...] | No
     Fock levels below cutoff - n.  ``levels`` (one count per subsystem) forms only the block on
     each subsystem's leading levels: each factor is sliced before the Kronecker product, so the
     block is bit-identical to that slice of the full matrix.  Factors come from ``factors`` (a
-    `sliced_factor` table, one per call by default); each Kronecker product is ``np.kron``'s multiply."""
+    `sliced_factor` table, one per call by default); each Kronecker product is ``np.kron``'s multiply.
+    The first term's product is the result, so a one-term symbol frees no second block-sized
+    array: two per call can, depending on heap layout, make glibc trim the heap and fault it back."""
     levels = layout.dims if levels is None else levels
     factors = {} if factors is None else factors
-    out = np.zeros((math.prod(levels),) * 2, dtype=complex)
+    out = None
     for key, c in symbol.items():
         local = dict(key)
         mat = np.ones((1, 1), dtype=complex)
@@ -376,8 +378,12 @@ def realize(symbol: Symbol, layout: RegisterLayout, levels: tuple[int, ...] | No
             f = sliced_factor(factors, local.get(idx), dim, n)
             mat = (mat[:, None, :, None] * f[None, :, None, :]).reshape(len(mat) * n, -1)
         mat *= c
-        out += mat
-    return out
+        if out is None:
+            out = mat
+            out += 0.0  # the bits of zeros + mat: a -0.0 entry reads +0.0
+        else:
+            out += mat
+    return np.zeros((math.prod(levels),) * 2, dtype=complex) if out is None else out
 
 
 def build(expr: HamiltonianExpr, layout: RegisterLayout) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -507,6 +508,28 @@ def test_realize_is_bit_identical_to_kronecker_products_of_its_shared_factors(ca
         for (f, dim, n), factor in table.items():
             assert not factor.flags.writeable
             assert np.array_equal(factor, local_factor(f, dim)[:n, :n])
+
+
+def test_realize_forms_a_one_term_symbol_in_one_block_with_the_bits_of_a_zero_sum():
+    layout, levels = new_register([qubit(), qubit(), qumode(32)]), (2, 2, 24)
+    symbol = {((0, "z"), (2, (1, 0))): -1.25}  # a negative coefficient makes -0.0 products
+    table = {}
+    got = realize(symbol, layout, levels, table)
+    assert got.tobytes() == _kron_realize(symbol, layout, levels).tobytes()  # array_equal takes -0.0 for 0.0
+    head, last = np.kron(table["z", 2, 2], table[None, 2, 2]), table[(1, 0), 32, 24]
+
+    def peak(form):
+        tracemalloc.start()
+        try:
+            form()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the term's product is the one block formed: there is no zero block to add it into
+    product = peak(lambda: head[:, None, :, None] * last[None, :, None, :])
+    assert product >= got.nbytes
+    assert peak(lambda: realize(symbol, layout, levels, table)) < product + 16384
 
 
 def test_the_moyal_table_forms_each_monomial_pair_once(monkeypatch):
