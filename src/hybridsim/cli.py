@@ -126,13 +126,15 @@ def load_config(path: str, experiment: str, seed_override: int | None, out_overr
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown key for experiment {experiment!r}")
 
-    seed = seed_override if seed_override is not None else raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"seed: must be a nonnegative integer, got {seed!r}")
-    out = out_override or raw.get("out", "hybridsim-out")
+    # a config's own seed and out are checked even when overridden, since summary.json echoes them
+    seeds = (raw.get("seed", 0),) + (() if seed_override is None else (seed_override,))
+    for seed in seeds:
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ConfigError(f"seed: must be a nonnegative integer, got {seed!r}")
+    out = raw.get("out", "hybridsim-out")
     if not isinstance(out, str):
         raise ConfigError(f"out: must be a directory path string, got {out!r}")
-    return ExperimentConfig(experiment, raw, seed, Path(out))
+    return ExperimentConfig(experiment, raw, seeds[-1], Path(out_override or out))
 
 
 def _need(cfg: ExperimentConfig, key: str):
@@ -344,7 +346,7 @@ def _run_synth(cfg: ExperimentConfig):
     plans = [synthesize(target, angle, n, registry) for n in blocks]
     plan = plans[-1]  # a run's plans share their target, angle and pulse generators
     errors, final, exact = power_distances([(p.block, p.n_blocks) for p in plans], plan.target_sequence, layout,
-                                           registry.matrices, plan.reset_spin_required)
+                                           registry.generators, plan.reset_spin_required)
     rows = [(p.n_blocks, p.block_step, e, p.predicted_error) for p, e in zip(plans, errors)]
     leak = state_leakage(final)
     edge_only = [n for n, _, e, p in rows if p == 0.0 < e]  # errors the exact prediction cannot see

@@ -152,14 +152,6 @@ def _eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(_check_hermitian(h))
 
 
-def expm_apply(h: np.ndarray, t: float, state: StateVector) -> StateVector:
-    """exp(-i H t)|state> for Hermitian H, exact via eigendecomposition."""
-    w, v = _eig(h)  # which checks that h is square and Hermitian
-    if len(w) != state.layout.total_dim:
-        raise EvolutionError(f"generator dim {len(w)} != state dim {state.layout.total_dim}")
-    return StateVector(state.layout, v @ (np.exp(-1j * w * t) * (v.conj().T @ state.amplitudes)))
-
-
 def expm_unitary(h: np.ndarray, t: float) -> np.ndarray:
     """Dense exp(-i H t); the oracle used by error-scaling tests."""
     w, v = _eig(h)

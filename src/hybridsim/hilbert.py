@@ -27,7 +27,7 @@ NORM_TOL = 1e-8
 
 
 class HilbertError(ValueError):
-    """Raised for malformed layouts, states or operator embeddings."""
+    """Raised for malformed layouts or states."""
 
 
 @dataclass(frozen=True)
@@ -163,41 +163,6 @@ def join_states(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(layout, np.kron(a.amplitudes, b.amplitudes))
 
 
-def embed(local: np.ndarray, targets: list[int] | tuple[int, ...], layout: RegisterLayout) -> np.ndarray:
-    """Embed a local operator so it acts on ``targets`` and as identity elsewhere.
-
-    ``local`` must be square with dimension equal to the product of the
-    target dims, with its tensor factors ordered as ``targets`` is ordered.
-    Targets may be non-adjacent and arbitrarily permuted.
-    """
-    local = np.asarray(local, dtype=complex)
-    if not targets:
-        raise HilbertError("embed needs at least one target subsystem")
-    targets = [layout.check_index(t) for t in targets]
-    if len(set(targets)) != len(targets):
-        raise HilbertError(f"repeated target subsystem in {targets}")
-    dims = layout.dims
-    tdims = tuple(dims[t] for t in targets)
-    tdim = math.prod(tdims)
-    if local.shape != (tdim, tdim):
-        raise HilbertError(f"local operator has shape {local.shape}, expected ({tdim}, {tdim})")
-
-    rest = [i for i in range(len(dims)) if i not in targets]
-    rdims = tuple(dims[r] for r in rest)
-    rdim = math.prod(rdims)
-
-    k, m = len(targets), len(rest)
-    tens = np.tensordot(local.reshape(tdims + tdims), np.eye(rdim, dtype=complex).reshape(rdims + rdims), axes=0)
-    # tens axes: target rows (k), target cols (k), rest rows (m), rest cols (m)
-    row_axis = {s: j for j, s in enumerate(targets)}
-    row_axis.update({s: 2 * k + j for j, s in enumerate(rest)})
-    col_axis = {s: k + j for j, s in enumerate(targets)}
-    col_axis.update({s: 2 * k + m + j for j, s in enumerate(rest)})
-    perm = [row_axis[s] for s in range(len(dims))] + [col_axis[s] for s in range(len(dims))]
-    total = layout.total_dim
-    return tens.transpose(perm).reshape(total, total)
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix (within tolerances)."""
@@ -254,9 +219,6 @@ def interior_mask(layout: RegisterLayout) -> np.ndarray:
 
 
 def compress_to_interior(op: np.ndarray, layout: RegisterLayout) -> np.ndarray:
-    """Restrict an operator (or vector) to the guard-banded interior block."""
+    """Restrict an operator to the guard-banded interior block."""
     mask = interior_mask(layout)
-    op = np.asarray(op)
-    if op.ndim == 1:
-        return op[mask]
-    return op[np.ix_(mask, mask)]
+    return np.asarray(op)[np.ix_(mask, mask)]

@@ -61,7 +61,6 @@ from .operators import (
     OperatorError,
     Symbol,
     block_coordinates,
-    build,
     generator_id,
     packed,
     parity_sectors,
@@ -112,7 +111,6 @@ class DerivationRule:
 
 @dataclass(frozen=True)
 class GeneratorRecord:
-    generator_id: str
     expr: HamiltonianExpr
     drivable: bool
 
@@ -156,10 +154,10 @@ class SynthesisRegistry:
 
     Generators are keyed by the compact canonical text of their Hamiltonian,
     so ids are stable, serializable, and parse back to the same expression;
-    the registry stores expressions, never dense matrices (``matrix(gid)``
-    builds one on demand, for the tests' oracles only).  Rules, the closure
-    and the third-order prediction read symbols; ``matrices``, the registry's
-    ``Generators`` table, factors each pulse's expression and each of the
+    the registry stores expressions, never dense matrices.  Rules, the
+    closure and the third-order prediction read symbols; ``generators``, the
+    registry's ``Generators`` table, passed to run_sequence /
+    sequence_unitary, factors each pulse's expression and each of the
     prediction's nested commutators.  One table maps a target id to its
     rule: a derived direction's own rule, or for a reset alias the
     sz(x)target rule whose direction differs from the target.
@@ -168,7 +166,7 @@ class SynthesisRegistry:
     def __init__(self, layout: RegisterLayout):
         self.layout = layout
         self._records: dict[str, GeneratorRecord] = {}
-        self._generators = Generators(layout)
+        self.generators = Generators(layout)
         self._rules: dict[str, DerivationRule] = {}
         self._third_order: dict[tuple[str, str], float] = {}
 
@@ -177,17 +175,13 @@ class SynthesisRegistry:
     def register(self, expr: HamiltonianExpr, *, drivable: bool) -> str:
         gid = generator_id(expr)
         if gid not in self._records:
-            self._records[gid] = GeneratorRecord(gid, expr, drivable)
+            self._records[gid] = GeneratorRecord(expr, drivable)
         return gid
 
     def record(self, gid: str) -> GeneratorRecord:
         if gid not in self._records:
             raise SynthesisError(f"unknown generator id {gid!r}")
         return self._records[gid]
-
-    def matrix(self, gid: str) -> np.ndarray:
-        """The dense matrix of a registered generator, built on each call (the tests' oracle)."""
-        return build(self.record(gid).expr, self.layout)
 
     def third_order_scale(self, a_id: str, b_id: str) -> float:
         """0.5 (||i[A, C]|| + ||i[B, C]||) with C = i[A, B], computed once per ordered pair (A, B).
@@ -198,14 +192,9 @@ class SynthesisRegistry:
         if (a_id, b_id) not in self._third_order:
             a, b = (weyl_symbol(self.record(gid).expr, self.layout) for gid in (a_id, b_id))
             c = symbol_commutator(a, b)
-            norms = [self._generators.factor(symbol_commutator(x, c)).max_energy for x in (a, b)]
+            norms = [self.generators.factor(symbol_commutator(x, c)).max_energy for x in (a, b)]
             self._third_order[(a_id, b_id)] = 0.5 * sum(norms)
         return self._third_order[(a_id, b_id)]
-
-    @property
-    def matrices(self) -> Generators:
-        """The registry's generator table, passed to run_sequence / sequence_unitary."""
-        return self._generators
 
     def is_drivable(self, gid: str) -> bool:
         return self.record(gid).drivable
@@ -420,7 +409,7 @@ def power_distances(steps: list[tuple[PulseSequence, int]], target: PulseSequenc
 def measure_plan_error(plan: SynthPlan, registry: SynthesisRegistry) -> float:
     """Spectral-norm distance between the compiled sequence and its target (`power_distances`)."""
     return power_distances([(plan.block, plan.n_blocks)], plan.target_sequence, registry.layout,
-                           registry.matrices, plan.reset_spin_required)[0][0]
+                           registry.generators, plan.reset_spin_required)[0][0]
 
 
 # Derivation templates (A, B, direction), i[A, B] = scale * direction, in the
@@ -504,17 +493,11 @@ def reset_spin(state: StateVector, spin_idx: int, rng: np.random.Generator) -> S
     """
     if not state.layout.is_qubit(spin_idx):
         raise SynthesisError(f"subsystem {spin_idx} is not a qubit")
-    n = len(state.layout)
-    psi = np.moveaxis(state.tensor(), spin_idx, 0).reshape(2, -1).copy()
-    p1 = float(np.sum(np.abs(psi[1]) ** 2))
+    p1 = float(np.sum(np.abs(np.take(state.tensor(), 1, axis=spin_idx)) ** 2))
     outcome = 1 if rng.random() < p1 else 0
     p = p1 if outcome == 1 else 1.0 - p1
-    branch = psi[outcome] / np.sqrt(p)
-    psi[0] = branch
-    psi[1] = 0.0
-    dims = state.layout.dims
-    shaped = psi.reshape((2,) + tuple(dims[i] for i in range(n) if i != spin_idx))
-    return StateVector(state.layout, np.moveaxis(shaped, 0, spin_idx).reshape(-1))
+    flip = np.array([[1 - outcome, outcome], [0, 0]], dtype=complex)  # |0><outcome|
+    return StateVector(state.layout, _on_axes(flip, (spin_idx,), state.layout.dims, state.amplitudes) / np.sqrt(p))
 
 
 def oscillator_drive(

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from hybridsim.cli import main as cli_main
-from hybridsim.evolution import cv_qft, expm_apply, expm_unitary, run_sequence, sequence_unitary
+from hybridsim.evolution import Pulse, PulseSequence, cv_qft, expm_unitary, run_sequence, sequence_unitary
 from hybridsim.hilbert import (
     StateVector,
     basis_state,
@@ -110,11 +110,11 @@ def test_criterion_2_group_commutator_error_order():
     ]
     slopes = []
     for a_id, b_id in pairs:
-        a, b = registry.matrix(a_id), registry.matrix(b_id)
+        a, b = (build(registry.record(g).expr, layout) for g in (a_id, b_id))
         k = 1j * (a @ b - b @ a)
         errs = []
         for s in S_GRID:
-            u = sequence_unitary(group_commutator(a_id, b_id, s, registry), layout, registry.matrices)
+            u = sequence_unitary(group_commutator(a_id, b_id, s, registry), layout, registry.generators)
             errs.append(np.linalg.norm(compress_to_interior(u - expm_unitary(k, s * s), layout), 2))
         slopes.append(loglog_slope(S_GRID, errs))
     ok = len(slopes) >= 3 and all(2.7 <= s <= 3.3 for s in slopes)
@@ -138,7 +138,7 @@ def test_criterion_3_synthesis_convergence():
 
     plus = np.ones(4) / 2.0
     probe = StateVector(layout_zz, np.kron(plus, np.eye(16)[0]).astype(complex))
-    final = run_sequence(plans[-1].sequence, probe, reg_zz.matrices)
+    final = run_sequence(plans[-1].sequence, probe, reg_zz.generators)
     purity = reduced_density(final, [2]).purity()
 
     ok_y = -0.65 <= slope_y <= -0.35
@@ -207,7 +207,8 @@ def test_criterion_5_cv_fourier_transform():
     layout = new_register([qumode(64)])
     x_op = build(parse_expr("X@0"), layout)
     p_op = build(parse_expr("P@0"), layout)
-    state = expm_apply(p_op, 1.0, basis_state(layout, [0]))  # (<X>, <P>) = (1, 0)
+    state = run_sequence(PulseSequence((Pulse(parse_expr("P@0"), 1.0),)),
+                         basis_state(layout, [0]))  # (<X>, <P>) = (1, 0)
     rotated = cv_qft(state, 0)
     dx = abs(rotated.expectation(x_op) - 0.0)
     dp = abs(rotated.expectation(p_op) - (-1.0))

@@ -115,6 +115,45 @@ def test_validation_error_names_field(tmp_path, capsys):
     assert main(["spectrum", "--config", cfg]) == 3
 
 
+def _without(config, key):
+    return {k: v for k, v in config.items() if k != key}
+
+
+TROTTER_CONFIG = {"experiment": "trotter-scaling", "layout": ["qubit"], "hamiltonian": "sz@0", "t": 1.0, "steps": [1]}
+
+
+@pytest.mark.parametrize(("config", "field"), [
+    (None, "config"),  # no such file
+    ("[1, 2]", "config"),  # JSON, but not an object
+    (dict(SPECTRUM_CONFIG, seed=-1), "seed"),  # checked though --seed overrides it: summary.json echoes it
+    (dict(SPECTRUM_CONFIG, out=5), "out"),  # likewise under --out
+    (_without(SPECTRUM_CONFIG, "layout"), "layout"),
+    (_without(SPECTRUM_CONFIG, "beta"), "beta"),
+    (dict(SPECTRUM_CONFIG, beta="4"), "beta"),
+    (dict(SPECTRUM_CONFIG, n_shots=4.5), "n_shots"),
+    (dict(TROTTER_CONFIG, steps=[0]), "steps"),
+    (dict(SPECTRUM_CONFIG, layout=[]), "layout"),
+    (dict(SPECTRUM_CONFIG, layout=["qubit", {"kind": "qumode", "cutoff": 1}]), "layout[1].cutoff"),
+    (dict(SPECTRUM_CONFIG, layout=["qubit", "qutrit"]), "layout[1]"),
+    (dict(SPECTRUM_CONFIG, hamiltonian=5), "hamiltonian"),
+    (dict(SPECTRUM_CONFIG, initial_state=["uniform"]), "initial_state"),
+    (dict(SPECTRUM_CONFIG, initial_state={"type": "basis", "occupations": [0]}), "initial_state.occupations"),
+    (dict(SPECTRUM_CONFIG, initial_state={"type": "basis", "occupations": [2, 0]}), "initial_state.occupations"),
+    (dict(SPECTRUM_CONFIG, initial_state={"type": "coherent"}), "initial_state.type"),
+])
+def test_each_config_check_exits_with_a_line_naming_its_field(tmp_path, capsys, config, field):
+    path = tmp_path / "cfg.json"
+    if config is not None:
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+    experiment = config["experiment"] if isinstance(config, dict) else "spectrum"
+    code = main([experiment, "--config", str(path), "--seed", "5", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    kind = "parse" if isinstance(config, str) else "validation"
+    assert (code, err.count("\n")) == (2 if kind == "parse" else 3, 1)
+    assert err.startswith(f"hybridsim: {kind} error: {field}") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_robustness_method_error_names_field(tmp_path, capsys):
     bad = dict(SPECTRUM_CONFIG, experiment="robustness", method="euler")
     cfg = write_config(tmp_path, "bad.json", bad)
@@ -560,8 +599,8 @@ def test_synth_reads_its_probe_from_the_plan_unitary(tmp_path, monkeypatch, dims
     reg = standard_registry(layout)
     plan = synthesize(target, angle, blocks[-1], reg)
     probe = basis_state(layout, [0] * len(dims))
-    final = run_sequence(plan.sequence, probe, reg.matrices)
-    exact = run_sequence(plan.target_sequence, probe, reg.matrices)
+    final = run_sequence(plan.sequence, probe, reg.generators)
+    exact = run_sequence(plan.target_sequence, probe, reg.generators)
     assert abs(summary["results"]["probe_state_fidelity"] - exact.fidelity(final)) <= 1e-12
     _assert_leakage_matches(summary, leakage(final))
 
@@ -599,8 +638,8 @@ def test_a_single_quadrature_synth_powers_its_node_field(tmp_path, monkeypatch, 
     reg = standard_registry(layout)
     plan = synthesize(target, angle, blocks[-1], reg)
     probe = basis_state(layout, [0] * len(dims))
-    final = run_sequence(plan.sequence, probe, reg.matrices)
-    exact = run_sequence(plan.target_sequence, probe, reg.matrices)
+    final = run_sequence(plan.sequence, probe, reg.generators)
+    exact = run_sequence(plan.target_sequence, probe, reg.generators)
     assert abs(summary["results"]["probe_state_fidelity"] - exact.fidelity(final)) <= 1e-12
     _assert_leakage_matches(summary, leakage(final))
 

@@ -8,7 +8,6 @@ from hybridsim.hilbert import (
     StateVector,
     basis_state,
     compress_to_interior,
-    embed,
     guard_start,
     interior_mask,
     join_states,
@@ -17,7 +16,6 @@ from hybridsim.hilbert import (
     qumode,
     reduced_density,
 )
-from hybridsim.operators import fock_position, pauli
 
 
 def test_register_dims():
@@ -60,54 +58,6 @@ def test_basis_states_orthonormal():
     states = [basis_state(layout, [q, n]) for q in range(2) for n in range(3)]
     gram = np.array([[abs(a.overlap(b)) for b in states] for a in states])
     assert np.allclose(gram, np.eye(6), atol=1e-14)
-
-
-def test_embed_pauli_ordering():
-    layout = new_register([qubit(), qubit()])
-    assert np.allclose(embed(pauli("z"), [0], layout), np.diag([1, 1, -1, -1]))
-    assert np.allclose(embed(np.kron(pauli("z"), pauli("z")), [0, 1], layout), np.diag([1, -1, -1, 1]))
-
-
-def test_embed_matches_kron_oracle():
-    layout = new_register([qubit(), qumode(8)])
-    x = fock_position(8)
-    assert np.allclose(embed(x, [1], layout), np.kron(np.eye(2), x), atol=1e-14)
-
-
-def test_embed_permuted_and_nonadjacent_targets():
-    layout = new_register([qubit(), qumode(3), qubit()])
-    a, b = pauli("x"), pauli("y")
-    direct = np.kron(np.kron(a, np.eye(3)), b)
-    assert np.allclose(embed(np.kron(a, b), [0, 2], layout), direct, atol=1e-14)
-    # permuted target order carries the local factor order with it
-    assert np.allclose(embed(np.kron(b, a), [2, 0], layout), direct, atol=1e-14)
-
-
-def test_embed_errors():
-    layout = new_register([qubit(), qubit()])
-    with pytest.raises(HilbertError):
-        embed(np.eye(3), [0], layout)
-    with pytest.raises(HilbertError):
-        embed(np.eye(4), [0, 0], layout)
-
-
-def test_embed_homomorphism_same_targets():
-    rng = np.random.default_rng(11)
-    layout = new_register([qubit(), qumode(4)])
-    for _ in range(5):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        lhs = embed(a, [1], layout) @ embed(b, [1], layout)
-        assert np.max(np.abs(lhs - embed(a @ b, [1], layout))) <= 1e-12
-
-
-def test_embed_disjoint_targets_commute():
-    rng = np.random.default_rng(12)
-    layout = new_register([qubit(), qumode(4), qubit()])
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    ea, eb = embed(a, [0], layout), embed(b, [1], layout)
-    assert np.max(np.abs(ea @ eb - eb @ ea)) <= 1e-12
 
 
 def test_reduced_density_product_state_is_pure():

@@ -292,9 +292,7 @@ def test_primitive_set():
         assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12
         assert abs(np.trace(compress_to_interior(mat, layout))) <= 1e-12
     szp = build(ps.by_name("szP").expr, layout)
-    from hybridsim.hilbert import embed
-
-    oracle = embed(pauli("z"), [0], layout) @ embed(fock_momentum(8), [1], layout)
+    oracle = np.kron(pauli("z"), fock_momentum(8))
     assert np.max(np.abs(szp - oracle)) <= 1e-12
     with pytest.raises(OperatorError):
         primitive_set(layout, 1, 0)
@@ -545,3 +543,19 @@ def test_the_moyal_table_forms_each_monomial_pair_once(monkeypatch):
     assert shared == [symbol_commutator(a, b) for a in symbols for b in symbols]
     for (f, g), terms in table.items():
         assert isinstance(terms, tuple) and terms == tuple(moyal(f, g))
+
+
+def test_orthonormal_factors_closes_a_chain_of_supports_into_one_block():
+    # supports chain a-b-c with a and c disjoint, so a and c meet only through b; d meets none of them
+    rng = np.random.default_rng(5)
+    support = {"a": [0, 1], "b": [1, 2, 3], "c": [3, 4], "d": [5, 6]}
+    vecs = np.zeros((4, 7))
+    for row, name in enumerate("acbd"):  # c before b: a's and c's blocks first meet through a later row
+        vecs[row, support[name]] = rng.normal(size=len(support[name]))
+    rows, coords = operators._orthonormal_factors(vecs)
+    assert rows.shape == (4, 7) and coords.shape == (4, 4)
+    chain, alone = [0, 1, 2], [3]
+    assert not coords[np.ix_(chain, alone)].any() and not coords[np.ix_(alone, chain)].any()
+    assert not rows[chain][:, support["d"]].any() and not np.delete(rows[3], support["d"]).any()
+    assert np.abs(rows @ rows.T - np.eye(4)).max() <= 1e-14
+    assert np.abs(coords.T @ rows - vecs).max() <= 1e-14

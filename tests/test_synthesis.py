@@ -14,7 +14,6 @@ from hybridsim.hilbert import (
     StateVector,
     basis_state,
     compress_to_interior,
-    embed,
     interior_levels,
     interior_mask,
     new_register,
@@ -62,8 +61,8 @@ SZP = "1.0*sz@0*P@1"
 def test_block_small_step_stays_near_identity(spin_mode_registry):
     reg = spin_mode_registry
     s = 1e-3
-    u = sequence_unitary(group_commutator(SZX, SXX, s, reg), reg.layout, reg.matrices)
-    a, b = reg.matrix(SZX), reg.matrix(SXX)
+    u = sequence_unitary(group_commutator(SZX, SXX, s, reg), reg.layout, reg.generators)
+    a, b = build(reg.record(SZX).expr, reg.layout), build(reg.record(SXX).expr, reg.layout)
     bound = 2 * s * (np.linalg.norm(a, 2) + np.linalg.norm(b, 2))
     assert np.linalg.norm(u - np.eye(reg.layout.total_dim), 2) <= bound
 
@@ -72,7 +71,7 @@ def test_block_of_commuting_pair_is_identity(two_spin_registry):
     reg = two_spin_registry
     a = reg.register(parse_expr("sz@0"), drivable=True)
     b = reg.register(parse_expr("sz@1"), drivable=True)
-    u = sequence_unitary(group_commutator(a, b, 0.7, reg), reg.layout, reg.matrices)
+    u = sequence_unitary(group_commutator(a, b, 0.7, reg), reg.layout, reg.generators)
     assert np.linalg.norm(u - np.eye(reg.layout.total_dim), 2) <= 1e-10
 
 
@@ -81,11 +80,12 @@ def test_block_third_order_error_scaling():
     reg = standard_registry(new_register([qubit(), qumode(12)]))
     layout = reg.layout
     a_id, b_id = "1.0*sz@0*X@1", "1.0*sx@0*X@1"
-    k = 1j * (reg.matrix(a_id) @ reg.matrix(b_id) - reg.matrix(b_id) @ reg.matrix(a_id))
+    a, b = (build(reg.record(g).expr, layout) for g in (a_id, b_id))
+    k = 1j * (a @ b - b @ a)
     steps = [0.2, 0.1, 0.05, 0.025]
     errs = []
     for s in steps:
-        u = sequence_unitary(group_commutator(a_id, b_id, s, reg), layout, reg.matrices)
+        u = sequence_unitary(group_commutator(a_id, b_id, s, reg), layout, reg.generators)
         errs.append(np.linalg.norm(compress_to_interior(u - expm_unitary(k, s * s), layout), 2))
     slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
     assert 2.7 <= slope <= 3.3
@@ -95,9 +95,10 @@ def test_block_is_exact_for_conjugate_quadrature_pair():
     # [szP, szX] commutes with both inputs away from the truncation corner,
     # so this block has no third-order error at all on the interior
     reg = standard_registry(new_register([qubit(), qumode(32)]))
-    k = 1j * (reg.matrix(SZP) @ reg.matrix(SZX) - reg.matrix(SZX) @ reg.matrix(SZP))
+    a, b = (build(reg.record(g).expr, reg.layout) for g in (SZP, SZX))
+    k = 1j * (a @ b - b @ a)
     for s in (0.2, 0.1):
-        u = sequence_unitary(group_commutator(SZP, SZX, s, reg), reg.layout, reg.matrices)
+        u = sequence_unitary(group_commutator(SZP, SZX, s, reg), reg.layout, reg.generators)
         err = np.linalg.norm(compress_to_interior(u - expm_unitary(k, s * s), reg.layout), 2)
         assert err <= 1e-8
 
@@ -134,14 +135,14 @@ def test_synthesize_sigma_y(spin_mode_registry):
     plan = synthesize("sy@0", np.pi / 4, 256, reg)
     err = measure_plan_error(plan, reg)
     assert err <= plan.predicted_error
-    u = sequence_unitary(plan.sequence, reg.layout, reg.matrices)
+    u = sequence_unitary(plan.sequence, reg.layout, reg.generators)
     t = expm_unitary(build(parse_expr("sy@0"), reg.layout), np.pi / 4)
     d = reg.layout.total_dim
     fid = abs(np.trace(t.conj().T @ u) / d) ** 2
     assert fid >= 0.998
 
     fine = synthesize("sy@0", np.pi / 4, 512, reg)
-    u = sequence_unitary(fine.sequence, reg.layout, reg.matrices)
+    u = sequence_unitary(fine.sequence, reg.layout, reg.generators)
     assert abs(np.trace(t.conj().T @ u) / d) ** 2 >= 0.999
 
 
@@ -180,7 +181,7 @@ def test_plans_for_one_target_share_its_eigendecomposition(monkeypatch):
     monkeypatch.undo()
     for plan, err in zip(plans, errors):
         exact = expm_unitary(build(plan.target, layout), plan.angle)
-        oracle = np.linalg.norm(sequence_unitary(plan.sequence, layout, reg.matrices) - exact, 2)
+        oracle = np.linalg.norm(sequence_unitary(plan.sequence, layout, reg.generators) - exact, 2)
         assert abs(err - oracle) <= 1e-12
 
 
@@ -197,7 +198,7 @@ def test_registry_pulses_diagonalize_only_subsystem_factors(monkeypatch):
     assert calls and max(calls) <= 6
     u = np.eye(layout.total_dim, dtype=complex)
     for p in plan.sequence.pulses:
-        u = expm_unitary(reg.matrix(p.generator_id), p.sign * p.duration) @ u
+        u = expm_unitary(build(reg.record(p.generator_id).expr, reg.layout), p.sign * p.duration) @ u
     oracle = np.linalg.norm(u - expm_unitary(build(plan.target, layout), plan.angle), 2)
     assert abs(err - oracle) <= 1e-12
 
@@ -348,7 +349,7 @@ def test_closure_membership_rejects_a_non_hermitian_query(spin_mode_registry):
     seeds = [g.generator_id for g in primitive_set(reg.layout, 0, 1).members]
     rep = close_algebra(seeds, max_new=5, degree_cap=2, registry=reg)
     with pytest.raises(SynthesisError, match="not Hermitian"):
-        rep.membership(embed(fock_annihilate(16), [1], reg.layout))
+        rep.membership(np.kron(np.eye(2), fock_annihilate(16)))
 
 
 def _dense_reference_closure(mats, max_new, degree_cap, mask):
@@ -401,7 +402,8 @@ def test_closure_of_a_mixed_parity_seed_matches_the_complex_reference(max_new):
              for t in ("0.8*sx@0*X@1 + 0.6*sy@0*X@1", "sz@0*P@1", "sz@0*X@1")]
     rep = close_algebra(seeds, max_new=max_new, degree_cap=4, registry=reg)
     mask = interior_mask(layout)
-    order, membership = _dense_reference_closure([reg.matrix(g) for g in rep.seed_ids], max_new, 4, mask)
+    order, membership = _dense_reference_closure([build(reg.record(g).expr, layout) for g in rep.seed_ids],
+                                                 max_new, 4, mask)
     assert [(d.degree, d.source) for d in rep.directions] == [
         (degree, f"seed {rep.seed_ids[src]}" if degree == 1 else src) for degree, src in order]
     for probe in ("sx@0", "sy@0", "id@0", "sy@0*X@1^2", "sx@0*P@1 + sy@0*P@1", "X@1^2", "sz@0*X@1^3"):
@@ -678,7 +680,7 @@ def test_szsz_synthesis_disentangles_the_bus(two_spin_registry):
     plan = synthesize("sz@0*sz@1", np.pi / 4, 64, reg)
     plus = np.ones(4) / 2.0
     state = StateVector(reg.layout, np.kron(plus, np.eye(16)[0]).astype(complex))
-    final = run_sequence(plan.sequence, state, reg.matrices)
+    final = run_sequence(plan.sequence, state, reg.generators)
     assert leakage(final) <= LEAKAGE_INVALID
     assert reduced_density(final, [2]).purity() >= 0.99
     qubits = reduced_density(final, [0, 1])
@@ -691,8 +693,8 @@ def test_szsz_synthesis_disentangles_the_bus(two_spin_registry):
 
 def _flat_plan_error(plan, reg):
     """Spectral-norm error of the plan's flat pulse list, on the spin-|0> block for a reset alias."""
-    u = sequence_unitary(plan.sequence, reg.layout, reg.matrices)
-    u_target = sequence_unitary(plan.target_sequence, reg.layout, reg.matrices)
+    u = sequence_unitary(plan.sequence, reg.layout, reg.generators)
+    u_target = sequence_unitary(plan.target_sequence, reg.layout, reg.generators)
     if plan.reset_spin_required is not None:
         assert plan.reset_spin_required == 0  # subsystem 0 is the slowest axis: |0> is the first half
         keep = slice(0, reg.layout.total_dim // 2)
@@ -737,11 +739,11 @@ def test_plan_unitaries_are_the_sector_blocks_of_the_dense_pair(dims, target, an
     reg = standard_registry(new_register(dims))
     plan = synthesize(target, angle, n_blocks, reg)
     (error,), final, exact = power_distances([(plan.block, n_blocks)], plan.target_sequence, reg.layout,
-                                             reg.matrices, plan.reset_spin_required)
+                                             reg.generators, plan.reset_spin_required)
     assert abs(error - _flat_plan_error(plan, reg)) <= 1e-12
-    block = sequence_unitary(plan.block, reg.layout, reg.matrices)
+    block = sequence_unitary(plan.block, reg.layout, reg.generators)
     _assert_probe_columns(final, exact, np.linalg.matrix_power(block, n_blocks),
-                          sequence_unitary(plan.target_sequence, reg.layout, reg.matrices))
+                          sequence_unitary(plan.target_sequence, reg.layout, reg.generators))
 
 
 def test_trotter_step_powers_are_the_sector_blocks_of_the_dense_power():
@@ -925,11 +927,12 @@ def test_plan_sequence_is_the_block_repeated(two_spin_registry):
 def test_third_order_scale_is_computed_once_per_rule_pair(monkeypatch):
     reg = standard_registry(new_register([qubit(), qumode(8)]))
     first = synthesize("sy@0", 0.5, 4, reg)
-    built = []
-    matrix = SynthesisRegistry.matrix
-    monkeypatch.setattr(SynthesisRegistry, "matrix", lambda self, gid: built.append(gid) or matrix(self, gid))
+    calls = []
+    realize, symbol_commutator = evolution.realize, synthesis.symbol_commutator
+    monkeypatch.setattr(evolution, "realize", lambda *a: calls.append("realize") or realize(*a))
+    monkeypatch.setattr(synthesis, "symbol_commutator", lambda *a: calls.append("commutator") or symbol_commutator(*a))
     synthesize("sy@0", 0.5, 64, reg)
-    assert built == []
+    assert calls == []
     assert synthesize("sy@0", 0.5, 4, reg).predicted_error == first.predicted_error
 
 
@@ -953,7 +956,7 @@ def test_third_order_scale_matches_the_dense_formula(dims, monkeypatch):
         if x_modes & p_modes:
             assert scale == 0.0
             continue
-        a, b = reg.matrix(a_id), reg.matrix(b_id)
+        a, b = build(reg.record(a_id).expr, reg.layout), build(reg.record(b_id).expr, reg.layout)
         c = 1j * (a @ b - b @ a)
         dense = 0.5 * (np.linalg.norm(a @ c - c @ a, 2) + np.linalg.norm(b @ c - c @ b, 2))
         assert abs(scale - dense) <= 1e-12 * dense
@@ -974,7 +977,7 @@ def test_predicting_a_plan_forms_no_register_sized_matrix():
 def _dense_rule_oracle(reg, rule):
     """Scale and residual of i(AB - BA) against the rule's direction, projected
     with a complex vdot on the compressed interior blocks."""
-    a, b = reg.matrix(rule.a_id), reg.matrix(rule.b_id)
+    a, b = build(reg.record(rule.a_id).expr, reg.layout), build(reg.record(rule.b_id).expr, reg.layout)
     k = compress_to_interior(1j * (a @ b - b @ a), reg.layout)
     g = compress_to_interior(build(rule.direction, reg.layout), reg.layout)
     scale = complex(np.vdot(g, k)) / np.vdot(g, g).real
@@ -1035,10 +1038,9 @@ def test_standard_registry_derives_each_direction_once(monkeypatch):
 
 def test_standard_registry_rules_are_exact_and_build_no_matrix(monkeypatch):
     built = []
-    dense_build, matrix = operators.build, SynthesisRegistry.matrix
-    for module in (operators, synthesis, evolution, cli):
+    dense_build = operators.build
+    for module in (operators, evolution, cli):
         monkeypatch.setattr(module, "build", lambda *a, **k: built.append("build") or dense_build(*a, **k))
-    monkeypatch.setattr(SynthesisRegistry, "matrix", lambda self, gid: built.append("matrix") or matrix(self, gid))
     scales = []
     for cutoff in (8, 16, 32):
         reg = standard_registry(new_register([qubit(), qumode(cutoff), qumode(cutoff)]))

@@ -33,6 +33,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 SEEDS = (5, 7)
@@ -102,7 +103,7 @@ def _max_relative_difference(a: Path, b: Path) -> float:
         rows_a, rows_b = _data_cells(a / name), _data_cells(b / name)
         if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
             return math.inf
-        for x, y in zip(sum(rows_a, []), sum(rows_b, [])):
+        for x, y in zip(chain.from_iterable(rows_a), chain.from_iterable(rows_b)):
             if x == y:
                 continue
             try:
