@@ -131,10 +131,11 @@ def load_config(path: str, experiment: str, seed_override: int | None, out_overr
     for seed in seeds:
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ConfigError(f"seed: must be a nonnegative integer, got {seed!r}")
-    out = raw.get("out", "hybridsim-out")
-    if not isinstance(out, str):
-        raise ConfigError(f"out: must be a directory path string, got {out!r}")
-    return ExperimentConfig(experiment, raw, seeds[-1], Path(out_override or out))
+    outs = (raw.get("out", "hybridsim-out"),) + (() if out_override is None else (out_override,))
+    for out in outs:
+        if not isinstance(out, str) or not out:  # Path("") is the working directory
+            raise ConfigError(f"out: must be a nonempty directory path string, got {out!r}")
+    return ExperimentConfig(experiment, raw, seeds[-1], Path(outs[-1]))
 
 
 def _need(cfg: ExperimentConfig, key: str):

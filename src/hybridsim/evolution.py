@@ -11,8 +11,9 @@ Weyl symbol (`operators.weyl_symbol`), which list each term's non-identity
 factors.  A subsystem on which every key has the same factor is a common
 tensor factor, diagonalized alone (`operators.local_factor`); the remaining
 touched subsystems form one group, whose sub-symbol is realized on that
-sub-register (`operators.realize`) and diagonalized once.  The eigenvalues
-are the outer product of the factors' eigenvalues, and each group's
+sub-register (`operators.realize`) and diagonalized once.  A diagonal factor
+or group (``sz``, ``(X^2 + P^2)/2``) is its own eigenbasis: no eigenvectors.
+The eigenvalues are the outer product of the factors', and each group's
 eigenvectors act on its own axes of the amplitude tensor, so the pointer
 coupling ``H (x) P`` costs ``d_sys^3 + cutoff^3`` rather than
 ``(d_sys * cutoff)^3`` and a product-term pulse never forms a ``D x D``
@@ -24,11 +25,11 @@ per (sub-register, sub-symbol), in a ``Generators`` table owned by the caller
 remaining group, so a spectroscopy run diagonalizes ``H`` once.  A run given
 no table diagonalizes each of its generators once for that run only.  The
 pulse loop keeps an owed-basis map, axes -> the eigenvectors they are still
-expressed in: a pulse rotates in only the groups not owed as that very
-``(axes, v)`` object, first rotating back each owed group that meets them;
-owed groups on axes it does not touch stay owed (its phases are constant
-there), and what is owed at the end is rotated back once.  So a Trotter
-pointer coupling rotates the pointer axis twice in all, and a repeated
+expressed in: a pulse rotates back each owed group on an axis it touches,
+unless it is one of its own ``(axes, v)`` groups, then rotates in its groups
+not owed; the rest stay owed (its phases are constant there), and what is
+owed at the end is rotated back once.  So a Trotter pointer coupling rotates
+the pointer axis twice, ``sz (x) sz`` terms rotate nothing, and a repeated
 (generator id, signed duration) forms its phases once per call, on touched axes.
 
 Sign convention: a pulse of generator H with duration t and sign s applies
@@ -46,8 +47,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .hilbert import RegisterLayout, StateVector, interior_mask
-from .operators import (HamiltonianExpr, OperatorError, Symbol, build, generator_id, local_factor, parse_expr,
-                        realize, term, weyl_symbol)
+from .operators import (HamiltonianExpr, OperatorError, Symbol, generator_id, local_factor, parse_expr, realize,
+                        weyl_symbol)
 
 HERMITICITY_TOL = 1e-10
 
@@ -134,7 +135,11 @@ class PulseSequence:
             gid, sign_text, dur_text = fields
             if sign_text not in ("+1", "-1"):
                 raise EvolutionError(f"line {lineno}: sign must be +1 or -1, got {sign_text!r}")
-            pulses.append(Pulse(gid, float(dur_text), int(sign_text)))
+            try:
+                duration = float(dur_text)
+            except ValueError:
+                raise EvolutionError(f"line {lineno}: duration must be a number, got {dur_text!r}") from None
+            pulses.append(Pulse(gid, duration, int(sign_text)))
         return cls(tuple(pulses), tuple(metadata))
 
 
@@ -147,14 +152,17 @@ def _check_hermitian(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The one eigendecomposition behind every exponential the package applies."""
-    return np.linalg.eigh(_check_hermitian(h))
+def _eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The one eigendecomposition behind every pulse; a diagonal ``h`` is its own eigenbasis: no eigenvectors."""
+    h = _check_hermitian(h)
+    if np.count_nonzero(h) == np.count_nonzero(h.diagonal()):  # exact, and forms no D x D temporary
+        return h.diagonal().real.copy(), None  # a copy, so the realized block can be freed
+    return np.linalg.eigh(h)
 
 
 def expm_unitary(h: np.ndarray, t: float) -> np.ndarray:
-    """Dense exp(-i H t); the oracle used by error-scaling tests."""
-    w, v = _eig(h)
+    """Dense exp(-i H t); the oracle used by error-scaling tests, on eigh whatever the shape of H."""
+    w, v = np.linalg.eigh(_check_hermitian(h))
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
@@ -174,12 +182,11 @@ def _on_axes(m: np.ndarray, axes: tuple[int, ...], dims: tuple[int, ...], amps: 
 class _Factored:
     """H = (prod_g v_g) diag(energies) (prod_g v_g)^dagger over disjoint subsystem groups.
 
-    ``groups`` pairs each group's sorted subsystem axes with its eigenvector
-    matrix; no group covers a subsystem the generator does not touch, and a
-    generator that touches none has no group.  ``energies`` is the outer
-    product of the groups' eigenvalues, of size 1 on each axis no group
-    covers, and ``max_energy`` is their largest modulus, which bounds a
-    pulse's phase.
+    ``groups`` pairs each non-diagonal group's sorted subsystem axes with its
+    eigenvector matrix (a diagonal group is its own eigenbasis).  ``energies``
+    is the outer product of every factor's eigenvalues, of size 1 on each axis
+    the generator does not touch, and ``max_energy`` is their largest modulus,
+    which bounds a pulse's phase.
     """
 
     groups: tuple[tuple[tuple[int, ...], np.ndarray], ...]
@@ -209,7 +216,7 @@ class Generators:
         self.layout = layout
         self._decompositions: dict[str, _Factored] = {}
         # (key factor, dimension) of a local factor, or (sub-register specs, sub-symbol items) of a remaining group
-        self._eigs: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._eigs: dict[tuple, tuple[np.ndarray, np.ndarray | None]] = {}
 
     def decomposition(self, pulse: Pulse) -> _Factored:
         gid = pulse.generator_id
@@ -237,21 +244,22 @@ class Generators:
         energies = np.full((1,) * len(dims), 1.0 if rest else sum(symbol.values(), 0.0))
         for axes, (w, _) in parts:
             energies = energies * w.reshape([d if i in axes else 1 for i, d in enumerate(dims)])
-        return _Factored(tuple((axes, v) for axes, (_, v) in parts), energies, float(np.abs(energies).max()))
+        return _Factored(tuple((a, v) for a, (_, v) in parts if v is not None), energies, float(np.abs(energies).max()))
 
     def quadrature(self, cutoff: int, f: tuple[int, int] = (1, 0)) -> Quadrature:
         """The truncated X's nodes and eigenvectors V: one eigh per cutoff.
         With ``f = (0, 1)``, the truncated P's: the same nodes and F·V."""
         return Quadrature(*self._local_eig(f, cutoff))
 
-    def _local_eig(self, f: str | tuple[int, int], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    def _local_eig(self, f: str | tuple[int, int], dim: int) -> tuple[np.ndarray, np.ndarray | None]:
         if (f, dim) not in self._eigs:
             w, v = self.quadrature(dim) if f == (0, 1) else _eig(local_factor(f, dim))
             if f == (1, 0):  # signed so <0|x_k> > 0, like the positive ground-state wavefunction
                 v = v * np.where(v[0].real < 0, -1.0, 1.0)
             elif f == (0, 1):  # the truncated P is F X F^dagger exactly, F = diag(i^n): its eigenvectors are F V
                 v = np.array([1, 1j, -1, -1j])[np.arange(dim) % 4, None] * v
-            w.flags.writeable = v.flags.writeable = False
+            for a in (w, v) if v is not None else (w,):  # a diagonal factor has no eigenvectors
+                a.flags.writeable = False
             self._eigs[(f, dim)] = w, v
         return self._eigs[(f, dim)]
 
@@ -274,14 +282,14 @@ def _propagate(seq: PulseSequence, layout: RegisterLayout, generators: Generator
         factored = generators.decomposition(pulse)
         if (phase := factored.max_energy * pulse.duration) > PHASE_BUDGET:
             raise EvolutionError(f"pulse {pulse.generator_id}: phase {phase:.3g} exceeds the phase budget 2**52 rad")
-        new = [(axes, v) for axes, v in factored.groups if owed.get(axes) is not v]
-        for axes in [a for a in owed if any(set(a) & set(g) for g, _ in new)]:
+        groups, shape = dict(factored.groups), factored.energies.shape
+        for axes in [a for a in owed if owed[a] is not groups.get(a) and any(shape[i] > 1 for i in a)]:
             amps = _on_axes(owed.pop(axes), axes, dims, amps)
-        for axes, v in new:
-            amps = _on_axes(v.conj().T, axes, dims, amps)
-            owed[axes] = v
+        for axes in [a for a in groups if a not in owed]:
+            amps = _on_axes(groups[axes].conj().T, axes, dims, amps)
+            owed[axes] = groups[axes]
         if (key := (pulse.generator_id, pulse.sign * pulse.duration)) not in phases:
-            phases[key] = np.exp(-1j * factored.energies * key[1]).reshape(factored.energies.shape + ones)
+            phases[key] = np.exp(-1j * factored.energies * key[1]).reshape(shape + ones)
         amps = np.multiply(phases[key], amps.reshape(tensor),  # both reshapes inline: no name keeps a (D, k) view
                            out=None if amps is caller else amps.reshape(tensor)).reshape(caller.shape)
     for axes, v in owed.items():
@@ -326,16 +334,12 @@ def cv_qft(state: StateVector, mode_idx: int) -> StateVector:
     Implemented as exp(-i H t) with H = (X^2 + P^2)/2 = n + 1/2 and t = pi/2,
     the generator normalization under [X, P] = i for which a quarter rotation
     takes exactly a quarter period.  Applying it four times is the identity
-    up to global phase.  H is built on the one mode, exactly diagonal in the
-    Fock basis (the a^2 and a†^2 parts of X^2 and P^2 cancel bit for bit), and
-    its phases multiply that axis of the amplitudes: no eigendecomposition.
+    up to global phase.  It is one pulse: H's symbol is realized on the one
+    mode, exactly diagonal in the Fock basis, so its phases need no eigenvectors.
     """
     if not state.layout.is_qumode(mode_idx):
         raise EvolutionError(f"subsystem {mode_idx} is not a qumode")
-    mode = RegisterLayout((state.layout.subsystems[mode_idx],))
-    energies = build(term(0.5, (0, "X", 2)) + term(0.5, (0, "P", 2)), mode).diagonal().real
-    phases = np.exp(-1j * energies * (np.pi / 2)).reshape((-1,) + (1,) * (len(state.layout) - mode_idx - 1))
-    return StateVector(state.layout, (phases * state.tensor()).reshape(-1))
+    return run_sequence(PulseSequence((Pulse(f"0.5*X@{mode_idx}^2 + 0.5*P@{mode_idx}^2", np.pi / 2),)), state)
 
 
 def leakage(state: StateVector) -> float:

@@ -154,6 +154,16 @@ def test_each_config_check_exits_with_a_line_naming_its_field(tmp_path, capsys, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(("config_out", "argv_out"), [("", []), ("o", ["--out", ""])], ids=["config", "argv"])
+def test_an_empty_out_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys, config_out, argv_out):
+    # Path("") is the working directory: an empty out, from the config or from --out, would write there
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "cfg.json", dict(SPECTRUM_CONFIG, n_shots=10, out=config_out))
+    assert main(["spectrum", "--config", cfg] + argv_out) == 3
+    assert capsys.readouterr().err.startswith("hybridsim: validation error: out:")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_robustness_method_error_names_field(tmp_path, capsys):
     bad = dict(SPECTRUM_CONFIG, experiment="robustness", method="euler")
     cfg = write_config(tmp_path, "bad.json", bad)

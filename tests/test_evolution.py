@@ -22,9 +22,9 @@ from hybridsim.evolution import (
     sequence_unitary,
     trotter,
 )
-from hybridsim.hilbert import StateVector, basis_state, new_register, qubit, qumode
+from hybridsim.hilbert import RegisterLayout, StateVector, basis_state, new_register, qubit, qumode
 from hybridsim.operators import (HamiltonianExpr, HamiltonianTerm, LocalOp, build, fock_momentum, generator_id,
-                                 parse_expr, weyl_symbol)
+                                 parse_expr, term, weyl_symbol)
 from hybridsim.spectral import _coupling_sequence
 
 
@@ -121,8 +121,9 @@ def test_generator_table_diagonalizes_each_id_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
     u = sequence_unitary(seq, layout, table)
     out = run_sequence(seq, basis_state(layout, [0, 1]), table)
-    # the id and the inline sz@0*P@1 each once per factor, never at 12; P's eigenvectors come from X's
-    assert calls == [(2, 2), (6, 6), (2, 2)]
+    # the id and the inline sz@0*P@1 each once per factor, never at 12; P's eigenvectors come from X's, and the
+    # diagonal sz is its own eigenbasis
+    assert calls == [(2, 2), (6, 6)]
     assert np.max(np.abs(u @ basis_state(layout, [0, 1]).amplitudes - out.amplitudes)) <= 1e-12
 
 
@@ -147,8 +148,13 @@ def test_an_explicit_identity_factor_is_not_diagonalized(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+    # sz is diagonal, so no eigh shows whether the id is formed: the matrices formed show it
+    formed = []
+    for name in ("local_factor", "realize"):
+        form = getattr(evolution, name)
+        monkeypatch.setattr(evolution, name, lambda *a, form=form: formed.append((out := form(*a)).shape) or out)
     u = sequence_unitary(PulseSequence((Pulse(parse_expr("sz@0*id@1"), 0.4),)), layout)
-    assert calls == [(2, 2)]
+    assert calls == [] and formed and 6 not in {n for shape in formed for n in shape}
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     assert np.max(np.abs(u - expm_unitary(build(parse_expr("sz@0"), layout), 0.4))) <= 1e-14
 
@@ -172,6 +178,39 @@ def test_the_pulse_loop_formats_each_pulse_id_once(monkeypatch):
     monkeypatch.setattr(evolution, "generator_id", lambda expr: calls.append(expr) or generator_id(expr))
     run_sequence(seq, basis_state(layout, [0] * 4))
     assert len(seq) == 320 and len(calls) == 5
+
+
+def _dense_product(seq: PulseSequence, layout) -> np.ndarray:
+    dense = np.eye(layout.total_dim, dtype=complex)
+    for p in seq.pulses:
+        dense = expm_unitary(build(p.expr, layout), p.sign * p.duration) @ dense
+    return dense
+
+
+@pytest.mark.parametrize(("text", "rotations"), [
+    ("0.2*sz@0*sz@1 + 0.2*sz@1*sz@2", 0),  # every factor is diagonal: nothing is rotated into or back
+    # a round rotates back the three sx axes the sz@i*sz@j terms meet, then into each sx again: 6 a round
+    ("0.2*sz@0*sz@1 + 0.2*sz@1*sz@2 + 0.1*sx@0 + 0.1*sx@1 + 0.1*sx@2", 48),
+], ids=["szsz", "szsz-sx"])
+def test_a_trotter_round_rotates_no_diagonal_factor(monkeypatch, text, rotations):
+    layout, seq = new_register([qubit()] * 3), trotter(parse_expr(text), 1.0, 8)
+    calls = []
+    on_axes = evolution._on_axes
+    monkeypatch.setattr(evolution, "_on_axes", lambda *a: calls.append(a[1]) or on_axes(*a))
+    u = sequence_unitary(seq, layout)
+    assert len(calls) == rotations
+    assert np.max(np.abs(u - _dense_product(seq, layout))) <= 1e-12
+
+
+def test_a_diagonal_factor_meeting_an_owed_group_matches_the_dense_product():
+    # sx@0*sx@1 + sz@0 leaves axes (0, 1) owed; the diagonal sz@0 meets them, sz@1*P@2 meets them and the
+    # pointer, and (X^2 + P^2)/2 is a diagonal group on the mode
+    layout = new_register([qubit(), qubit(), qumode(8)])
+    pulses = [("0.7*sx@0*sx@1 + 0.4*sz@0", 0.3, 1), ("0.9*sz@0", 0.5, 1), ("sz@1*P@2", 0.2, -1),
+              ("0.5*X@2^2 + 0.5*P@2^2", 0.7, 1), ("0.7*sx@0*sx@1 + 0.4*sz@0", 0.4, -1), ("sx@1*X@2", 0.6, 1),
+              ("0.3*sz@0*sz@1", 0.8, 1), ("0.5*X@2^2 + 0.5*P@2^2", 0.1, -1)]
+    seq = PulseSequence(tuple(Pulse(parse_expr(text), duration, sign) for text, duration, sign in pulses))
+    assert np.max(np.abs(sequence_unitary(seq, layout) - _dense_product(seq, layout))) <= 1e-12
 
 
 def _traced_peak(seq: PulseSequence, layout, table, amps: np.ndarray) -> int:
@@ -337,6 +376,8 @@ def test_sequence_text_round_trip_is_bit_exact():
     assert [p.duration for p in again.pulses] == [p.duration for p in seq.pulses]
     with pytest.raises(EvolutionError):
         PulseSequence.from_text("1.0*sz@0 +1\n")
+    with pytest.raises(EvolutionError, match="line 2: duration"):
+        PulseSequence.from_text("# note\n1.0*sz@0 +1 abc\n")
 
 
 def test_pulse_validation():
@@ -403,13 +444,28 @@ def test_cv_qft_builds_only_the_one_mode(monkeypatch):
     state = StateVector(layout, amps / np.linalg.norm(amps))
     shapes = []
 
+    realize = evolution.realize
+
     def recording(*args):
-        shapes.append((out := build(*args)).shape)
+        shapes.append((out := realize(*args)).shape)
         return out
 
-    monkeypatch.setattr(evolution, "build", recording)
+    monkeypatch.setattr(evolution, "realize", recording)
     cv_qft(state, 1)
     assert shapes and max(max(s) for s in shapes) <= 10
+
+
+def test_cv_qft_is_bit_identical_to_its_inline_phases():
+    # the oracle is the former inline formula: (X^2 + P^2)/2 built on the one mode, its diagonal's phases
+    layout = new_register([qubit(), qumode(10), qumode(6)])
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+    state = StateVector(layout, amps / np.linalg.norm(amps))
+    for mode_idx in (1, 2):
+        mode = RegisterLayout((layout.subsystems[mode_idx],))
+        energies = build(term(0.5, (0, "X", 2)) + term(0.5, (0, "P", 2)), mode).diagonal().real
+        phases = np.exp(-1j * energies * (np.pi / 2)).reshape((-1,) + (1,) * (len(layout) - mode_idx - 1))
+        assert np.array_equal(cv_qft(state, mode_idx).amplitudes, (phases * state.tensor()).reshape(-1))
 
 
 def test_cv_qft_fock_phases():

@@ -292,10 +292,10 @@ def test_robustness_diagonalizes_the_coupling_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h) or eigh(h))
     rep = robustness_midmeasure(parse_expr("sz@0"), psi, spec, 200, seed=4)
     assert len(rep.samples) == 200
-    # sz once (the coupling's system factor, which the branch eigenspaces reuse), X once for both the pointer
-    # basis and the coupling's P factor, nothing at 2 * 64
-    assert [h.shape[-1] for h in calls] == [2, 64]
-    assert np.array_equal(calls[1], fock_position(64))
+    # X once for both the pointer basis and the coupling's P factor, nothing at 2 * 64; sz is diagonal, so its
+    # energies need no eigh
+    assert [h.shape[-1] for h in calls] == [64]
+    assert np.array_equal(calls[0], fock_position(64))
 
 
 @pytest.mark.parametrize("cutoff", [12, 64, 128])
@@ -336,9 +336,27 @@ def test_branch_fidelities_equal_the_projector_formula_on_a_degenerate_spectrum(
         assert abs(branch.fidelity_after - np.vdot(v2, projector @ v2).real) <= 1e-12
 
 
-@pytest.mark.parametrize("method, sizes", [("exact", [64, 4]), ("trotter", [2, 64, 2, 4])])
+def test_branch_fidelities_of_a_diagonal_system_equal_the_projector_formula(monkeypatch):
+    # three keys, so H is a remaining group, and a diagonal one: no eigenvectors to read its branches in
+    h, layout = parse_expr("0.8*sz@0 + 0.5*sz@1 + 0.3*sz@0*sz@1"), new_register([qubit(), qubit(), qumode(128)])
+    factored = evolution.Generators(layout).factor(weyl_symbol(h, layout))
+    assert factored.groups == () and factored.energies.shape == (2, 2, 1)
+    energies = build(h, two_qubit_uniform().layout).diagonal().real  # 1.6, 0, -0.6, -1
+    vectors = []
+    system_vector = spectral._system_vector
+    monkeypatch.setattr(spectral, "_system_vector", lambda *a: vectors.append(v := system_vector(*a)) or v)
+    rep = robustness_midmeasure(h, two_qubit_uniform(), PointerSpec(beta=4.0, cutoff=128, t_couple=5.0), 1000, 2)
+    assert len(vectors) == 2 * len(rep.branches) > 0
+    for branch, v1, v2 in zip(rep.branches, vectors[::2], vectors[1::2]):
+        nearest = energies[np.argmin(np.abs(energies - branch.eigenvalue))]
+        projector = np.diag((np.abs(energies - nearest) <= 1e-9).astype(float))
+        assert abs(branch.fidelity_before - np.vdot(v1, projector @ v1).real) <= 1e-12
+        assert abs(branch.fidelity_after - np.vdot(v2, projector @ v2).real) <= 1e-12
+
+
+@pytest.mark.parametrize("method, sizes", [("exact", [64, 4]), ("trotter", [64, 2, 4])])
 def test_robustness_reads_the_system_eigenbasis_from_the_run_table(monkeypatch, method, sizes):
-    # exact: the coupling's remaining group is H's, so H is diagonalized once; Trotter: the terms' factors, then H
+    # exact: the coupling's remaining group is H's, so H is diagonalized once; Trotter: the sx factor, then H
     dims = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda m: dims.append(m.shape[-1]) or eigh(m))

@@ -1039,7 +1039,7 @@ def test_standard_registry_derives_each_direction_once(monkeypatch):
 def test_standard_registry_rules_are_exact_and_build_no_matrix(monkeypatch):
     built = []
     dense_build = operators.build
-    for module in (operators, evolution, cli):
+    for module in (operators, cli):  # evolution imports no build
         monkeypatch.setattr(module, "build", lambda *a, **k: built.append("build") or dense_build(*a, **k))
     scales = []
     for cutoff in (8, 16, 32):

@@ -1,6 +1,7 @@
 """Time the register-scale CLI runs, each in its own process: pointer spectroscopy and synth.
 
     python3 tools/scale.py [CHECKOUT]
+    python3 tools/scale.py CHECKOUT INDEX
 
 Imports ``hybridsim`` from ``CHECKOUT/src`` (default: this checkout) and runs the eight
 cases of ``CASES`` through ``cli.main`` at seed 5, each in its own child process (this
@@ -25,6 +26,11 @@ its probe-state fidelity.  The address space of each case is capped at ``LIMIT_G
 a checkout that would allocate more exits with the CLI's out-of-memory code 3 instead of
 growing.  BLAS runs on one thread unless the environment already sets
 ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS``.
+
+With ``INDEX``, only case ``CASES[INDEX]`` runs, in this process, and BLAS keeps the
+thread count the environment gives it: set ``OPENBLAS_NUM_THREADS=1`` for the timings
+above.  Alternating such runs of two checkouts, one case at a time, compares one case's
+wall time with less drift than two full sweeps.
 """
 
 from __future__ import annotations
