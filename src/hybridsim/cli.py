@@ -2,8 +2,10 @@
 
 Usage::
 
-    hybridsim synth|closure|qft-demo|spectrum|robustness|trotter-scaling
-        --config FILE [--seed N] [--out DIR]
+    hybridsim EXPERIMENT --config FILE [--seed N] [--out DIR]
+
+EXPERIMENT is a name in `EXPERIMENTS`, the one table of experiments, each
+with its runner and the config keys that runner reads.
 
 Every run writes three files into the output directory:
 
@@ -48,7 +50,6 @@ from .evolution import (
 from .hilbert import HilbertError, RegisterLayout, StateVector, basis_state, new_register, qubit, qumode
 from .operators import (
     ExprSyntaxError,
-    HamiltonianExpr,
     OperatorError,
     build,
     parse_expr,
@@ -72,8 +73,6 @@ from .synthesis import (
     synthesize,
 )
 
-EXPERIMENTS = ("synth", "closure", "qft-demo", "spectrum", "robustness", "trotter-scaling")
-
 EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_INVALID = 0, 2, 3, 4
 
 # The largest integer a config may give.  At 2**52 every n_blocks or steps config tried already exits 3 (its
@@ -86,16 +85,6 @@ class ConfigError(ValueError):
 
 
 _COMMON_KEYS = {"experiment", "seed", "out"}
-_SPECTRUM_KEYS = {"layout", "hamiltonian", "initial_state", "beta", "t_couple", "pointer_cutoff",
-                  "n_shots", "method", "trotter_steps"}  # read by _spectrum_inputs
-_ALLOWED_KEYS = {
-    "spectrum": _SPECTRUM_KEYS,
-    "robustness": _SPECTRUM_KEYS,
-    "synth": {"layout", "target", "angle", "n_blocks"},
-    "closure": {"layout", "seeds", "max_new", "degree_cap", "probes", "include_reset_effectives"},
-    "qft-demo": {"cutoff", "displace_x", "displace_p"},
-    "trotter-scaling": {"layout", "hamiltonian", "t", "steps"},
-}
 
 
 @dataclass(frozen=True)
@@ -122,7 +111,7 @@ def load_config(path: str, experiment: str, seed_override: int | None, out_overr
     declared = raw.get("experiment", experiment)
     if declared != experiment:
         raise ConfigError(f"experiment: config says {declared!r} but the subcommand is {experiment!r}")
-    unknown = set(raw) - _ALLOWED_KEYS[experiment] - _COMMON_KEYS
+    unknown = set(raw) - EXPERIMENTS[experiment][1] - _COMMON_KEYS
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown key for experiment {experiment!r}")
 
@@ -145,9 +134,7 @@ def _need(cfg: ExperimentConfig, key: str):
 
 
 def _number(cfg: ExperimentConfig, key: str, default=None, minimum=None):
-    val = cfg.raw.get(key, default)
-    if val is None:
-        raise ConfigError(f"{key}: required for experiment {cfg.experiment!r}")
+    val = _need(cfg, key) if default is None else cfg.raw.get(key, default)  # a null is a wrong type, not absent
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{key}: must be a number, got {val!r}")
     if isinstance(val, int) and abs(val) > sys.float_info.max:
@@ -205,14 +192,19 @@ def _layout(cfg: ExperimentConfig) -> RegisterLayout:
     return new_register(specs)
 
 
-def _hamiltonian(cfg: ExperimentConfig, key: str = "hamiltonian") -> HamiltonianExpr:
-    text = _need(cfg, key)
-    if not isinstance(text, str):
-        raise ConfigError(f"{key}: must be a Hamiltonian expression string")
+def _expressions(cfg: ExperimentConfig, key: str, many: bool = False):
+    """The one reader of a config's Hamiltonian expressions: ``key``'s string parsed, or with ``many``
+    each string of its list.  A JSON null is refused like any other wrong type."""
+    val = _need(cfg, key)
+    texts = val if many and isinstance(val, list) else [val]
+    if (many and not isinstance(val, list)) or not all(isinstance(s, str) for s in texts):
+        what = "a list of Hamiltonian expression strings" if many else "a Hamiltonian expression string"
+        raise ConfigError(f"{key}: must be {what}")
     try:
-        return parse_expr(text)
+        exprs = [parse_expr(s) for s in texts]
     except ExprSyntaxError as exc:
         raise ConfigError(f"{key}: {exc}") from None
+    return exprs if many else exprs[0]
 
 
 def _initial_state(cfg: ExperimentConfig, layout: RegisterLayout) -> StateVector:
@@ -285,17 +277,18 @@ def _histogram_lines(nodes: np.ndarray, shot_nodes: np.ndarray, n_bins: int = 60
 
 
 def _fit_slope(xs, ys) -> float:
-    return float(np.polyfit(np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float)), 1)[0])
+    """The log-log slope of ys against xs; each y is floored, so an exact zero has a logarithm."""
+    return float(np.polyfit(np.log(np.asarray(xs, float)), np.log(np.maximum(ys, 1e-300)), 1)[0])
 
 
 # ---------------------------------------------------------------------------
-# experiment runners (each returns results dict, leakage, valid, csv, curve)
+# experiment runners (each returns results dict, leakage, valid by its own checks, csv, curve)
 
 
 def _spectrum_inputs(cfg: ExperimentConfig) -> tuple:
     """The leading arguments estimate_spectrum and robustness_midmeasure share, in order."""
     layout = _layout(cfg)
-    h = _hamiltonian(cfg)
+    h = _expressions(cfg, "hamiltonian")
     psi = _initial_state(cfg, layout)
     spec = PointerSpec(
         beta=_number(cfg, "beta", minimum=1e-12),
@@ -339,11 +332,11 @@ def _run_robustness(cfg: ExperimentConfig):
 
 def _run_synth(cfg: ExperimentConfig):
     layout = _layout(cfg)
-    registry = standard_registry(layout)
-    target = _hamiltonian(cfg, "target")
+    target = _expressions(cfg, "target")
     angle = _number(cfg, "angle")
     blocks = _int_list(cfg, "n_blocks", minimum=1)
 
+    registry = standard_registry(layout)
     plans = [synthesize(target, angle, n, registry) for n in blocks]
     plan = plans[-1]  # a run's plans share their target, angle and pulse generators
     errors, final, exact = power_distances([(p.block, p.n_blocks) for p in plans], plan.target_sequence, layout,
@@ -365,58 +358,37 @@ def _run_synth(cfg: ExperimentConfig):
         if edge_only else [],
     }
     if len(rows) >= 2:
-        results["error_slope"] = _fit_slope([r[0] for r in rows], [max(r[2], 1e-300) for r in rows])
+        results["error_slope"] = _fit_slope(blocks, errors)
     csv = ["n_blocks,block_step,measured_error,predicted_error"]
     csv += [f"{n},{s!r},{e!r},{p!r}" for n, s, e, p in rows]
     curve = ["# n_blocks measured_error"] + [f"{n} {e!r}" for n, _, e, _ in rows]
-    return results, leak, leak <= LEAKAGE_INVALID, csv, curve
-
-
-def _expr_texts(cfg: ExperimentConfig, key: str, default=None):
-    val = cfg.raw.get(key, default)
-    if val is not None and (not isinstance(val, list) or not all(isinstance(s, str) for s in val)):
-        raise ConfigError(f"{key}: must be a list of Hamiltonian expression strings")
-    return val
+    return results, leak, True, csv, curve
 
 
 def _run_closure(cfg: ExperimentConfig):
     layout = _layout(cfg)
-    seeds = _expr_texts(cfg, "seeds")
+    seeds = _expressions(cfg, "seeds", many=True) if "seeds" in cfg.raw else None  # absent: the primitive set
     if seeds == []:
         raise ConfigError("seeds: must name at least one generator")
-    probe_texts = _expr_texts(cfg, "probes", default=[])
+    probes = _expressions(cfg, "probes", many=True) if "probes" in cfg.raw else []
     include_reset_effectives = cfg.raw.get("include_reset_effectives", True)
     if not isinstance(include_reset_effectives, bool):
         raise ConfigError(f"include_reset_effectives: must be true or false, got {include_reset_effectives!r}")
+    max_new = _int(cfg, "max_new", default=64, minimum=1)
+    degree_cap = _int(cfg, "degree_cap", default=4, minimum=1)
     registry = SynthesisRegistry(layout)
     spins, modes = spins_and_modes(layout)
     if seeds is None:
-        seed_exprs = [g.expr for g in primitive_set(layout, spins[0], modes[0]).members]
-    else:
-        try:
-            seed_exprs = [parse_expr(s) for s in seeds]
-        except ExprSyntaxError as exc:
-            raise ConfigError(f"seeds: {exc}") from None
-    seed_ids = [registry.register(expr, drivable=True) for expr in seed_exprs]
-    report = close_algebra(
-        seed_ids,
-        max_new=_int(cfg, "max_new", default=64, minimum=1),
-        degree_cap=_int(cfg, "degree_cap", default=4, minimum=1),
-        registry=registry,
-        include_reset_effectives=include_reset_effectives,
-    )
-    probes = {}
-    for text in probe_texts:
-        try:
-            probes[text] = report.membership(parse_expr(text))
-        except ExprSyntaxError as exc:
-            raise ConfigError(f"probes: {exc}") from None
+        seeds = [g.expr for g in primitive_set(layout, spins[0], modes[0]).members]
+    seed_ids = [registry.register(expr, drivable=True) for expr in seeds]
+    report = close_algebra(seed_ids, max_new=max_new, degree_cap=degree_cap, registry=registry,
+                           include_reset_effectives=include_reset_effectives)
     results = {
         "seed_ids": list(report.seed_ids),
         "depth_reached": report.depth_reached,
         "n_directions": len(report.directions),
         "directions_per_degree": report.directions_per_degree,
-        "probes": probes,
+        "probes": {text: report.membership(expr) for text, expr in zip(cfg.raw.get("probes", []), probes)},
         "notes": list(report.notes),
     }
     csv = ["index,degree,source"]
@@ -453,12 +425,12 @@ def _run_qft_demo(cfg: ExperimentConfig):
     }
     csv = ["applications,mean_x,mean_p"] + [f"{k},{x!r},{p!r}" for k, x, p in track]
     curve = ["# applications mean_x mean_p"] + [f"{k} {x!r} {p!r}" for k, x, p in track]
-    return results, leak, leak <= LEAKAGE_INVALID, csv, curve
+    return results, leak, True, csv, curve
 
 
 def _run_trotter_scaling(cfg: ExperimentConfig):
     layout = _layout(cfg)
-    h = _hamiltonian(cfg)
+    h = _expressions(cfg, "hamiltonian")
     t = _number(cfg, "t")
     steps = _int_list(cfg, "steps", minimum=1)
     exact = PulseSequence((Pulse(h, abs(t), -1 if t < 0 else 1),))
@@ -468,19 +440,23 @@ def _run_trotter_scaling(cfg: ExperimentConfig):
     leak = state_leakage(final)
     results = {"t": t, "errors": [{"n_steps": n, "error": e} for n, e in rows]}
     if len(rows) >= 2:
-        results["error_slope"] = _fit_slope([r[0] for r in rows], [max(r[1], 1e-300) for r in rows])
+        results["error_slope"] = _fit_slope(steps, errors)
     csv = ["n_steps,error"] + [f"{n},{e!r}" for n, e in rows]
     curve = ["# n_steps error"] + [f"{n} {e!r}" for n, e in rows]
-    return results, leak, leak <= LEAKAGE_INVALID, csv, curve
+    return results, leak, True, csv, curve
 
 
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "robustness": _run_robustness,
-    "synth": _run_synth,
-    "closure": _run_closure,
-    "qft-demo": _run_qft_demo,
-    "trotter-scaling": _run_trotter_scaling,
+_SPECTRUM_KEYS = {"layout", "hamiltonian", "initial_state", "beta", "t_couple", "pointer_cutoff",
+                  "n_shots", "method", "trotter_steps"}  # read by _spectrum_inputs
+
+# The one list of experiments: name -> (runner, the config keys it reads besides _COMMON_KEYS).
+EXPERIMENTS = {
+    "synth": (_run_synth, {"layout", "target", "angle", "n_blocks"}),
+    "closure": (_run_closure, {"layout", "seeds", "max_new", "degree_cap", "probes", "include_reset_effectives"}),
+    "qft-demo": (_run_qft_demo, {"cutoff", "displace_x", "displace_p"}),
+    "spectrum": (_run_spectrum, _SPECTRUM_KEYS),
+    "robustness": (_run_robustness, _SPECTRUM_KEYS),
+    "trotter-scaling": (_run_trotter_scaling, {"layout", "hamiltonian", "t", "steps"}),
 }
 
 
@@ -488,7 +464,7 @@ def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment and write summary.json / samples.csv / curve.dat."""
     started = time.perf_counter()
     try:
-        results, leak, valid, csv_lines, curve_lines = _RUNNERS[cfg.experiment](cfg)
+        results, leak, valid, csv_lines, curve_lines = EXPERIMENTS[cfg.experiment][0](cfg)
     except (ConfigError, EvolutionError, HilbertError, OperatorError, SpectralError, SynthesisError) as exc:
         print(f"hybridsim: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -498,6 +474,7 @@ def run(cfg: ExperimentConfig) -> int:
         print(f"hybridsim: validation error: {cfg.experiment}: cannot allocate its arrays", file=sys.stderr)
         return EXIT_VALIDATION
     results = json.loads(json.dumps(results))  # plain types only
+    valid = valid and leak <= LEAKAGE_INVALID  # the one leakage rule: a leaky run is written, then exits 4
     if not valid:
         results["valid"] = False
     try:

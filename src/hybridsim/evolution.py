@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import RegisterLayout, StateVector, interior_mask
+from .hilbert import RegisterLayout, StateVector, hermiticity_residual, interior_mask
 from .operators import (HamiltonianExpr, OperatorError, Symbol, generator_id, local_factor, parse_expr, realize,
                         weyl_symbol)
 
@@ -147,8 +147,8 @@ def _check_hermitian(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise EvolutionError(f"generator must be square, got shape {h.shape}")
-    if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
-        raise EvolutionError("generator is not Hermitian within 1e-10")
+    if not hermiticity_residual(h) <= HERMITICITY_TOL:  # the gate before every eigh: it refuses NaN and inf
+        raise EvolutionError(f"generator is not finite and Hermitian within {HERMITICITY_TOL:g}")
     return h
 
 
@@ -224,6 +224,7 @@ class Generators:
             self._decompositions[gid] = self.factor(weyl_symbol(pulse.expr, self.layout))
         return self._decompositions[gid]
 
+    @np.errstate(over="ignore", invalid="ignore")  # energies past float range are inf or NaN: the budget refuses them
     def factor(self, symbol: Symbol) -> _Factored:
         """The factored eigendecomposition of a Hermitian symbol, assembled on each call from the table's
         kept eigendecompositions of its local factors and of its remaining group."""
@@ -280,7 +281,7 @@ def _propagate(seq: PulseSequence, layout: RegisterLayout, generators: Generator
     phases: dict[tuple[str, float], np.ndarray] = {}
     for pulse in (p for p in seq.pulses if p.duration != 0.0):
         factored = generators.decomposition(pulse)
-        if (phase := factored.max_energy * pulse.duration) > PHASE_BUDGET:
+        if not (phase := factored.max_energy * pulse.duration) <= PHASE_BUDGET:
             raise EvolutionError(f"pulse {pulse.generator_id}: phase {phase:.3g} exceeds the phase budget 2**52 rad")
         groups, shape = dict(factored.groups), factored.energies.shape
         for axes in [a for a in owed if owed[a] is not groups.get(a) and any(shape[i] > 1 for i in a)]:

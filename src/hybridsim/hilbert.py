@@ -98,12 +98,18 @@ def new_register(specs: list[SubsystemSpec] | tuple[SubsystemSpec, ...]) -> Regi
     return RegisterLayout(tuple(specs))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an entry that is not finite reads as a residual, not a warning
+def hermiticity_residual(mat: np.ndarray) -> float:
+    """max|M - M^dagger|, NaN or inf when an entry is not finite: each check reads ``not residual <= tol``."""
+    return float(np.max(np.abs(mat - mat.conj().T)))
+
+
 def _as_unit_vector(amplitudes, dim: int) -> np.ndarray:
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.shape != (dim,):
         raise HilbertError(f"amplitude vector has shape {amps.shape}, expected ({dim},)")
     norm = np.linalg.norm(amps)
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:  # a NaN norm fails too
         raise HilbertError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}, more than {NORM_TOL:g}")
     amps = amps.copy()
     amps.flags.writeable = False
@@ -173,11 +179,11 @@ class DensityMatrix:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise HilbertError(f"density matrix must be square, got shape {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
+        if not hermiticity_residual(mat) <= 1e-12:
             raise HilbertError("density matrix is not Hermitian within 1e-12")
-        if abs(np.trace(mat).real - 1.0) > 1e-10:
+        if not abs(np.trace(mat).real - 1.0) <= 1e-10:
             raise HilbertError(f"density matrix trace {np.trace(mat).real} deviates from 1")
-        if np.linalg.eigvalsh(mat).min() < -1e-10:
+        if not np.linalg.eigvalsh(mat).min() >= -1e-10:
             raise HilbertError("density matrix has an eigenvalue below -1e-10")
         mat = mat.copy()
         mat.flags.writeable = False

@@ -358,6 +358,7 @@ def sliced_factor(table: dict, f: str | tuple[int, int] | None, dim: int, n: int
     return table[f, dim, n]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed entry is inf or NaN, which each caller's check refuses
 def realize(symbol: Symbol, layout: RegisterLayout, levels: tuple[int, ...] | None = None,
             factors: dict | None = None) -> np.ndarray:
     """The dense matrix of a symbol on the layout's truncated space: each term is the Kronecker

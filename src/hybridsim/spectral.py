@@ -403,7 +403,10 @@ def robustness_midmeasure(
     draws stream 0, the mid-run stream 1: every shot's bin in one draw, then
     each occupied bin's final nodes in one draw, bins ascending.  Each
     occupied bin's collapsed state is one column of a (D, k) block, and the
-    second half propagates the block once.
+    second half propagates the block once.  With method="trotter" each half
+    runs ``trotter_steps`` rounds of t/(2 trotter_steps), the baseline
+    ``trotter_steps`` rounds of t/trotter_steps: a branch's shift from the
+    baseline includes that difference in Trotter error.
     """
     pointer = prepare_gaussian_pointer(spec.beta, spec.cutoff)
     generators = Generators(RegisterLayout(psi.layout.subsystems + pointer.layout.subsystems))

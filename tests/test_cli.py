@@ -1,12 +1,17 @@
+import contextlib
 import csv
 import importlib.util
+import io
 import json
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hybridsim import cli, operators, synthesis
 from hybridsim.cli import main
@@ -120,6 +125,8 @@ def _without(config, key):
 
 
 TROTTER_CONFIG = {"experiment": "trotter-scaling", "layout": ["qubit"], "hamiltonian": "sz@0", "t": 1.0, "steps": [1]}
+CLOSURE_CONFIG = {"experiment": "closure", "layout": ["qubit", {"kind": "qumode", "cutoff": 4}], "max_new": 3,
+                  "degree_cap": 2}
 
 
 @pytest.mark.parametrize(("config", "field"), [
@@ -140,6 +147,9 @@ TROTTER_CONFIG = {"experiment": "trotter-scaling", "layout": ["qubit"], "hamilto
     (dict(SPECTRUM_CONFIG, initial_state={"type": "basis", "occupations": [0]}), "initial_state.occupations"),
     (dict(SPECTRUM_CONFIG, initial_state={"type": "basis", "occupations": [2, 0]}), "initial_state.occupations"),
     (dict(SPECTRUM_CONFIG, initial_state={"type": "coherent"}), "initial_state.type"),
+    (dict(CLOSURE_CONFIG, probes=None), "probes"),  # a null is a wrong type, not "absent"
+    (dict(CLOSURE_CONFIG, seeds=None), "seeds"),
+    (dict(SPECTRUM_CONFIG, trotter_steps=None), "trotter_steps: must be a number"),  # not "required": it has a default
 ])
 def test_each_config_check_exits_with_a_line_naming_its_field(tmp_path, capsys, config, field):
     path = tmp_path / "cfg.json"
@@ -814,3 +824,68 @@ def test_a_size_past_the_address_space_exits_3(tmp_path, capsys, n, experiment, 
     why = (f"{experiment}: cannot allocate its arrays" if n == cli.MAX_REPEATS
            else f"{key}: must be at most 2**52 (cli.MAX_REPEATS), got {n}")
     assert capsys.readouterr().err == f"hybridsim: validation error: {why}\n"
+
+
+# Per config key: a value of the wrong type, then small valid values (cutoffs <= 8, pointer_cutoff <= 16,
+# n_shots <= 50, step counts <= 8, max_new <= 10, degree_cap <= 3).  A key of a new experiment needs a row here.
+FUZZ_VALUES = {
+    "layout": ("qubit", ["qubit", {"kind": "qumode", "cutoff": 4}], ["qubit"], [{"kind": "qumode", "cutoff": 8}],
+               ["qubit", "qubit", {"kind": "qumode", "cutoff": 3}]),
+    "hamiltonian": (5, "sz@0", "sz@0*X@1 + sx@0*P@1", "0.5*X@0^2 + 0.5*P@0^2", "1e306*X@1^6 + 1e306*P@1^6"),
+    "target": (["sy@0"], "sy@0", "sz@0*X@1", "sz@0*sz@1"),
+    "angle": ("0.3", 0.3, -0.5, 0.0),
+    "n_blocks": ("4", [2, 4], 2, [0]),
+    "seeds": ("sx@0", ["sx@0*X@1", "sz@0*P@1"], ["sx@0**X@1"], []),
+    "probes": ("sy@0", ["sy@0", "id@0"], [], ["sy@"]),
+    "max_new": (1.5, 10, 3),
+    "degree_cap": ([2], 3, 1),
+    "include_reset_effectives": (0, True, False),
+    "cutoff": ("8", 8, 2),
+    "displace_x": ("1", 0.5, 0.0),
+    "displace_p": ([0], -0.4, 0.0),
+    "initial_state": ("uniform", {"type": "uniform"}, {"type": "basis", "occupations": [0, 1]}),
+    "beta": ("4", 1.0, 2.0),
+    "t_couple": ([1], 0.5, 2.0),
+    "pointer_cutoff": (16.5, 16, 8),
+    "n_shots": ("5", 50, 1),
+    "method": (1, "exact", "trotter"),
+    "trotter_steps": (2.5, 8, 1),
+    "t": ("1", 0.5, -0.3),
+    "steps": ("2", [1, 2, 8], 1),
+}
+
+
+def _faulted(name, config, faults):
+    for key, fault in faults.items():
+        if fault == "absent":
+            del config[key]
+        else:
+            config[key] = None if fault == "null" else FUZZ_VALUES[key][0]
+    return {"experiment": name, **config}
+
+
+def _configs(name):
+    """A config of one experiment: each key a small valid value, then up to two keys made absent, null or of the
+    wrong type (with more, a config would seldom reach the computation)."""
+    keys = sorted(cli.EXPERIMENTS[name][1])
+    valid = st.fixed_dictionaries({key: st.sampled_from(FUZZ_VALUES[key][1:]) for key in keys})
+    faults = st.dictionaries(st.sampled_from(keys), st.sampled_from(("absent", "null", "wrong")), max_size=2)
+    return st.builds(_faulted, st.just(name), valid, faults)
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@example(config=dict(CLOSURE_CONFIG, probes=None))  # refused as a wrong type before the closure runs
+@example(config={"experiment": "spectrum", "layout": ["qubit", {"kind": "qumode", "cutoff": 16}],
+                 "hamiltonian": "1e306*X@1^6 + 1e306*P@1^6", "beta": 1, "t_couple": 1e-12, "pointer_cutoff": 8,
+                 "n_shots": 5})  # its overflowed matrix is refused before eigh, with no warning
+@given(config=st.sampled_from(list(cli.EXPERIMENTS)).flatmap(_configs))
+def test_every_config_exits_with_a_documented_code(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out, err = Path(tmp) / "cfg.json", Path(tmp) / "out", io.StringIO()
+        path.write_text(json.dumps(config))
+        with contextlib.redirect_stderr(err):
+            code = main([config["experiment"], "--config", str(path), "--out", str(out)])
+        assert code in (0, 2, 3, 4)
+        if code == 3:
+            assert err.getvalue().startswith("hybridsim: validation error: ") and err.getvalue().count("\n") == 1
+            assert not out.exists()

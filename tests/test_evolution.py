@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -553,3 +554,30 @@ def test_a_pulse_past_the_phase_budget_is_refused():
     for pulse in (Pulse("sz@0", 2.0 * PHASE_BUDGET), Pulse("2.5*sz@0*X@1", PHASE_BUDGET, -1)):
         with pytest.raises(EvolutionError, match=r"exceeds the phase budget 2\*\*52 rad"):
             sequence_unitary(PulseSequence((pulse,)), layout, table)
+
+
+def _overflowing_pulse(text):
+    """A one-pulse sequence on one 16-level mode whose generator overflows float range."""
+    return lambda: run_sequence(PulseSequence((Pulse(text, 1e-12),)), basis_state(new_register([qumode(16)]), [0]))
+
+
+@pytest.mark.parametrize(("call", "fragment"), [
+    pytest.param(lambda: PulseSequence.from_text("1.0*sz@0 +2 0.5"), "line 1: sign must be +1 or -1, got '+2'",
+                 id="text-sign"),
+    pytest.param(lambda: evolution._check_hermitian(np.zeros((2, 3))), "generator must be square, got shape (2, 3)",
+                 id="not-square"),
+    pytest.param(lambda: evolution._check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]])),
+                 "generator is not finite and Hermitian within 1e-10", id="not-hermitian"),
+    pytest.param(lambda: evolution._check_hermitian(np.array([[np.nan, 0.0], [0.0, 0.0]])),
+                 "generator is not finite and Hermitian within 1e-10", id="nan"),
+    pytest.param(lambda: evolution._check_hermitian(np.array([[np.inf, 0.0], [0.0, 0.0]])),
+                 "generator is not finite and Hermitian within 1e-10", id="inf"),
+    pytest.param(_overflowing_pulse("1e306*X@0^6 + 1e306*P@0^6"), "generator is not finite and Hermitian within 1e-10",
+                 id="group-overflow"),
+    pytest.param(_overflowing_pulse("1e306*X@0^6"), "phase inf exceeds the phase budget", id="energy-overflow"),
+    pytest.param(lambda: trotter(parse_expr("sz@0"), 1.0, 0), "n_steps must be >= 1, got 0", id="trotter-steps"),
+])
+def test_each_evolution_check_raises_naming_its_fault(call, fragment):
+    # under the project's error::RuntimeWarning an overflow warning would fail the overflow cases
+    with pytest.raises(EvolutionError, match=re.escape(fragment)):
+        call()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from hybridsim.hilbert import (
     HilbertError,
     RegisterLayout,
     StateVector,
+    SubsystemSpec,
     basis_state,
     compress_to_interior,
     guard_start,
@@ -116,3 +119,31 @@ def test_guard_band_levels():
     op = np.arange(64 * 64, dtype=float).reshape(64, 64)
     sub = compress_to_interior(op, new_register([qubit(), qumode(32)]))
     assert sub.shape == (48, 48)
+
+
+_QUBIT = new_register([qubit()])
+_TWO_QUBITS = new_register([qubit(), qubit()])
+
+
+@pytest.mark.parametrize(("call", "fragment"), [
+    pytest.param(lambda: SubsystemSpec("qutrit"), "unknown subsystem kind 'qutrit'", id="unknown-kind"),
+    pytest.param(lambda: SubsystemSpec("qubit", 2), "qubit takes no cutoff", id="qubit-cutoff"),
+    pytest.param(lambda: StateVector(_QUBIT, [1.0, 0.0, 0.0]), "amplitude vector has shape (3,), expected (2,)",
+                 id="state-shape"),
+    pytest.param(lambda: StateVector(_QUBIT, [np.nan, 0.0]), "state norm deviates from 1 by nan", id="state-nan"),
+    pytest.param(lambda: StateVector(_QUBIT, [np.inf, 0.0]), "state norm deviates from 1 by inf", id="state-inf"),
+    pytest.param(lambda: DensityMatrix(np.zeros((2, 3))), "density matrix must be square", id="rho-shape"),
+    pytest.param(lambda: DensityMatrix(np.diag([1.5, -0.5])), "density matrix has an eigenvalue below -1e-10",
+                 id="rho-negative"),
+    pytest.param(lambda: DensityMatrix(np.array([[np.nan, 0.0], [0.0, 0.0]])),
+                 "density matrix is not Hermitian within 1e-12", id="rho-nan"),
+    pytest.param(lambda: DensityMatrix(np.array([[np.inf, 0.0], [0.0, 0.0]])),
+                 "density matrix is not Hermitian within 1e-12", id="rho-inf"),
+    pytest.param(lambda: reduced_density(basis_state(_TWO_QUBITS, [0, 0]), []), "keep must name at least one subsystem",
+                 id="keep-empty"),
+    pytest.param(lambda: reduced_density(basis_state(_TWO_QUBITS, [0, 0]), [0, 0]), "repeated subsystem in keep=[0, 0]",
+                 id="keep-repeated"),
+])
+def test_each_hilbert_check_raises_naming_its_fault(call, fragment):
+    with pytest.raises(HilbertError, match=re.escape(fragment)):
+        call()

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -559,3 +560,23 @@ def test_orthonormal_factors_closes_a_chain_of_supports_into_one_block():
     assert not rows[chain][:, support["d"]].any() and not np.delete(rows[3], support["d"]).any()
     assert np.abs(rows @ rows.T - np.eye(4)).max() <= 1e-14
     assert np.abs(coords.T @ rows - vecs).max() <= 1e-14
+
+
+@pytest.mark.parametrize(("call", "error", "fragment"), [
+    pytest.param(lambda: LocalOp("X", 0), OperatorError, "operator power must be >= 1, got 0", id="power-0"),
+    pytest.param(lambda: HamiltonianTerm(1.0, ()), OperatorError, "term needs at least one factor", id="no-factor"),
+    pytest.param(lambda: HamiltonianTerm(1.0, ((0, LocalOp("sx")), (0, LocalOp("sz")))), OperatorError,
+                 "at most one factor per subsystem; repeated index in [0, 0]", id="repeated-index"),
+    pytest.param(lambda: parse_expr("sx0"), ExprSyntaxError, "expected '@' after operator name, got '0'", id="no-at"),
+    pytest.param(lambda: parse_expr("X@1^1.5"), ExprSyntaxError, "expected integer power, got '1.5'", id="power"),
+    pytest.param(lambda: parse_expr("sx@0 sz@1"), ExprSyntaxError, "expected '+' or '-' between terms, got 'sz'",
+                 id="no-sign"),
+    pytest.param(lambda: parse_expr("0*sx@0"), ExprSyntaxError, "term coefficient must be finite and nonzero, got 0.0",
+                 id="term-error"),
+    pytest.param(lambda: primitive_set(new_register([qubit(), qubit()]), 0, 1), OperatorError,
+                 "subsystem 1 is not a qumode", id="primitive-mode"),
+])
+def test_each_operator_check_raises_naming_its_fault(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)) as info:
+        call()
+    assert type(info.value) is error

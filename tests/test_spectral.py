@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -538,3 +539,26 @@ def test_robustness_run_does_not_import_numpy_ma(tmp_path):
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
     assert run.stdout.split()[-2:] == ["0", "False"]
+
+
+_ONE_QUBIT = new_register([qubit()])
+
+
+@pytest.mark.parametrize(("call", "fragment"), [
+    pytest.param(lambda: PointerSpec(beta=1.0, cutoff=8, t_couple=0.0), "t_couple must be positive, got 0.0",
+                 id="t-couple"),
+    pytest.param(lambda: couple_pointer(basis_state(_ONE_QUBIT, [0]), parse_expr("sz@0"),
+                                        prepare_gaussian_pointer(1.0, 8), 1.0, method="euler"),
+                 "method must be 'exact' or 'trotter', got 'euler'", id="method"),
+    pytest.param(lambda: couple_pointer(basis_state(_ONE_QUBIT, [0]), parse_expr("sz@0"),
+                                        basis_state(_ONE_QUBIT, [0]), 1.0),
+                 "pointer must be a single qumode state", id="pointer"),
+    pytest.param(lambda: measure_position(basis_state(_ONE_QUBIT, [0]), 0, np.random.default_rng(0)),
+                 "subsystem 0 is not a qumode", id="nodes-on-qubit"),
+    pytest.param(lambda: estimate_spectrum(parse_expr("sz@0"), basis_state(_ONE_QUBIT, [0]),
+                                           PointerSpec(beta=1.0, cutoff=8, t_couple=1.0), 0, 0),
+                 "n_shots must be >= 1, got 0", id="n-shots"),
+])
+def test_each_spectral_check_raises_naming_its_fault(call, fragment):
+    with pytest.raises(SpectralError, match=re.escape(fragment)):
+        call()

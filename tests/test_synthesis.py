@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -1066,3 +1067,45 @@ def test_derive_rule_validates_its_inputs_as_build_does(spin_mode_registry):
         derive_rule(SZP, SZX, parse_expr("X@1 - X@1"), reg)
     with pytest.raises(SynthesisError, match="unknown generator id"):
         derive_rule("1.0*sy@0*P@1", SZX, parse_expr("id@0"), reg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_closure_membership_rejects_a_query_that_is_not_finite(spin_mode_registry, bad):
+    reg = spin_mode_registry
+    rep = close_algebra([g.generator_id for g in primitive_set(reg.layout, 0, 1).members], max_new=5, degree_cap=2,
+                        registry=reg)
+    query = np.zeros((reg.layout.total_dim,) * 2)
+    query[0, 0] = bad
+    with pytest.raises(SynthesisError, match="not Hermitian"):
+        rep.membership(query)
+
+
+def _spin_only_rule():
+    """A registry on [qubit, qumode4] whose rule i[sx@0, sy@0] = -2 sz@0 has inputs that are not drivable."""
+    reg = SynthesisRegistry(new_register([qubit(), qumode(4)]))
+    a_id, b_id = (reg.register(parse_expr(text), drivable=False) for text in ("sx@0", "sy@0"))
+    return reg, derive_rule(a_id, b_id, parse_expr("sz@0"), reg)
+
+
+def _spin_mode_state():
+    return basis_state(new_register([qubit(), qumode(4)]), [0, 0])
+
+
+@pytest.mark.parametrize(("call", "fragment"), [
+    pytest.param(lambda: SynthesisRegistry.add_reset_alias(*_spin_only_rule()),
+                 "direction '1.0*sz@0' is not sz times mode operators", id="reset-alias"),
+    pytest.param(lambda: group_commutator("1.0*sx@0", "1.0*sy@0", 0.0, _spin_only_rule()[0]),
+                 "block step must be > 0, got 0.0", id="block-step"),
+    pytest.param(lambda: synthesize("sz@0", 0.3, 0, _spin_only_rule()[0]), "n_blocks must be >= 1, got 0",
+                 id="n-blocks"),
+    pytest.param(lambda: synthesize("sz@0", 0.3, 4, _spin_only_rule()[0]), "is not drivable", id="not-drivable"),
+    pytest.param(lambda: reset_spin(_spin_mode_state(), 1, np.random.default_rng(0)), "subsystem 1 is not a qubit",
+                 id="reset-mode"),
+    pytest.param(lambda: oscillator_drive(_spin_mode_state(), 0, "X", 0.1, 0, np.random.default_rng(0)),
+                 "subsystem 0 is not a qumode", id="drive-qubit"),
+    pytest.param(lambda: oscillator_drive(_spin_mode_state(), 1, "X", 0.1, 0, np.random.default_rng(0), n_steps=0),
+                 "n_steps must be >= 1, got 0", id="drive-steps"),
+])
+def test_each_synthesis_check_raises_naming_its_fault(call, fragment):
+    with pytest.raises(SynthesisError, match=re.escape(fragment)):
+        call()
