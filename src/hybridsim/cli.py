@@ -67,6 +67,7 @@ from .synthesis import (
     SynthesisError,
     SynthesisRegistry,
     close_algebra,
+    closure_to_json,
     power_distances,
     spins_and_modes,
     standard_registry,
@@ -75,8 +76,8 @@ from .synthesis import (
 
 EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_INVALID = 0, 2, 3, 4
 
-# The largest integer a config may give.  At 2**52 every n_blocks or steps config tried already exits 3 (its
-# probe's norm off by more than 1e-8), and every size through MemoryError; far past it a power overflows.
+# The largest integer a config may give.  At 2**52 every n_blocks, steps or trotter_steps config tried already exits
+# 3 (norm drift past 1e-8, or the pulse count bound), and every size through MemoryError; far past it a power overflows.
 MAX_REPEATS = 2**52
 
 
@@ -339,9 +340,9 @@ def _run_synth(cfg: ExperimentConfig):
     registry = standard_registry(layout)
     plans = [synthesize(target, angle, n, registry) for n in blocks]
     plan = plans[-1]  # a run's plans share their target, angle and pulse generators
-    errors, final, exact = power_distances([(p.block, p.n_blocks) for p in plans], plan.target_sequence, layout,
+    errors, final, exact = power_distances([p.sequence for p in plans], plan.target_sequence, layout,
                                            registry.generators, plan.reset_spin_required)
-    rows = [(p.n_blocks, p.block_step, e, p.predicted_error) for p, e in zip(plans, errors)]
+    rows = [(p.sequence.repeats, p.block_step, e, p.predicted_error) for p, e in zip(plans, errors)]
     leak = state_leakage(final)
     edge_only = [n for n, _, e, p in rows if p == 0.0 < e]  # errors the exact prediction cannot see
 
@@ -383,14 +384,8 @@ def _run_closure(cfg: ExperimentConfig):
     seed_ids = [registry.register(expr, drivable=True) for expr in seeds]
     report = close_algebra(seed_ids, max_new=max_new, degree_cap=degree_cap, registry=registry,
                            include_reset_effectives=include_reset_effectives)
-    results = {
-        "seed_ids": list(report.seed_ids),
-        "depth_reached": report.depth_reached,
-        "n_directions": len(report.directions),
-        "directions_per_degree": report.directions_per_degree,
-        "probes": {text: report.membership(expr) for text, expr in zip(cfg.raw.get("probes", []), probes)},
-        "notes": list(report.notes),
-    }
+    results = json.loads(closure_to_json(report, {text: report.membership(expr)
+                                                  for text, expr in zip(cfg.raw.get("probes", []), probes)}))
     csv = ["index,degree,source"]
     csv += [f'{i},{d.degree},"{d.source}"' for i, d in enumerate(report.directions)]
     curve = ["# index degree"] + [f"{i} {d.degree}" for i, d in enumerate(report.directions)]
@@ -434,8 +429,7 @@ def _run_trotter_scaling(cfg: ExperimentConfig):
     t = _number(cfg, "t")
     steps = _int_list(cfg, "steps", minimum=1)
     exact = PulseSequence((Pulse(h, abs(t), -1 if t < 0 else 1),))
-    # one step of trotter(h, t, n) is trotter(h, t / n, 1) bit for bit (abs(t / n) == abs(t) / n)
-    errors, final, _ = power_distances([(trotter(h, t / n, 1), n) for n in steps], exact, layout, Generators(layout))
+    errors, final, _ = power_distances([trotter(h, t, n) for n in steps], exact, layout, Generators(layout))
     rows = list(zip(steps, errors))
     leak = state_leakage(final)
     results = {"t": t, "errors": [{"n_steps": n, "error": e} for n, e in rows]}

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import RegisterLayout, StateVector, hermiticity_residual, interior_mask
+from .hilbert import NORM_TOL, RegisterLayout, StateVector, hermiticity_residual, interior_mask
 from .operators import (HamiltonianExpr, OperatorError, Symbol, generator_id, local_factor, parse_expr, realize,
                         weyl_symbol)
 
@@ -101,33 +101,43 @@ class Pulse:
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """Ordered pulses, executed left to right; empty sequence is the identity."""
+    """One round of pulses, run left to right ``repeats`` (an int >= 1) times; ``len`` counts every pulse run."""
 
     pulses: tuple[Pulse, ...] = ()
     metadata: tuple[str, ...] = ()
+    repeats: int = 1
+
+    def __post_init__(self):
+        if not isinstance(self.repeats, int) or isinstance(self.repeats, bool) or self.repeats < 1:
+            raise EvolutionError(f"repeats must be an integer >= 1, got {self.repeats!r}")
+        if any(note.split()[:1] == ["repeats"] for note in self.metadata):  # the text form's repeats line
+            raise EvolutionError(f"a metadata note must not begin with 'repeats', got {self.metadata}")
 
     def __len__(self) -> int:
-        return len(self.pulses)
+        return len(self.pulses) * self.repeats
 
     def to_text(self) -> str:
-        """Line-oriented form: one ``<generator_id> <sign> <duration>`` per pulse.
+        """Line-oriented form: ``# note`` lines, ``# repeats N`` if N > 1, a ``<generator_id> <sign> <duration>``
+        line per pulse of the round.
 
         Durations print via repr, so the round trip is bit-exact.
         """
-        lines = [f"# {note}" for note in self.metadata]
+        lines = [f"# {note}" for note in self.metadata] + [f"# repeats {self.repeats}"] * (self.repeats > 1)
         lines += [f"{p.generator_id} {p.sign:+d} {p.duration!r}" for p in self.pulses]
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
     def from_text(cls, text: str) -> PulseSequence:
-        pulses = []
-        metadata = []
+        pulses, metadata, repeats = [], [], 1
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line:
                 continue
             if line.startswith("#"):
-                metadata.append(line[1:].strip())
+                if (words := line[1:].split())[:1] != ["repeats"]:
+                    metadata.append(line[1:].strip())
+                elif len(words) != 2 or not words[1].isdecimal() or (repeats := int(words[1])) < 1:
+                    raise EvolutionError(f"line {lineno}: repeats must be an integer >= 1, got {raw!r}")
                 continue
             fields = line.split()
             if len(fields) != 3:
@@ -140,7 +150,7 @@ class PulseSequence:
             except ValueError:
                 raise EvolutionError(f"line {lineno}: duration must be a number, got {dur_text!r}") from None
             pulses.append(Pulse(gid, duration, int(sign_text)))
-        return cls(tuple(pulses), tuple(metadata))
+        return cls(tuple(pulses), tuple(metadata), repeats)
 
 
 def _check_hermitian(h: np.ndarray) -> np.ndarray:
@@ -267,8 +277,12 @@ class Generators:
 
 def _propagate(seq: PulseSequence, layout: RegisterLayout, generators: Generators | None,
                amps: np.ndarray) -> np.ndarray:
-    """The one pulse loop, on a vector (D,) or a block (D, k), within PHASE_BUDGET; ``amps`` is never written.
-    ``owed`` maps axes to the eigenvectors they are still in (the module docstring's owed-basis rule)."""
+    """The one pulse loop, on a vector (D,) or a block (D, k), within PHASE_BUDGET; ``amps`` is never written.  It
+    runs the round ``seq.repeats`` times, carrying over the phases and ``owed`` (axes -> the eigenvectors they are
+    still in: the module docstring's owed-basis rule).  Past NORM_TOL * 2**52 pulses, an ulp of norm drift a pulse
+    could exceed NORM_TOL, so such a sequence is refused before its first pulse."""
+    if not (n := len(seq.pulses) * seq.repeats) * 2.0**-52 <= NORM_TOL:  # len(seq) overflows past 2**63
+        raise EvolutionError(f"sequence of {n} pulses exceeds NORM_TOL * 2**52 = {NORM_TOL * 2**52:.3g}")
     if generators is None:
         generators = Generators(layout)
     elif not isinstance(generators, Generators):
@@ -279,7 +293,7 @@ def _propagate(seq: PulseSequence, layout: RegisterLayout, generators: Generator
     tensor = dims + amps.shape[1:]
     owed: dict[tuple[int, ...], np.ndarray] = {}
     phases: dict[tuple[str, float], np.ndarray] = {}
-    for pulse in (p for p in seq.pulses if p.duration != 0.0):
+    for pulse in (p for _ in range(seq.repeats) for p in seq.pulses if p.duration != 0.0):
         factored = generators.decomposition(pulse)
         if not (phase := factored.max_energy * pulse.duration) <= PHASE_BUDGET:
             raise EvolutionError(f"pulse {pulse.generator_id}: phase {phase:.3g} exceeds the phase budget 2**52 rad")
@@ -314,19 +328,17 @@ def sequence_unitary(seq: PulseSequence, layout: RegisterLayout, generators: Gen
 
 
 def trotter(expr: HamiltonianExpr, t: float, n_steps: int) -> PulseSequence:
-    """First-order Lie-Trotter sequence for exp(-i build(expr) t).
+    """First-order Lie-Trotter sequence for exp(-i build(expr) t): one round, run ``n_steps`` times (``repeats``).
 
-    Each of the ``n_steps`` rounds applies every term for t/n_steps; the
-    approximation error is O(t^2 / n_steps) and vanishes for commuting terms.
+    The round applies every term for t/n_steps, so the sequence holds one pulse per term whatever
+    ``n_steps`` is; the approximation error is O(t^2 / n_steps) and vanishes for commuting terms.
     """
     if n_steps < 1:
         raise EvolutionError(f"n_steps must be >= 1, got {n_steps}")
     dt = abs(t) / n_steps
     sign = 1 if t >= 0 else -1
-    step = tuple(
-        Pulse(HamiltonianExpr((trm,)), dt, sign) for trm in expr.terms
-    )
-    return PulseSequence(step * n_steps, (f"trotter n_steps={n_steps} t={t!r}",))
+    step = tuple(Pulse(HamiltonianExpr((trm,)), dt, sign) for trm in expr.terms)
+    return PulseSequence(step, (f"trotter n_steps={n_steps} t={t!r}",), n_steps)
 
 
 def cv_qft(state: StateVector, mode_idx: int) -> StateVector:

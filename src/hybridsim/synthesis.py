@@ -29,10 +29,10 @@ conserve: a field over the Gauss-Hermite nodes, the truncated X's eigenvalues
 (Golub & Welsch, Math. Comp. 23, 221 (1969)), of each mode touched through one
 quadrature, cut into the parity sectors (`operators.parity_sectors`) of the
 rest of the touched register, so its cost follows the touched subsystems.  A
-plan is one block and a repeat count: each block of the block's unitary is
-raised to the n-th power by repeated squaring, at a cost of log n times the
-sum of the blocks' cubed sizes.  The error is the largest block pair's
-distance; a run passes every plan's block in one call.
+plan, like a Trotter run, is one round and its ``repeats`` (`PulseSequence`):
+each block of the round's unitary is raised to the n-th power by repeated
+squaring, at a cost of log n times the sum of the blocks' cubed sizes.  The
+error is the largest block pair's distance; a run passes every plan in one call.
 
 The spin-reset rule: with a spin held in |0>, a one-term generator sz(x)M
 with M on modes only acts on the modes as M alone.  ``_reset_effective``
@@ -126,22 +126,16 @@ class DerivationNode:
 
 @dataclass(frozen=True)
 class SynthPlan:
-    """One four-pulse block repeated ``n_blocks`` times (empty when the angle is 0)."""
+    """A compiled target: ``sequence`` is one four-pulse block (empty at angle 0), its ``repeats`` the n_blocks."""
 
     target: HamiltonianExpr
     target_id: str
     angle: float
-    block: PulseSequence
-    n_blocks: int
+    sequence: PulseSequence
     block_step: float
     predicted_error: float
     derivation: DerivationNode
     reset_spin_required: int | None = None
-
-    @property
-    def sequence(self) -> PulseSequence:
-        """The compiled pulses: the block repeated n_blocks times, with the block's metadata."""
-        return PulseSequence(self.block.pulses * self.n_blocks, self.block.metadata)
 
     @property
     def target_sequence(self) -> PulseSequence:
@@ -335,8 +329,7 @@ def synthesize(
         target=target_expr,
         target_id=tid,
         angle=angle,
-        block=PulseSequence(_block_pulses(a_id, b_id, s) if s > 0.0 else (), meta),
-        n_blocks=n_blocks,
+        sequence=PulseSequence(_block_pulses(a_id, b_id, s) if s > 0.0 else (), meta, n_blocks),
         block_step=s,
         predicted_error=predicted,
         derivation=registry.derivation_tree(rule.direction_id),
@@ -344,20 +337,20 @@ def synthesize(
     )
 
 
-def power_distances(steps: list[tuple[PulseSequence, int]], target: PulseSequence, layout: RegisterLayout,
+def power_distances(sequences: list[PulseSequence], target: PulseSequence, layout: RegisterLayout,
                     table: Generators, held_spin: int | None = None) -> tuple[list[float], StateVector, StateVector]:
-    """Each ``(step, n)`` pair's spectral-norm distance of step**n from ``target``, and the images of |0...0>
-    under the last power and under the target.  The generators' keys, read once per id, fix the blocks: a mode whose
-    keys are all x^a or all p^b is a node axis, read by W_m^† (`Generators.quadrature`); the qubits and every mode
-    with both quadratures form the inner register, cut into the parity sectors of the keys' factors on it.  One
-    propagated block, with columns |k> on the inner register, Σ_x W_m[:, x] on each node axis and |0> elsewhere,
-    gives a (Π c_m, d_inner, d_inner) stack of U(x).  A U(x) not unitary within SECTOR_TOL, which is how a node
-    axis shows it is not conserved, raises OperatorError where a node axis is read or the inner register is qubits
-    alone.  Only the step's sector stacks are powered.  A distance is the largest block pair's, read with
-    ``held_spin`` on the indices where that spin is |0>.  A probe image is column 0 of the first sector, which
-    holds inner index 0: Σ_x U(x)[:, 0] ⊗_m conj(W_m[0, x_m]) W_m[:, x_m]."""
+    """Each sequence's spectral-norm distance from ``target`` (propagated whole), read from one round raised to its
+    ``repeats``, and the images of |0...0> under the last power and under the target.  The generators' keys, read
+    once per id, fix the blocks: a mode whose keys are all x^a or all p^b is a node axis, read by W_m^†
+    (`Generators.quadrature`); the qubits and every mode with both quadratures form the inner register, cut into the
+    parity sectors of the keys' factors on it.  One propagated block, with columns |k> on the inner register,
+    Σ_x W_m[:, x] on each node axis and |0> elsewhere, gives a (Π c_m, d_inner, d_inner) stack of U(x).  A U(x) not
+    unitary within SECTOR_TOL, which is how a node axis shows it is not conserved, raises OperatorError where a node
+    axis is read or the inner register is qubits alone.  Only a round's sector stacks are powered.  A distance is the
+    largest block pair's, read with ``held_spin`` on the indices where that spin is |0>.  A probe image is column 0
+    of the first sector, which holds inner index 0: Σ_x U(x)[:, 0] ⊗_m conj(W_m[0, x_m]) W_m[:, x_m]."""
     dims = layout.dims
-    pulses = {p.generator_id: p for seq in (target, *(step for step, _ in steps)) for p in seq.pulses}
+    pulses = {p.generator_id: p for seq in (target, *sequences) for p in seq.pulses}  # one round holds every id
     keys = [key for p in pulses.values() for key in weyl_symbol(p.expr, layout)]
     # (subsystem, None for a Pauli, else (1, 0) for x^a or (0, 1) for p^b: a generator's monomials are pure)
     kinds = {(i, None if isinstance(f, str) else (min(f[0], 1), min(f[1], 1))) for key in keys for i, f in key}
@@ -397,8 +390,8 @@ def power_distances(steps: list[tuple[PulseSequence, int]], target: PulseSequenc
 
     exact = read(target)
     distances = []
-    for step, n in steps:
-        power = [np.linalg.matrix_power(b, n) for b in read(step)]
+    for seq in sequences:
+        power = [np.linalg.matrix_power(b, seq.repeats) for b in read(PulseSequence(seq.pulses))]
         distances.append(max(float(np.linalg.norm((u - v)[..., h[:, None], h], 2, axis=(-2, -1)).max())
                              for u, v, h in zip(power, exact, held) if len(h)))
         final = probe(power)
@@ -408,7 +401,7 @@ def power_distances(steps: list[tuple[PulseSequence, int]], target: PulseSequenc
 
 def measure_plan_error(plan: SynthPlan, registry: SynthesisRegistry) -> float:
     """Spectral-norm distance between the compiled sequence and its target (`power_distances`)."""
-    return power_distances([(plan.block, plan.n_blocks)], plan.target_sequence, registry.layout,
+    return power_distances([plan.sequence], plan.target_sequence, registry.layout,
                            registry.generators, plan.reset_spin_required)[0][0]
 
 
@@ -592,6 +585,8 @@ class ClosureReport:
         layout = self.layout
         if not isinstance(query, np.ndarray):
             block = realize(weyl_symbol(query, layout), layout, interior_levels(layout), self.factors)
+        elif query.shape != (layout.total_dim,) * 2:
+            raise SynthesisError(f"query must have shape {(layout.total_dim,) * 2}, got {query.shape}")
         elif not hermiticity_residual(query) <= HERMITICITY_TOL:
             raise SynthesisError(f"query is not Hermitian within {HERMITICITY_TOL:g}")
         else:
@@ -764,11 +759,11 @@ def plan_to_json(plan: SynthPlan) -> str:
     doc = {
         "target": plan.target_id,
         "angle": plan.angle,
-        "n_blocks": plan.n_blocks,
+        "n_blocks": plan.sequence.repeats,
         "block_step": plan.block_step,
         "predicted_error": plan.predicted_error,
         "reset_spin_required": plan.reset_spin_required,
-        "n_pulses": len(plan.sequence),
+        "n_pulses": len(plan.sequence.pulses) * plan.sequence.repeats,  # len() stops at 2**63
         "derivation": _node_to_dict(plan.derivation),
         "sequence": plan.sequence.to_text(),
     }
@@ -781,7 +776,6 @@ def closure_to_json(report: ClosureReport, probes: dict[str, float] | None = Non
         "depth_reached": report.depth_reached,
         "n_directions": len(report.directions),
         "directions_per_degree": report.directions_per_degree,
-        "directions": [{"degree": d.degree, "source": d.source} for d in report.directions],
         "notes": list(report.notes),
     }
     if probes is not None:

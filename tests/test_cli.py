@@ -6,6 +6,7 @@ import json
 import re
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -823,7 +824,32 @@ def test_a_size_past_the_address_space_exits_3(tmp_path, capsys, n, experiment, 
     assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     why = (f"{experiment}: cannot allocate its arrays" if n == cli.MAX_REPEATS
            else f"{key}: must be at most 2**52 (cli.MAX_REPEATS), got {n}")
+    if n == cli.MAX_REPEATS and key == "trotter_steps":  # one round of one pulse per term: nothing to allocate
+        why = f"sequence of {n} pulses exceeds NORM_TOL * 2**52 = 4.5e+07"
     assert capsys.readouterr().err == f"hybridsim: validation error: {why}\n"
+
+
+@pytest.mark.parametrize("experiment", ["spectrum", "robustness"])
+def test_a_trotter_run_past_the_pulse_bound_exits_3_before_its_first_pulse(tmp_path, capsys, experiment):
+    # 2**52 rounds of one pulse allocate nothing: the pulse loop refuses the count before it runs
+    cfg = write_config(tmp_path, "cfg.json", {**SPECTRUM_CONFIG, "experiment": experiment, "method": "trotter",
+                                              "trotter_steps": 2**52})
+    started = time.perf_counter()
+    assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("hybridsim: validation error: sequence of 4503599627370496 pulses exceeds NORM_TOL")
+    assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+
+
+def test_run_reraises_an_unexpected_value_error(tmp_path, monkeypatch):
+    def runner(cfg):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "synth", (runner, cli.EXPERIMENTS["synth"][1]))
+    with pytest.raises(ValueError, match="^boom$"):
+        cli.run(cli.ExperimentConfig("synth", {}, 0, tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 # Per config key: a value of the wrong type, then small valid values (cutoffs <= 8, pointer_cutoff <= 16,

@@ -183,7 +183,7 @@ def test_the_pulse_loop_formats_each_pulse_id_once(monkeypatch):
 
 def _dense_product(seq: PulseSequence, layout) -> np.ndarray:
     dense = np.eye(layout.total_dim, dtype=complex)
-    for p in seq.pulses:
+    for p in seq.pulses * seq.repeats:
         dense = expm_unitary(build(p.expr, layout), p.sign * p.duration) @ dense
     return dense
 
@@ -381,6 +381,20 @@ def test_sequence_text_round_trip_is_bit_exact():
         PulseSequence.from_text("# note\n1.0*sz@0 +1 abc\n")
 
 
+def test_a_trotter_sequence_holds_one_round_whatever_its_step_count():
+    # 2**40 rounds are built and serialized, never propagated: the round is one pulse per term
+    h = parse_expr("0.2*sz@0*sz@1 + 0.1*sx@0 + 0.1*sx@1")
+    huge = trotter(h, 1.0, 2**40)
+    assert len(huge.pulses) == len(h.terms) and len(huge) == len(h.terms) * 2**40
+    texts = {n: trotter(h, 1.0, n).to_text() for n in (2, 2**40)}
+    assert len(texts[2].splitlines()) == len(texts[2**40].splitlines()) == 2 + len(h.terms)
+    for n, text in texts.items():
+        again = PulseSequence.from_text(text)
+        assert again.repeats == n and again.to_text() == text
+        assert again.metadata == trotter(h, 1.0, n).metadata
+        assert [p.duration for p in again.pulses] == [p.duration for p in trotter(h, 1.0, n).pulses]
+
+
 def test_pulse_validation():
     with pytest.raises(EvolutionError):
         Pulse("1.0*sz@0", -0.1, 1)
@@ -576,6 +590,13 @@ def _overflowing_pulse(text):
                  id="group-overflow"),
     pytest.param(_overflowing_pulse("1e306*X@0^6"), "phase inf exceeds the phase budget", id="energy-overflow"),
     pytest.param(lambda: trotter(parse_expr("sz@0"), 1.0, 0), "n_steps must be >= 1, got 0", id="trotter-steps"),
+    *[pytest.param(lambda v=v: PulseSequence.from_text(f"# note\n# repeats {v}\n1.0*sz@0 +1 0.5\n"),
+                   f"line 2: repeats must be an integer >= 1, got '# repeats {v}'", id=f"text-repeats-{v}")
+      for v in ("0", "-1", "1.5", "x")],
+    pytest.param(lambda: PulseSequence(repeats=0), "repeats must be an integer >= 1, got 0", id="repeats-0"),
+    pytest.param(lambda: PulseSequence(repeats=True), "repeats must be an integer >= 1, got True", id="repeats-bool"),
+    pytest.param(lambda: PulseSequence((), ("repeats 3",)), "a metadata note must not begin with 'repeats'",
+                 id="repeats-note"),
 ])
 def test_each_evolution_check_raises_naming_its_fault(call, fragment):
     # under the project's error::RuntimeWarning an overflow warning would fail the overflow cases

@@ -2,7 +2,6 @@ import dataclasses
 import json
 import re
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -198,7 +197,7 @@ def test_registry_pulses_diagonalize_only_subsystem_factors(monkeypatch):
     # plan pulses and the exact target are factored per subsystem, never diagonalized at D = 72
     assert calls and max(calls) <= 6
     u = np.eye(layout.total_dim, dtype=complex)
-    for p in plan.sequence.pulses:
+    for p in plan.sequence.pulses * plan.sequence.repeats:
         u = expm_unitary(build(reg.record(p.generator_id).expr, reg.layout), p.sign * p.duration) @ u
     oracle = np.linalg.norm(u - expm_unitary(build(plan.target, layout), plan.angle), 2)
     assert abs(err - oracle) <= 1e-12
@@ -676,6 +675,13 @@ def test_serialization_documents():
     assert cdoc["probes"]["1.0*id@0"] <= 1e-8
 
 
+def test_a_plan_past_the_index_range_serializes_its_pulse_count():
+    # 4 * 2**61 pulses is past what len() can return; the plan holds its one block and is never run
+    reg = standard_registry(new_register([qubit(), qumode(4)]))
+    doc = json.loads(plan_to_json(synthesize("sy@0", 0.5, 2**61, reg)))
+    assert (doc["n_blocks"], doc["n_pulses"]) == (2**61, 4 * 2**61)
+
+
 def test_szsz_synthesis_disentangles_the_bus(two_spin_registry):
     reg = two_spin_registry
     plan = synthesize("sz@0*sz@1", np.pi / 4, 64, reg)
@@ -739,10 +745,10 @@ def _assert_probe_columns(final, exact, compiled, target):
 def test_plan_unitaries_are_the_sector_blocks_of_the_dense_pair(dims, target, angle, n_blocks):
     reg = standard_registry(new_register(dims))
     plan = synthesize(target, angle, n_blocks, reg)
-    (error,), final, exact = power_distances([(plan.block, n_blocks)], plan.target_sequence, reg.layout,
+    (error,), final, exact = power_distances([plan.sequence], plan.target_sequence, reg.layout,
                                              reg.generators, plan.reset_spin_required)
     assert abs(error - _flat_plan_error(plan, reg)) <= 1e-12
-    block = sequence_unitary(plan.block, reg.layout, reg.generators)
+    block = sequence_unitary(PulseSequence(plan.sequence.pulses), reg.layout, reg.generators)
     _assert_probe_columns(final, exact, np.linalg.matrix_power(block, n_blocks),
                           sequence_unitary(plan.target_sequence, reg.layout, reg.generators))
 
@@ -751,7 +757,7 @@ def test_trotter_step_powers_are_the_sector_blocks_of_the_dense_power():
     layout = new_register([qubit(), qubit(), qumode(8)])
     h = parse_expr("0.9*sz@0*X@2 + 1.1*sx@0*X@2 + 0.5*sz@1*P@2")
     target = PulseSequence((Pulse(h, 0.5),))
-    errors, final, exact = power_distances([(trotter(h, 0.5 / n, 1), n) for n in (4, 16)], target, layout,
+    errors, final, exact = power_distances([trotter(h, 0.5, n) for n in (4, 16)], target, layout,
                                            Generators(layout))
     dense = sequence_unitary(target, layout)
     for n, error in zip((4, 16), errors):
@@ -767,7 +773,7 @@ def _flat_distances(steps, target, layout, held_spin=None):
     if held_spin is not None:
         keep = keep[keep // int(np.prod(layout.dims[held_spin + 1:])) % 2 == 0]
     dense = sequence_unitary(target, layout)
-    flats = [sequence_unitary(PulseSequence(step.pulses * n), layout) for step, n in steps]
+    flats = [sequence_unitary(PulseSequence(step.pulses * step.repeats), layout) for step in steps]
     return [float(np.linalg.norm((u - dense)[np.ix_(keep, keep)], 2)) for u in flats], flats[-1], dense
 
 
@@ -785,7 +791,7 @@ def _assert_the_plan_matches_the_flat_plan(steps, target, layout, held_spin=None
 
 
 def _assert_the_node_field_matches_the_flat_plan(steps, target, layout, held_spin=None):
-    pulses = [p for seq in (target, *(step for step, _ in steps)) for p in seq.pulses]
+    pulses = [p for seq in (target, *steps) for p in seq.pulses * seq.repeats]
     touched = {i for p in pulses for key in operators.weyl_symbol(p.expr, layout) for i, _ in key}
 
     def parity_sectors(keys, sub):  # only the touched qubits' sectors: every mode is a node axis
@@ -808,7 +814,7 @@ def _assert_the_node_field_matches_the_flat_plan(steps, target, layout, held_spi
 def test_a_single_quadrature_plan_matches_the_dense_flat_plan(dims, target, angle):
     reg = standard_registry(new_register(dims))
     plans = [synthesize(target, angle, n, reg) for n in (4, 16)]
-    _assert_the_node_field_matches_the_flat_plan([(p.block, p.n_blocks) for p in plans], plans[-1].target_sequence,
+    _assert_the_node_field_matches_the_flat_plan([p.sequence for p in plans], plans[-1].target_sequence,
                                                  reg.layout, plans[-1].reset_spin_required)
 
 
@@ -819,7 +825,7 @@ def test_a_single_quadrature_plan_matches_the_dense_flat_plan(dims, target, angl
 ])
 def test_a_single_quadrature_trotter_run_matches_the_dense_flat_plan(dims, text):
     layout, h = new_register(dims), parse_expr(text)
-    _assert_the_node_field_matches_the_flat_plan([(trotter(h, 0.6 / n, 1), n) for n in (2, 8)],
+    _assert_the_node_field_matches_the_flat_plan([trotter(h, 0.6, n) for n in (2, 8)],
                                                  PulseSequence((Pulse(h, 0.6),)), layout)
 
 
@@ -849,7 +855,8 @@ def _plan_cases(draw, mixed=False):
                                          st.sampled_from((1, -1))), min_size=min_size, max_size=4))
         return PulseSequence(tuple(Pulse(parse_expr(g), t, s) for g, t, s in pulses))
 
-    steps = [(sequence(0), k) for k in draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))]
+    repeats = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    steps = [dataclasses.replace(sequence(0), repeats=k) for k in repeats]
     held = draw(st.sampled_from([None] + [i for i in range(n) if layout.is_qubit(i)]))
     return layout, steps, sequence(1), held
 
@@ -873,7 +880,7 @@ def test_a_pulse_sequence_with_both_quadratures_on_a_mode_matches_the_dense_flat
 def test_a_trotter_run_with_a_mixed_mode_beside_a_node_axis_matches_the_dense_flat_plan():
     layout = new_register([qubit(), qubit(), qumode(8), qumode(6)])
     h = parse_expr("0.9*sz@0*X@2 + 1.1*sx@0*X@2 + 0.5*sz@1*P@2 + 0.4*sz@1*X@3")
-    widths = _assert_the_plan_matches_the_flat_plan([(trotter(h, 0.6 / n, 1), n) for n in (2, 8)],
+    widths = _assert_the_plan_matches_the_flat_plan([trotter(h, 0.6, n) for n in (2, 8)],
                                                     PulseSequence((Pulse(h, 0.6),)), layout)
     assert widths == [32] * 3
 
@@ -881,7 +888,7 @@ def test_a_trotter_run_with_a_mixed_mode_beside_a_node_axis_matches_the_dense_fl
 def test_a_mixed_synth_plan_beside_an_untouched_mode_matches_the_dense_flat_plan():
     reg = standard_registry(new_register([qubit(), qubit(), qumode(8), qumode(6)]))
     plans = [synthesize("sz@0*sz@1", 0.3, n, reg) for n in (4, 16)]  # sz@0*P@2 and sz@1*X@2
-    steps = [(p.block, p.n_blocks) for p in plans]
+    steps = [p.sequence for p in plans]
     widths = _assert_the_plan_matches_the_flat_plan(steps, plans[-1].target_sequence, reg.layout,
                                                     plans[-1].reset_spin_required)
     assert widths == [32] * 3
@@ -910,18 +917,17 @@ def test_plan_sequence_is_the_block_repeated(two_spin_registry):
     reg = two_spin_registry
     angle, n = np.pi / 4, 16
     plan = synthesize("sz@0*sz@1", angle, n, reg)
-    assert len(plan.block) == 4
-    assert plan.sequence.pulses == plan.block.pulses * plan.n_blocks
+    assert len(plan.sequence.pulses) == 4 and plan.sequence.repeats == n and len(plan.sequence) == 4 * n
     rule = reg.rule_for(plan.target_id)
     a_id, b_id = (rule.b_id, rule.a_id) if rule.scale * angle < 0 else (rule.a_id, rule.b_id)
     s = plan.block_step
     meta = (f"synthesize target={plan.target_id} angle={angle!r} n_blocks={n} s={s!r}",)
-    flat = PulseSequence(group_commutator(a_id, b_id, s, reg).pulses * n, meta)
-    fields = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
-    assert plan_to_json(plan) == plan_to_json(SimpleNamespace(**fields, sequence=flat))
+    assert plan.sequence == PulseSequence(group_commutator(a_id, b_id, s, reg).pulses, meta, n)
+    doc = json.loads(plan_to_json(plan))
+    assert (doc["n_blocks"], doc["n_pulses"]) == (n, 4 * n) and doc["sequence"] == plan.sequence.to_text()
 
     still = synthesize("sz@0*sz@1", 0.0, 8, reg)
-    assert still.block.pulses == still.sequence.pulses == ()
+    assert still.sequence.pulses == () and still.sequence.repeats == 8
     assert measure_plan_error(still, reg) == 0.0
 
 
@@ -1091,6 +1097,13 @@ def _spin_mode_state():
     return basis_state(new_register([qubit(), qumode(4)]), [0, 0])
 
 
+def _spin_mode_closure():
+    """The closure of the primitive set on [qubit, qumode4] (D = 8), to degree 2."""
+    reg = SynthesisRegistry(new_register([qubit(), qumode(4)]))
+    seeds = [reg.register(g.expr, drivable=True) for g in primitive_set(reg.layout, 0, 1).members]
+    return close_algebra(seeds, max_new=5, degree_cap=2, registry=reg)
+
+
 @pytest.mark.parametrize(("call", "fragment"), [
     pytest.param(lambda: SynthesisRegistry.add_reset_alias(*_spin_only_rule()),
                  "direction '1.0*sz@0' is not sz times mode operators", id="reset-alias"),
@@ -1105,6 +1118,10 @@ def _spin_mode_state():
                  "subsystem 0 is not a qumode", id="drive-qubit"),
     pytest.param(lambda: oscillator_drive(_spin_mode_state(), 1, "X", 0.1, 0, np.random.default_rng(0), n_steps=0),
                  "n_steps must be >= 1, got 0", id="drive-steps"),
+    pytest.param(lambda: _spin_mode_closure().membership(np.zeros((2, 3))), "query must have shape (8, 8), got (2, 3)",
+                 id="membership-not-square"),
+    pytest.param(lambda: _spin_mode_closure().membership(np.zeros((4, 4))), "query must have shape (8, 8), got (4, 4)",
+                 id="membership-wrong-size"),
 ])
 def test_each_synthesis_check_raises_naming_its_fault(call, fragment):
     with pytest.raises(SynthesisError, match=re.escape(fragment)):
