@@ -265,11 +265,11 @@ def _write_outputs(cfg: ExperimentConfig, results: dict, leak: float, valid: boo
     (cfg.out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
-def _histogram_lines(nodes: np.ndarray, shot_nodes: np.ndarray, n_bins: int = 60) -> list[str]:
+def _histogram_lines(nodes: np.ndarray, shot_nodes: np.ndarray) -> list[str]:
     weights = np.bincount(shot_nodes, minlength=len(nodes))  # the shots' histogram is the nodes' by shot count
     lo, hi = float(nodes[weights > 0].min()), float(nodes[weights > 0].max())
     pad = 0.05 * (hi - lo) if hi > lo else 0.5
-    counts, edges = np.histogram(nodes, bins=n_bins, range=(lo - pad, hi + pad), weights=weights)
+    counts, edges = np.histogram(nodes, bins=60, range=(lo - pad, hi + pad), weights=weights)
     edges = edges.tolist()
     lines = ["# x count"]
     for c, left, right in zip(counts.tolist(), edges[:-1], edges[1:]):
@@ -327,8 +327,7 @@ def _run_robustness(cfg: ExperimentConfig):
         "resolution": rep.resolution,
     }
     csv = _shot_lines(rep.nodes, rep.shot_nodes, rep.baseline.t_couple)
-    valid = rep.valid and rep.baseline.valid
-    return results, rep.leakage, valid, csv, _histogram_lines(rep.nodes, rep.shot_nodes)
+    return results, rep.leakage, rep.baseline.valid, csv, _histogram_lines(rep.nodes, rep.shot_nodes)
 
 
 def _run_synth(cfg: ExperimentConfig):

@@ -17,8 +17,8 @@ The eigenvalues are the outer product of the factors', and each group's
 eigenvectors act on its own axes of the amplitude tensor, so the pointer
 coupling ``H (x) P`` costs ``d_sys^3 + cutoff^3`` rather than
 ``(d_sys * cutoff)^3`` and a product-term pulse never forms a ``D x D``
-matrix.  Every pulse takes this one path: its generator is an inline
-expression or an id that parses as one.  Decompositions are kept per
+matrix.  Every pulse takes this one path: its generator is an expression
+(text is parsed once, when the pulse is made).  Decompositions are kept per
 generator id, local factors per (key factor, dimension) and remaining groups
 per (sub-register, sub-symbol), in a ``Generators`` table owned by the caller
 (a synthesis registry, a spectroscopy run); ``H`` and ``H (x) P`` share their
@@ -68,13 +68,20 @@ class UnknownGeneratorError(EvolutionError):
 
 @dataclass(frozen=True)
 class Pulse:
-    """One timed exponential of a named or inline generator."""
+    """One timed exponential of a generator expression; a generator given as text is parsed here, once."""
 
-    generator: str | HamiltonianExpr
+    generator: HamiltonianExpr
     duration: float
     sign: int = 1
 
     def __post_init__(self):
+        if isinstance(self.generator, str):
+            try:
+                object.__setattr__(self, "generator", parse_expr(self.generator))
+            except OperatorError:
+                raise UnknownGeneratorError(f"cannot resolve generator id {self.generator!r}") from None
+        elif not isinstance(self.generator, HamiltonianExpr):
+            raise EvolutionError(f"generator must be text or a HamiltonianExpr, got {type(self.generator).__name__}")
         if self.sign not in (1, -1):
             raise EvolutionError(f"pulse sign must be +1 or -1, got {self.sign}")
         d = float(self.duration)
@@ -84,59 +91,53 @@ class Pulse:
 
     @cached_property  # formatted once per pulse: the pulse loop reads it for its key and its decomposition
     def generator_id(self) -> str:
-        if isinstance(self.generator, str):
-            return self.generator
         return generator_id(self.generator)
-
-    @property
-    def expr(self) -> HamiltonianExpr:
-        """The generator's inline expression, else its id parsed as Hamiltonian text."""
-        if isinstance(self.generator, HamiltonianExpr):
-            return self.generator
-        try:
-            return parse_expr(self.generator)
-        except OperatorError:
-            raise UnknownGeneratorError(f"cannot resolve generator id {self.generator!r}") from None
 
 
 @dataclass(frozen=True)
 class PulseSequence:
-    """One round of pulses, run left to right ``repeats`` (an int >= 1) times; ``len`` counts every pulse run."""
+    """One round of pulses, run left to right ``repeats`` (an int >= 1) times."""
 
     pulses: tuple[Pulse, ...] = ()
-    metadata: tuple[str, ...] = ()
     repeats: int = 1
 
     def __post_init__(self):
         if not isinstance(self.repeats, int) or isinstance(self.repeats, bool) or self.repeats < 1:
             raise EvolutionError(f"repeats must be an integer >= 1, got {self.repeats!r}")
-        if any(note.split()[:1] == ["repeats"] for note in self.metadata):  # the text form's repeats line
-            raise EvolutionError(f"a metadata note must not begin with 'repeats', got {self.metadata}")
 
-    def __len__(self) -> int:
+    @property
+    def n_pulses(self) -> int:
+        """Every pulse run, ``len(pulses) * repeats``, at any size (``len()`` stops at 2**63)."""
         return len(self.pulses) * self.repeats
 
-    def to_text(self) -> str:
-        """Line-oriented form: ``# note`` lines, ``# repeats N`` if N > 1, a ``<generator_id> <sign> <duration>``
-        line per pulse of the round.
+    def __len__(self) -> int:
+        return self.n_pulses
 
-        Durations print via repr, so the round trip is bit-exact.
+    def to_text(self) -> str:
+        """Line-oriented form: ``# repeats N`` if N > 1, then a ``<generator_id> <sign> <duration>`` line per pulse
+        of the round.
+
+        Ids are canonical (`operators.generator_id`) and durations print via repr, so the round trip is bit-exact.
         """
-        lines = [f"# {note}" for note in self.metadata] + [f"# repeats {self.repeats}"] * (self.repeats > 1)
+        lines = [f"# repeats {self.repeats}"] * (self.repeats > 1)
         lines += [f"{p.generator_id} {p.sign:+d} {p.duration!r}" for p in self.pulses]
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
     def from_text(cls, text: str) -> PulseSequence:
-        pulses, metadata, repeats = [], [], 1
+        """The sequence ``to_text`` wrote: one optional ``# repeats N`` line, other ``#`` lines skipped as comments,
+        each pulse's id parsed as it is read; a fault raises EvolutionError naming its line."""
+        pulses, repeats = [], None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line:
                 continue
             if line.startswith("#"):
                 if (words := line[1:].split())[:1] != ["repeats"]:
-                    metadata.append(line[1:].strip())
-                elif len(words) != 2 or not words[1].isdecimal() or (repeats := int(words[1])) < 1:
+                    continue
+                if repeats is not None:
+                    raise EvolutionError(f"line {lineno}: a second repeats line, got {raw!r}")
+                if len(words) != 2 or not words[1].isdecimal() or (repeats := int(words[1])) < 1:
                     raise EvolutionError(f"line {lineno}: repeats must be an integer >= 1, got {raw!r}")
                 continue
             fields = line.split()
@@ -149,8 +150,11 @@ class PulseSequence:
                 duration = float(dur_text)
             except ValueError:
                 raise EvolutionError(f"line {lineno}: duration must be a number, got {dur_text!r}") from None
-            pulses.append(Pulse(gid, duration, int(sign_text)))
-        return cls(tuple(pulses), tuple(metadata), repeats)
+            try:
+                pulses.append(Pulse(gid, duration, int(sign_text)))
+            except EvolutionError as exc:  # an id that does not parse, a duration that is negative or not finite
+                raise type(exc)(f"line {lineno}: {exc}") from None
+        return cls(tuple(pulses), repeats or 1)
 
 
 def _check_hermitian(h: np.ndarray) -> np.ndarray:
@@ -214,12 +218,11 @@ class Quadrature(NamedTuple):
 class Generators:
     """Generator id -> factored eigendecomposition on one layout, each id diagonalized once.
 
-    A pulse's generator resolves to its expression (`Pulse.expr`: the inline
-    expression, else its id parsed as Hamiltonian text), and its Weyl symbol
-    is factored by its keys as the module docstring describes.  The table
-    belongs to the caller that creates it: pass the same table to several
-    runs on one layout and they share every eigendecomposition, down to the
-    local factors and remaining groups that different generators have in common.
+    A pulse's generator expression has its Weyl symbol factored by its keys,
+    as the module docstring describes.  The table belongs to the caller that
+    creates it: pass the same table to several runs on one layout and they
+    share every eigendecomposition, down to the local factors and remaining
+    groups that different generators have in common.
     """
 
     def __init__(self, layout: RegisterLayout):
@@ -231,7 +234,7 @@ class Generators:
     def decomposition(self, pulse: Pulse) -> _Factored:
         gid = pulse.generator_id
         if gid not in self._decompositions:
-            self._decompositions[gid] = self.factor(weyl_symbol(pulse.expr, self.layout))
+            self._decompositions[gid] = self.factor(weyl_symbol(pulse.generator, self.layout))
         return self._decompositions[gid]
 
     @np.errstate(over="ignore", invalid="ignore")  # energies past float range are inf or NaN: the budget refuses them
@@ -281,8 +284,8 @@ def _propagate(seq: PulseSequence, layout: RegisterLayout, generators: Generator
     runs the round ``seq.repeats`` times, carrying over the phases and ``owed`` (axes -> the eigenvectors they are
     still in: the module docstring's owed-basis rule).  Past NORM_TOL * 2**52 pulses, an ulp of norm drift a pulse
     could exceed NORM_TOL, so such a sequence is refused before its first pulse."""
-    if not (n := len(seq.pulses) * seq.repeats) * 2.0**-52 <= NORM_TOL:  # len(seq) overflows past 2**63
-        raise EvolutionError(f"sequence of {n} pulses exceeds NORM_TOL * 2**52 = {NORM_TOL * 2**52:.3g}")
+    if not seq.n_pulses * 2.0**-52 <= NORM_TOL:
+        raise EvolutionError(f"sequence of {seq.n_pulses} pulses exceeds NORM_TOL * 2**52 = {NORM_TOL * 2**52:.3g}")
     if generators is None:
         generators = Generators(layout)
     elif not isinstance(generators, Generators):
@@ -338,7 +341,7 @@ def trotter(expr: HamiltonianExpr, t: float, n_steps: int) -> PulseSequence:
     dt = abs(t) / n_steps
     sign = 1 if t >= 0 else -1
     step = tuple(Pulse(HamiltonianExpr((trm,)), dt, sign) for trm in expr.terms)
-    return PulseSequence(step, (f"trotter n_steps={n_steps} t={t!r}",), n_steps)
+    return PulseSequence(step, n_steps)
 
 
 def cv_qft(state: StateVector, mode_idx: int) -> StateVector:

@@ -370,7 +370,6 @@ class RobustnessReport(_Shots):
     branches: tuple[BranchCheck, ...]
     resolution: float
     leakage: float
-    valid: bool
     seed: int
 
 
@@ -458,7 +457,6 @@ def robustness_midmeasure(
             )
         )
 
-    leak = state_leakage(joint1)
     return RobustnessReport(
         nodes=basis.nodes,
         shot_nodes=shot_nodes,
@@ -466,8 +464,7 @@ def robustness_midmeasure(
         peaks=peaks,
         branches=tuple(branches),
         resolution=spec.resolution,
-        leakage=leak,
-        valid=leak <= LEAKAGE_INVALID,
+        leakage=state_leakage(joint1),
         seed=seed,
     )
 

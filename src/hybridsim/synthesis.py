@@ -139,8 +139,8 @@ class SynthPlan:
 
     @property
     def target_sequence(self) -> PulseSequence:
-        """The exact target exp(-i build(target) angle) as one pulse of the target id."""
-        return PulseSequence((Pulse(self.target_id, abs(self.angle), -1 if self.angle < 0 else 1),))
+        """The exact target exp(-i build(target) angle) as one pulse of the target expression."""
+        return PulseSequence((Pulse(self.target, abs(self.angle), -1 if self.angle < 0 else 1),))
 
 
 class SynthesisRegistry:
@@ -264,18 +264,17 @@ def derive_rule(a_id: str, b_id: str, candidate_direction: HamiltonianExpr,
     return rule
 
 
-def _block_pulses(a_id: str, b_id: str, s: float) -> tuple[Pulse, ...]:
+def _block_pulses(a_id: str, b_id: str, s: float, registry: SynthesisRegistry) -> tuple[Pulse, ...]:
     # Applied left to right this realizes e^{+iBs} e^{+iAs} e^{-iBs} e^{-iAs}.
-    return (Pulse(a_id, s, 1), Pulse(b_id, s, 1), Pulse(a_id, s, -1), Pulse(b_id, s, -1))
+    a, b = registry.record(a_id).expr, registry.record(b_id).expr
+    return (Pulse(a, s, 1), Pulse(b, s, 1), Pulse(a, s, -1), Pulse(b, s, -1))
 
 
 def group_commutator(a_id: str, b_id: str, s: float, registry: SynthesisRegistry) -> PulseSequence:
     """Four-pulse block approximating exp(-i (i[A,B]) s^2) to third order in s."""
     if s <= 0:
         raise SynthesisError(f"block step must be > 0, got {s}")
-    registry.record(a_id)
-    registry.record(b_id)
-    return PulseSequence(_block_pulses(a_id, b_id, s), (f"group-commutator A={a_id} B={b_id} s={s!r}",))
+    return PulseSequence(_block_pulses(a_id, b_id, s, registry))
 
 
 def synthesize(
@@ -315,10 +314,6 @@ def synthesize(
             raise SynthesisError(f"rule input {gid!r} is not drivable")
     s = float(np.sqrt(abs(angle) / (n_blocks * abs(rule.scale)))) if angle != 0.0 else 0.0
 
-    meta = (
-        f"synthesize target={tid} angle={angle!r} n_blocks={n_blocks} s={s!r}"
-        + (f" reset_spin={reset_spin_required}" if reset_spin_required is not None else ""),
-    )
     try:  # s**3 raises past float range; a NaN step (a NaN angle) is nonzero and reaches the check
         predicted = 1.5 * n_blocks * s**3 * registry.third_order_scale(a_id, b_id) if s else 0.0
     except OverflowError:
@@ -329,7 +324,7 @@ def synthesize(
         target=target_expr,
         target_id=tid,
         angle=angle,
-        sequence=PulseSequence(_block_pulses(a_id, b_id, s) if s > 0.0 else (), meta, n_blocks),
+        sequence=PulseSequence(_block_pulses(a_id, b_id, s, registry) if s > 0.0 else (), n_blocks),
         block_step=s,
         predicted_error=predicted,
         derivation=registry.derivation_tree(rule.direction_id),
@@ -351,7 +346,7 @@ def power_distances(sequences: list[PulseSequence], target: PulseSequence, layou
     of the first sector, which holds inner index 0: Σ_x U(x)[:, 0] ⊗_m conj(W_m[0, x_m]) W_m[:, x_m]."""
     dims = layout.dims
     pulses = {p.generator_id: p for seq in (target, *sequences) for p in seq.pulses}  # one round holds every id
-    keys = [key for p in pulses.values() for key in weyl_symbol(p.expr, layout)]
+    keys = [key for p in pulses.values() for key in weyl_symbol(p.generator, layout)]
     # (subsystem, None for a Pauli, else (1, 0) for x^a or (0, 1) for p^b: a generator's monomials are pure)
     kinds = {(i, None if isinstance(f, str) else (min(f[0], 1), min(f[1], 1))) for key in keys for i, f in key}
     quads = dict(sorted(kinds))
@@ -763,7 +758,7 @@ def plan_to_json(plan: SynthPlan) -> str:
         "block_step": plan.block_step,
         "predicted_error": plan.predicted_error,
         "reset_spin_required": plan.reset_spin_required,
-        "n_pulses": len(plan.sequence.pulses) * plan.sequence.repeats,  # len() stops at 2**63
+        "n_pulses": plan.sequence.n_pulses,
         "derivation": _node_to_dict(plan.derivation),
         "sequence": plan.sequence.to_text(),
     }

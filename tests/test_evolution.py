@@ -94,12 +94,12 @@ def test_a_plain_mapping_is_not_a_generator_table():
     # pulses resolve by factoring their expression; a mapping of prebuilt matrices is refused
     layout = new_register([qubit()])
     state = basis_state(layout, [0])
-    seq = PulseSequence((Pulse("H", np.pi / 2, 1),))
+    seq = PulseSequence((Pulse("sx@0", np.pi / 2, 1),))
     sx = build(parse_expr("sx@0"), layout)
     with pytest.raises(EvolutionError):
-        run_sequence(seq, state, {"H": sx})
+        run_sequence(seq, state, {"sx@0": sx})
     with pytest.raises(EvolutionError):
-        sequence_unitary(seq, layout, {"H": sx})
+        sequence_unitary(seq, layout, {"sx@0": sx})
 
 
 def test_generator_table_layout_must_match():
@@ -184,7 +184,7 @@ def test_the_pulse_loop_formats_each_pulse_id_once(monkeypatch):
 def _dense_product(seq: PulseSequence, layout) -> np.ndarray:
     dense = np.eye(layout.total_dim, dtype=complex)
     for p in seq.pulses * seq.repeats:
-        dense = expm_unitary(build(p.expr, layout), p.sign * p.duration) @ dense
+        dense = expm_unitary(build(p.generator, layout), p.sign * p.duration) @ dense
     return dense
 
 
@@ -351,7 +351,7 @@ def test_a_pulse_sequence_matches_the_dense_product(case):
     layout, pulses = case
     dense = np.eye(layout.total_dim, dtype=complex)
     for p in pulses:
-        dense = expm_unitary(build(p.expr, layout), p.sign * p.duration) @ dense
+        dense = expm_unitary(build(p.generator, layout), p.sign * p.duration) @ dense
     seq = PulseSequence(tuple(pulses))
     assert np.max(np.abs(sequence_unitary(seq, layout) - dense)) <= 1e-12
     rng = np.random.default_rng(1)
@@ -369,7 +369,6 @@ def test_sequence_text_round_trip_is_bit_exact():
             Pulse("1.0*sz@0*X@1", 0.1234567890123456789, 1),
             Pulse(parse_expr("0.5*P@1^2"), 1e-7, -1),
         ),
-        ("compiled block", "second note"),
     )
     text = seq.to_text()
     again = PulseSequence.from_text(text)
@@ -387,12 +386,24 @@ def test_a_trotter_sequence_holds_one_round_whatever_its_step_count():
     huge = trotter(h, 1.0, 2**40)
     assert len(huge.pulses) == len(h.terms) and len(huge) == len(h.terms) * 2**40
     texts = {n: trotter(h, 1.0, n).to_text() for n in (2, 2**40)}
-    assert len(texts[2].splitlines()) == len(texts[2**40].splitlines()) == 2 + len(h.terms)
+    assert len(texts[2].splitlines()) == len(texts[2**40].splitlines()) == 1 + len(h.terms)
     for n, text in texts.items():
         again = PulseSequence.from_text(text)
         assert again.repeats == n and again.to_text() == text
-        assert again.metadata == trotter(h, 1.0, n).metadata
         assert [p.duration for p in again.pulses] == [p.duration for p in trotter(h, 1.0, n).pulses]
+
+
+def test_a_pulse_parses_its_text_once_into_the_canonical_id():
+    # two texts of one generator are one id, and one table keeps one decomposition for both
+    layout = new_register([qubit()])
+    short, long = Pulse("sx@0", 1.0), Pulse("1.0*sx@0", 1.0)
+    assert isinstance(short.generator, HamiltonianExpr) and short.generator == long.generator
+    assert short.generator_id == long.generator_id == generator_id(parse_expr("sx@0"))
+    table = Generators(layout)
+    assert table.decomposition(short) is table.decomposition(long)
+    # an id with spaces, cv_qft's, is written canonically and reads back
+    qft = PulseSequence((Pulse("0.5*X@0^2 + 0.5*P@0^2", np.pi / 2),))
+    assert PulseSequence.from_text(qft.to_text()) == qft
 
 
 def test_pulse_validation():
@@ -593,10 +604,14 @@ def _overflowing_pulse(text):
     *[pytest.param(lambda v=v: PulseSequence.from_text(f"# note\n# repeats {v}\n1.0*sz@0 +1 0.5\n"),
                    f"line 2: repeats must be an integer >= 1, got '# repeats {v}'", id=f"text-repeats-{v}")
       for v in ("0", "-1", "1.5", "x")],
+    pytest.param(lambda: Pulse(None, 0.5), "generator must be text or a HamiltonianExpr, got NoneType",
+                 id="pulse-generator-type"),
+    pytest.param(lambda: PulseSequence.from_text("no-such +1 0.5\n"), "line 1: cannot resolve generator id 'no-such'",
+                 id="text-unknown-id"),
+    pytest.param(lambda: PulseSequence.from_text("# repeats 2\n# repeats 3\n1.0*sz@0 +1 0.5\n"),
+                 "line 2: a second repeats line, got '# repeats 3'", id="text-repeats-twice"),
     pytest.param(lambda: PulseSequence(repeats=0), "repeats must be an integer >= 1, got 0", id="repeats-0"),
     pytest.param(lambda: PulseSequence(repeats=True), "repeats must be an integer >= 1, got True", id="repeats-bool"),
-    pytest.param(lambda: PulseSequence((), ("repeats 3",)), "a metadata note must not begin with 'repeats'",
-                 id="repeats-note"),
 ])
 def test_each_evolution_check_raises_naming_its_fault(call, fragment):
     # under the project's error::RuntimeWarning an overflow warning would fail the overflow cases

@@ -792,7 +792,7 @@ def _assert_the_plan_matches_the_flat_plan(steps, target, layout, held_spin=None
 
 def _assert_the_node_field_matches_the_flat_plan(steps, target, layout, held_spin=None):
     pulses = [p for seq in (target, *steps) for p in seq.pulses * seq.repeats]
-    touched = {i for p in pulses for key in operators.weyl_symbol(p.expr, layout) for i, _ in key}
+    touched = {i for p in pulses for key in operators.weyl_symbol(p.generator, layout) for i, _ in key}
 
     def parity_sectors(keys, sub):  # only the touched qubits' sectors: every mode is a node axis
         assert sub.subsystems == tuple(qubit() for i in sorted(touched) if layout.is_qubit(i))
@@ -921,14 +921,24 @@ def test_plan_sequence_is_the_block_repeated(two_spin_registry):
     rule = reg.rule_for(plan.target_id)
     a_id, b_id = (rule.b_id, rule.a_id) if rule.scale * angle < 0 else (rule.a_id, rule.b_id)
     s = plan.block_step
-    meta = (f"synthesize target={plan.target_id} angle={angle!r} n_blocks={n} s={s!r}",)
-    assert plan.sequence == PulseSequence(group_commutator(a_id, b_id, s, reg).pulses, meta, n)
+    assert plan.sequence == PulseSequence(group_commutator(a_id, b_id, s, reg).pulses, n)
     doc = json.loads(plan_to_json(plan))
     assert (doc["n_blocks"], doc["n_pulses"]) == (n, 4 * n) and doc["sequence"] == plan.sequence.to_text()
 
     still = synthesize("sz@0*sz@1", 0.0, 8, reg)
     assert still.sequence.pulses == () and still.sequence.repeats == 8
     assert measure_plan_error(still, reg) == 0.0
+
+
+def test_a_plan_is_powered_and_replayed_without_parsing_text(monkeypatch):
+    # a plan's pulses hold their registry expressions: neither its power nor its replay parses an id
+    reg = standard_registry(new_register([qubit(), qumode(6), qumode(6)]))
+    plan = synthesize("X@1*X@2", 0.35, 4, reg)
+    calls = []
+    monkeypatch.setattr(evolution, "parse_expr", lambda text: calls.append(text) or parse_expr(text))
+    power_distances([plan.sequence], plan.target_sequence, reg.layout, reg.generators, plan.reset_spin_required)
+    run_sequence(plan.sequence, basis_state(reg.layout, [0, 0, 0]), reg.generators)
+    assert calls == []
 
 
 def test_third_order_scale_is_computed_once_per_rule_pair(monkeypatch):
