@@ -29,7 +29,9 @@ import json
 import math
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -244,12 +246,18 @@ def _header_lines(cfg: ExperimentConfig, leak: float) -> list[str]:
     ]
 
 
+_ROWS_PER_WRITE = 4096  # rows joined per write, so a file's text never sits in memory whole
+
+
 def _write_outputs(cfg: ExperimentConfig, results: dict, leak: float, valid: bool,
-                   csv_lines: list[str], curve_lines: list[str], started: float) -> None:
+                   csv_lines: Iterable[str], curve_lines: Iterable[str], started: float) -> None:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    header = _header_lines(cfg, leak)
-    (cfg.out_dir / "samples.csv").write_text("\n".join(header + csv_lines) + "\n")
-    (cfg.out_dir / "curve.dat").write_text("\n".join(header + curve_lines) + "\n")
+    header = "\n".join(_header_lines(cfg, leak)) + "\n"
+    for name, lines in (("samples.csv", iter(csv_lines)), ("curve.dat", iter(curve_lines))):
+        with (cfg.out_dir / name).open("w") as out:
+            out.write(header)
+            while batch := list(islice(lines, _ROWS_PER_WRITE)):  # islice, unlike zip with a range, drops no row
+                out.write("\n".join(batch) + "\n")
     summary = {
         "tool": "hybridsim",
         "version": __version__,
@@ -283,7 +291,8 @@ def _fit_slope(xs, ys) -> float:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners (each returns results dict, leakage, valid by its own checks, csv, curve)
+# experiment runners (each returns results dict, leakage, valid by its own checks, csv, curve);
+# csv and curve are iterables of lines, so a shot runner's rows are formatted only as they are written
 
 
 def _spectrum_inputs(cfg: ExperimentConfig) -> tuple:
@@ -304,10 +313,12 @@ def _spectrum_inputs(cfg: ExperimentConfig) -> tuple:
     return h, psi, spec, n_shots, cfg.seed, method, trotter_steps
 
 
-def _shot_lines(nodes: np.ndarray, shot_nodes: np.ndarray, t_couple: float) -> list[str]:
-    # a shot is one of the `cutoff` nodes: format each node's row text once, then take it per shot
-    texts = np.array([f"{x!r},{x / t_couple!r}" for x in nodes.tolist()], dtype=object)[shot_nodes]
-    return ["shot,x,eigenvalue_estimate"] + [f"{i},{text}" for i, text in enumerate(texts.tolist())]
+def _shot_lines(nodes: np.ndarray, shot_nodes: np.ndarray, t_couple: float) -> Iterator[str]:
+    # a shot is one of the `cutoff` nodes: format each node's row text once, then take it per shot as it is written
+    texts = [f"{x!r},{x / t_couple!r}" for x in nodes.tolist()]
+    yield "shot,x,eigenvalue_estimate"
+    for i, node in enumerate(shot_nodes.tolist()):
+        yield f"{i},{texts[node]}"
 
 
 def _run_spectrum(cfg: ExperimentConfig):

@@ -7,6 +7,7 @@ import re
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -687,15 +688,20 @@ def test_shot_lines_format_each_shot_as_before():
 
     samples = (0.5, -1.25, 0.5, 1e-17, -1.25, 3.0000000000000004, 0.5)
     expected = ["shot,x,eigenvalue_estimate"] + [f"{i},{x!r},{x / 3.7!r}" for i, x in enumerate(samples)]
-    assert _shot_lines(*np.unique(samples, return_inverse=True), 3.7) == expected
+    assert list(_shot_lines(*np.unique(samples, return_inverse=True), 3.7)) == expected
 
 
-@pytest.mark.parametrize("n_shots", [1, 400])
+_B = cli._ROWS_PER_WRITE
+
+
+@pytest.mark.parametrize("n_shots", [1, 400, _B - 1, _B, _B + 1, 2 * _B + 1])
 @pytest.mark.parametrize(("experiment", "runner"), [("spectrum", "estimate_spectrum"),
                                                     ("robustness", "robustness_midmeasure")])
 def test_shot_rows_and_histogram_equal_the_formulas_on_the_samples(tmp_path, monkeypatch, experiment, runner,
                                                                    n_shots):
-    # rows and bins formed from node indices equal the per-sample formulas; one shot takes the pad = 0.5 branch
+    # rows and bins formed from node indices equal the per-sample formulas; one shot takes the pad = 0.5 branch.
+    # samples.csv is written _B rows at a time, its column-name row first: from _B shots on, a row stands at a
+    # batch boundary, where a batch taken as zip(rows, range(_B)) would drop it
     results, run = [], getattr(cli, runner)
     monkeypatch.setattr(cli, runner, lambda *a: results.append(run(*a)) or results[-1])
     cfg = write_config(tmp_path, "c.json", dict(SPECTRUM_CONFIG, experiment=experiment, n_shots=n_shots))
@@ -714,6 +720,28 @@ def test_shot_rows_and_histogram_equal_the_formulas_on_the_samples(tmp_path, mon
     edges = edges.tolist()
     assert data("curve.dat") == [f"{(a + b) / 2!r} {c}" for c, a, b in zip(counts.tolist(), edges[:-1], edges[1:])]
 
+
+
+def _traced_peak_of_main(tmp_path, experiment: str, config: dict) -> int:
+    cfg = write_config(tmp_path, "c.json", dict(config, experiment=experiment))
+    tracemalloc.start()
+    try:
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("experiment, config", [
+    ("spectrum", dict(SPECTRUM_CONFIG, layout=["qubit"], hamiltonian="0.7*sz@0 + 0.4*sx@0")),
+    ("robustness", SPECTRUM_CONFIG),
+])
+def test_a_shot_run_holds_a_few_numbers_per_shot_not_its_rows(tmp_path, experiment, config):
+    # the rows stream to samples.csv, so what grows is the shot arrays and their clustering: 33 B per shot in
+    # spectrum, 50 in robustness (four shot arrays, a sorted copy and its gaps).  Holding every row's text would add
+    # about 140 B per shot.  The 1-shot run takes the one-time allocations, about 0.9 MB, which would flatten a slope
+    peaks = [_traced_peak_of_main(tmp_path, experiment, dict(config, n_shots=n)) for n in (1, 20_000, 80_000)]
+    assert (peaks[2] - peaks[1]) / 60_000 <= 64
 
 def test_a_synth_run_propagates_its_target_pulse_once(tmp_path, monkeypatch):
     layout = new_register([qubit(), qumode(8)])

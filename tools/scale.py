@@ -1,9 +1,9 @@
-"""Time the register-scale CLI runs, each in its own process: pointer spectroscopy and synth.
+"""Time the register- and shot-scale CLI runs, each in its own process: pointer spectroscopy and synth.
 
     python3 tools/scale.py [CHECKOUT]
     python3 tools/scale.py CHECKOUT INDEX
 
-Imports ``hybridsim`` from ``CHECKOUT/src`` (default: this checkout) and runs the eight
+Imports ``hybridsim`` from ``CHECKOUT/src`` (default: this checkout) and runs the nine
 cases of ``CASES`` through ``cli.main`` at seed 5, each in its own child process (this
 script given ``CHECKOUT`` and the case's index) and temporary directory:
 
@@ -15,9 +15,12 @@ script given ``CHECKOUT`` and the case's index) and temporary directory:
 * ``synth`` at angle 0.7 of ``X@1*X@2`` on ``[qubit, qumode32, qumode32]`` (D = 2048) and on
   ``[qubit, qumode64, qumode64]`` (D = 8192), and of ``sz@0*sz@1`` on ``[qubit, qubit,
   qumode64, qumode64]`` (D = 16,384), whose plan puts X and P on mode 2 and leaves mode 3
-  untouched.
+  untouched;
+* ``spectrum`` of one qubit, ``0.7*sz@0 + 0.4*sx@0``, with the exact coupling and 10**6 shots,
+  whose cost is its shot arrays and the 10**6 rows of ``samples.csv``.
 
-Every pointer run couples a 128-level pointer at beta 4 for t = 5 and takes 2000 shots.
+Every pointer run couples a 128-level pointer at beta 4 for t = 5 and takes 2000 shots
+unless its case says otherwise.
 Each case prints one line: the CLI exit code, the wall seconds, its own process's peak RSS
 (``ru_maxrss``, which includes the interpreter and numpy) and the sha256 of the data rows
 of ``samples.csv``, so two checkouts can be compared case for case.  A ``synth`` case that
@@ -71,6 +74,8 @@ CASES = (
     ("synth", synth("X@1*X@2", 1, 32, [4, 16, 64])),
     ("synth", synth("X@1*X@2", 1, 64, [4, 16, 64, 256])),
     ("synth", synth("sz@0*sz@1", 2, 64, [4, 16, 64, 256])),
+    ("spectrum", dict(POINTER, layout=["qubit"], hamiltonian="0.7*sz@0 + 0.4*sx@0", method="exact",
+                      n_shots=10**6)),
 )
 
 
@@ -79,7 +84,7 @@ def label(experiment: str, config: dict) -> str:
     if experiment == "synth":
         return f"synth {config['target']} D={dim} n_blocks={config['n_blocks']}"
     return (f"{experiment} {len(config['layout'])}q D={dim * config['pointer_cutoff']} "
-            f"{config['method']}{config.get('trotter_steps', '')}")
+            f"{config['method']}{config.get('trotter_steps', '')} {config['n_shots']} shots")
 
 
 def run(checkout: Path, index: int) -> None:
@@ -96,8 +101,14 @@ def run(checkout: Path, index: int) -> None:
         code = cli.main([experiment, "--config", str(path), "--seed", "5", "--out", str(out)])
         seconds = time.perf_counter() - start
         peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        lines = (out / "samples.csv").read_bytes().splitlines(keepends=True) if code == 0 else []
-        digest = hashlib.sha256(b"".join(ln for ln in lines if not ln.startswith(b"#"))).hexdigest() if lines else "-"
+        digest = "-"
+        if code == 0:
+            data = hashlib.sha256()
+            with (out / "samples.csv").open("rb") as rows:  # line by line: 10**7 shots are 446 MB of rows
+                for row in rows:
+                    if not row.startswith(b"#"):
+                        data.update(row)
+            digest = data.hexdigest()
         print(f"{label(experiment, config)}: exit {code}, {seconds:.2f} s, peak RSS {peak_mib:.0f} MiB, "
               f"samples.csv data sha256 {digest}", flush=True)
         if experiment == "synth" and code == 0:
